@@ -27,8 +27,20 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
-from .energy import EnergyBreakdown, compute_energy, decode_energy, frame_cost, harvested_energy
+import numpy as np
+
+from ._libm import libm
+from .energy import (
+    EnergyBreakdown,
+    compute_energy,
+    decode_energy,
+    energy_per_op,
+    frame_cost,
+    harvested_energy,
+    offload_power,
+)
 from .params import SystemParams
 
 __all__ = [
@@ -40,6 +52,10 @@ __all__ = [
     "solve_local",
     "solve_offload",
     "lambert_w0",
+    "lambert_w0_array",
+    "StrategyArrays",
+    "solve_frames",
+    "choose_modes",
     "decide",
     "evaluate_strategies",
     "decision_inequality",
@@ -210,8 +226,7 @@ def solve_offload(params: SystemParams, eff_gain_down: float,
     tau_e = tee - tau_d - tau_o
     if tau_e < 0.0:
         return _INFEASIBLE
-    p_o = (params.noise_server / gain_offload) * (
-        2.0 ** (bits / (params.bw_offload * tau_o)) - 1.0)
+    p_o = offload_power(params, gain_offload, tau_o)
     e_dec = decode_energy(params, eff_gain_down, tau_d)
     e_off = tau_o * p_o
     e_hrv = harvested_energy(params, eff_gain_down, tau_e)
@@ -245,14 +260,16 @@ def decision_inequality(params: SystemParams, eff_gain_down: float,
         params, eff_gain_down, gain_offload)
     if not (local.feasible and offload.feasible):
         raise ValueError("decision inequality needs both strategies feasible")
-    bits = params.bits_per_frame
-    per_op = (params.fanout * params.activity_factor * params.immaturity_factor
-              * params.thermal_noise_density * math.log(2.0))
+    a = offload.allocation
+    return _mode_rule_sides(params, eff_gain_down, a.tau_o, a.p_o)
+
+
+def _mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
+    """Both sides of the mode test at the optimal offload slot and power;
+    element-wise."""
     harvest_rate = params.eh_efficiency * (eff_gain_down + params.noise_dev)
-    lhs = params.ops_per_bit * bits * (per_op + harvest_rate / params.dev_ops_per_sec)
-    tau_o = offload.allocation.tau_o
-    p_o = (params.noise_server / gain_offload) * (
-        2.0 ** (bits / (params.bw_offload * tau_o)) - 1.0)
+    lhs = params.ops_per_bit * params.bits_per_frame * (
+        energy_per_op(params) + harvest_rate / params.dev_ops_per_sec)
     rhs = tau_o * (p_o + harvest_rate)
     return lhs, rhs
 
@@ -303,3 +320,169 @@ def decide(params: SystemParams, eff_gain_down: float, gain_offload: float,
         return chosen.allocation, chosen.breakdown
     fallback = harvest_only_result(params, eff_gain_down)
     return fallback.allocation, fallback.breakdown
+
+
+# ---------------------------------------------------------------------------
+# Array kernel: the same programs on whole arrays of frames.  The scalar
+# functions above stay scalar: they are the reference the kernel is
+# certified against (tests/test_kernel.py) and what verify calls.
+
+
+def lambert_w0_array(x) -> np.ndarray:
+    """lambert_w0 element by element, with its start points, pass cap,
+    stopping rules and residual certificate applied to each element."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("x must not be NaN")
+    below = x < -_INV_E
+    if (below & ~(x > -_INV_E - 1e-15)).any():
+        raise ValueError(
+            f"lambert_w0 domain is x >= -1/e, got {float(x[below].min())!r}")
+    w = np.where(below, -1.0, 0.0)
+    pos = x > 0.0
+    neg = (x < 0.0) & ~below
+    w[pos] = libm(math.log1p, x[pos])
+    p = np.sqrt(2.0 * (math.e * x[neg] + 1.0))
+    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * libm(partial(pow, exp=3), p) / 72.0
+    w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)
+    iterated = np.flatnonzero(pos | neg)
+    active = iterated
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(50):
+            if active.size == 0:
+                break
+            wa, xa = w[active], x[active]
+            ew = libm(math.exp, wa)
+            f = wa * ew - xa
+            wp1 = wa + 1.0
+            halt = (f == 0.0) | (wp1 == 0.0)
+            denom = ew * wp1 - (wa + 2.0) * f / (2.0 * wp1)
+            step = f / denom
+            w_next = wa - step
+            w_next[w_next < -1.0] = -1.0 + 1e-16
+            w[active] = np.where(halt, wa, w_next)
+            done = halt | (np.abs(step) <= 2e-16 * (1.0 + np.abs(w_next)))
+            active = active[~done]
+        wi, xi = w[iterated], x[iterated]
+        certified = (np.abs(wi * libm(math.exp, wi) - xi)
+                     <= 1e-12 * np.maximum(1.0, np.abs(xi)))
+    if not certified.all():
+        raise ArithmeticError(
+            f"lambert_w0 failed to converge for x={float(xi[~certified][0])!r}")
+    return w
+
+
+@dataclass(frozen=True)
+class StrategyArrays:
+    """One mode's optimum for every frame of a gain array (see solve_frames).
+
+    Fields mirror Allocation and EnergyBreakdown.  Where the mode is
+    infeasible, cost is inf and every other field is NaN.
+    """
+    feasible: np.ndarray
+    tau_e: np.ndarray
+    tau_d: np.ndarray
+    tau_c: np.ndarray
+    tau_o: np.ndarray
+    p_o: np.ndarray
+    e_decode: np.ndarray
+    e_compute: np.ndarray
+    e_offload: np.ndarray
+    e_harvest: np.ndarray
+    cost: np.ndarray
+
+
+def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
+                     **fields) -> StrategyArrays:
+    """Mask the infeasible elements, apply the energy module's guards (slots
+    inside the frame, energies non-negative) to the feasible ones and
+    assemble the cost as frame_cost does for mode i_o."""
+    out = {name: np.where(feasible, value, math.nan)
+           for name, value in fields.items()}
+    for name in ("tau_e", "tau_d", "tau_c", "tau_o"):
+        slot = out[name][feasible]
+        if ((slot < 0.0) | (slot > params.frame_duration)).any():
+            raise ValueError(f"{name} must lie in [0, {params.frame_duration}]")
+    for name in ("e_decode", "e_compute", "e_offload", "e_harvest"):
+        if (out[name][feasible] < 0.0).any():
+            raise ValueError(f"{name} must be non-negative")
+    paid = out["e_offload"] if i_o else out["e_compute"]
+    cost = np.where(feasible, paid + out["e_decode"] - out["e_harvest"], math.inf)
+    return StrategyArrays(feasible=feasible, cost=cost, **out)
+
+
+def solve_frames(params: SystemParams, eff_gain_down,
+                 gain_offload) -> tuple[StrategyArrays, StrategyArrays]:
+    """solve_local and solve_offload on every element of two gain arrays of
+    one shape, with the scalar solvers' infeasibility rules.
+
+    Each element runs the scalar solvers' operations in the same order, with
+    log2, exp and pow from the C library, so results equal theirs bit for
+    bit.
+    """
+    gd = np.asarray(eff_gain_down, dtype=float)
+    go = np.asarray(gain_offload, dtype=float)
+    if gd.shape != go.shape:
+        raise ValueError("gain arrays must have one shape")
+    if (gd < 0.0).any():
+        raise ValueError("eff_gain_down must be non-negative")
+    if (go < 0.0).any():
+        raise ValueError("gain_offload must be non-negative")
+    tee = params.frame_duration
+    bits = params.bits_per_frame
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l2 = libm(math.log2, 1.0 + gd / params.noise_dev)
+        tau_d = bits / (params.bw_downlink * l2)
+        e_dec = params.decode_energy_per_bit * (params.bw_downlink * l2 * tau_d)
+        harvest_rate = params.eh_efficiency * (gd + params.noise_dev)
+
+        compute_secs_per_bit = params.ops_per_bit / params.dev_ops_per_sec
+        tau_c = params.ops_per_bit * bits / params.dev_ops_per_sec
+        tau_e = tee - tau_d - tau_c
+        ok = ((l2 > 0.0)
+              & (1.0 / (params.bw_downlink * l2) + compute_secs_per_bit
+                 <= 1.0 / params.rate_min)
+              & (tau_e >= 0.0))
+        local = _strategy_arrays(
+            params, ok, 0, tau_e=tau_e, tau_d=tau_d, tau_c=tau_c, tau_o=0.0,
+            p_o=0.0, e_decode=e_dec,
+            e_compute=compute_energy(params, params.rate_min), e_offload=0.0,
+            e_harvest=harvest_rate * tau_e)
+
+        x = (params.eh_efficiency * go * (gd + params.noise_dev)
+             / params.noise_server)
+        ok = (params.rate_min < params.bw_downlink * l2) & (x > 0.0)
+        w = np.full(gd.shape, math.nan)
+        w[ok] = lambert_w0_array((x[ok] - 1.0) * _INV_E)
+        tau_o = (bits * math.log(2.0) / params.bw_offload) / (1.0 + w)
+        tau_e = tee - tau_d - tau_o
+        ok &= (w > -1.0 + 1e-12) & (tau_e >= 0.0)
+        p_o = np.full(gd.shape, math.nan)
+        p_o[ok] = offload_power(params, go[ok], tau_o[ok])
+        offload = _strategy_arrays(
+            params, ok, 1, tau_e=tau_e, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
+            p_o=p_o, e_decode=e_dec, e_compute=0.0, e_offload=tau_o * p_o,
+            e_harvest=harvest_rate * tau_e)
+    return local, offload
+
+
+def choose_modes(params: SystemParams, eff_gain_down,
+                 local: StrategyArrays, offload: StrategyArrays) -> np.ndarray:
+    """decide's mode choice before its storage check, element-wise: True
+    where offloading is the cheaper feasible mode (ties go local).
+
+    Where both modes are feasible the cost comparison is cross-checked
+    against the closed-form inequality, as decide does; disagreements beyond
+    rounding noise are logged once, with their count.
+    """
+    offloads = offload.cost < local.cost
+    both = local.feasible & offload.feasible
+    lhs, rhs = _mode_rule_sides(params, np.asarray(eff_gain_down)[both],
+                                offload.tau_o[both], offload.p_o[both])
+    margin = 1e-9 * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    disagree = ((lhs > rhs) != offloads[both]) & (np.abs(lhs - rhs) > margin)
+    if disagree.any():
+        log.warning("mode rule disagrees with cost comparison on %d of %d "
+                    "frames where both modes are feasible",
+                    int(disagree.sum()), int(both.sum()))
+    return offloads

@@ -35,7 +35,7 @@ from .allocator import (
     lambert_w0,
 )
 from .channel import realize_channels
-from .energy import offload_bits
+from .energy import offload_bits, offload_power
 from .params import SystemParams, load_params
 from .sim import (
     FRAME_STATS_CSV_COLUMNS,
@@ -63,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _load_config(path: str | None) -> SystemParams:
@@ -95,6 +106,12 @@ def cmd_allocate(args) -> int:
         print("error: --seed is required unless both --gain-down and "
               "--gain-offload are given", file=sys.stderr)
         return EXIT_USAGE
+    for name in ("gain_down", "gain_offload"):
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            print(f"error: --{name.replace('_', '-')} must be a finite, "
+                  f"non-negative gain, got {value!r}", file=sys.stderr)
+            return EXIT_USAGE
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     counts = {Strategy.LOCAL_COMPUTE: 0, Strategy.OFFLOAD: 0,
               Strategy.HARVEST_ONLY: 0}
@@ -175,16 +192,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Consecutive infeasible draws after which verify gives up on a configuration.
+MAX_REJECTED_DRAWS = 10_000
+
+
 def _verify_instances(params: SystemParams, rng: np.random.Generator, n: int):
-    """Yield (gain_down, gain_offload) pairs feasible for both programs."""
-    made = 0
+    """Yield (gain_down, gain_offload) pairs feasible for both programs.
+
+    Raises ValueError after MAX_REJECTED_DRAWS infeasible draws in a row.
+    """
+    made = rejected = 0
     while made < n:
         gd = 10.0 ** rng.uniform(-8.0, -3.0)
         go = 10.0 ** rng.uniform(-8.0, -4.0)
         local, offload = evaluate_strategies(params, gd, go)
         if local.feasible and offload.feasible:
             made += 1
+            rejected = 0
             yield gd, go
+        else:
+            rejected += 1
+            if rejected == MAX_REJECTED_DRAWS:
+                raise ValueError(
+                    f"no feasible instance found in {MAX_REJECTED_DRAWS} draws: "
+                    "no sampled gain pair makes both local computing and "
+                    "offloading feasible under this configuration")
 
 
 def cmd_verify(args) -> int:
@@ -222,9 +254,8 @@ def cmd_verify(args) -> int:
         ok_l = dev_l <= tol_l and cost_grid >= local.cost - tol_l
 
         tau_o = offload.allocation.tau_o * (1.0 + args.perturb_offload_time)
-        p_o = (params.noise_server / go) * (
-            2.0 ** (params.bits_per_frame / (params.bw_offload * tau_o)) - 1.0)
-        cost_claim = (offload.breakdown.e_decode + tau_o * p_o
+        cost_claim = (offload.breakdown.e_decode
+                      + tau_o * offload_power(params, go, tau_o)
                       - params.eh_efficiency * (gd + params.noise_dev)
                       * (params.frame_duration
                          - offload.allocation.tau_d - tau_o))
@@ -315,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=sorted(_AXES), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated axis values")
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--frames", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="multi-frame storage statistics")
     common(p)
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--frames", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="certify closed forms against grid search")
@@ -343,7 +374,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,6 +8,7 @@ gain G (received power per unit symbol power) and offload power gain |g|^2:
     decode energy      E_D = eps * B_h * log2(1 + G / noise_dev) * tau_d
     compute energy     E_C = F0 * alpha * Mc * N0 * ln2 * K * R * T
     offloadable bits   N_O = B_g * tau_o * log2(1 + |g|^2 * p_o / noise_server)
+    offload power      p_o = (noise_server / |g|^2) * (2^(bits / (B_g * tau_o)) - 1)
 
 and the frame cost is consumed minus harvested energy; negative cost means
 the surplus can be banked.
@@ -15,7 +16,9 @@ the surplus can be banked.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
+from ._libm import libm
 from .params import SystemParams
 
 __all__ = [
@@ -25,8 +28,12 @@ __all__ = [
     "decode_energy",
     "compute_energy",
     "offload_bits",
+    "offload_power",
+    "energy_per_op",
     "frame_cost",
 ]
+
+_EXP2 = partial(pow, 2.0)  # 2.0 ** x on a float: the C library's pow
 
 ENERGY_CSV_COLUMNS = ("e_decode", "e_compute", "e_offload", "e_harvest", "cost")
 
@@ -69,13 +76,18 @@ def decode_energy(params: SystemParams, eff_gain_down: float, tau_d: float) -> f
     bits = params.bw_downlink * math.log2(1.0 + snr) * tau_d
     return params.decode_energy_per_bit * bits
 
+
+def energy_per_op(params: SystemParams) -> float:
+    """Switching energy of one logic operation, F0 * alpha * Mc * N0 * ln2."""
+    return (params.fanout * params.activity_factor * params.immaturity_factor
+            * params.thermal_noise_density * math.log(2.0))
+
+
 def compute_energy(params: SystemParams, rate: float) -> float:
     """Local processing energy for one frame at the given received rate."""
     if rate < 0.0:
         raise ValueError("rate must be non-negative")
-    per_op = (params.fanout * params.activity_factor * params.immaturity_factor
-              * params.thermal_noise_density * math.log(2.0))
-    return per_op * params.ops_per_bit * rate * params.frame_duration
+    return energy_per_op(params) * params.ops_per_bit * rate * params.frame_duration
 
 
 def offload_bits(params: SystemParams, gain_offload: float, p_o: float,
@@ -88,6 +100,14 @@ def offload_bits(params: SystemParams, gain_offload: float, p_o: float,
     _check_slot(tau_o, params.frame_duration, "tau_o")
     snr = gain_offload * p_o / params.noise_server
     return params.bw_offload * tau_o * math.log2(1.0 + snr)
+
+
+def offload_power(params: SystemParams, gain_offload, tau_o):
+    """Transmit power that delivers a frame's bits to the server in tau_o
+    seconds, the inverse of offload_bits.  Works element-wise on arrays."""
+    bits = params.bits_per_frame
+    return (params.noise_server / gain_offload) * (
+        libm(_EXP2, bits / (params.bw_offload * tau_o)) - 1.0)
 
 
 def frame_cost(e_decode: float, e_compute: float, e_offload: float,

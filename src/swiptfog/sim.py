@@ -7,10 +7,20 @@ energy); otherwise the whole frame harvests and the full-frame harvest is
 banked.  A frame spent harvesting is an outage; the outage probability is the
 mean of the outage indicator.
 
+Execution: frames are simulated as (trials x frames) arrays.  Each trial
+draws its channels frame by frame from its own generator, the one loop that
+runs per frame in Python; both programs are then solved for every frame at
+once (allocator.solve_frames), and the storage recursion, the only
+sequential step, loops over frames with all trials in one array.  Per-frame
+FrameRecord objects are built only by run_trace.
+
 Reproducibility: every trial draws from its own generator seeded with
 ``master_seed XOR trial_index``, so results do not depend on scheduling or
-the worker count, and aggregates use exact summation (math.fsum) so they do
-not depend on trial ordering either.
+the worker count.  With jobs > 1 the channel draws are sharded in chunks of
+TRIAL_CHUNK trials, a fixed size; workers return only the gain arrays, and
+solving, the recursion and aggregation run in the calling process.
+Aggregates use exact summation (math.fsum), so they do not depend on trial
+order either.
 """
 
 import math
@@ -20,9 +30,23 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .allocator import Allocation, Strategy, decide, evaluate_strategies
-from .channel import ChannelRealization, realize_channels
+from .allocator import (
+    Allocation,
+    Strategy,
+    StrategyArrays,
+    choose_modes,
+    decide,
+    harvest_only_result,
+    solve_frames,
+)
+from .channel import ChannelRealization, draw_gains
+from .energy import harvested_energy
 from .params import SystemParams, with_overrides
+
+# The scalar per-frame path stays importable from this module: the traced
+# benchmark run (perfbench/spans.py) wraps these module-level names.
+from .allocator import evaluate_strategies  # noqa: F401
+from .channel import realize_channels  # noqa: F401
 
 __all__ = [
     "FrameRecord",
@@ -40,6 +64,9 @@ __all__ = [
     "SWEEP_CSV_COLUMNS",
     "FRAME_STATS_CSV_COLUMNS",
 ]
+
+# Trials per unit of work when monte_carlo shards its channel draws.
+TRIAL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -75,7 +102,9 @@ class SimTrace:
 
 def step_frame(params: SystemParams, channel: ChannelRealization,
                e_stored: float, frame_index: int = 0) -> tuple[FrameRecord, float]:
-    """Advance the storage by one frame; returns the record and next level."""
+    """Advance the storage by one frame; returns the record and next level.
+
+    The scalar reference for one frame of the array simulation."""
     if e_stored < 0.0:
         raise ValueError("e_stored must be non-negative")
     alloc, brk = decide(params, channel.eff_gain_down, channel.gain_offload,
@@ -92,82 +121,59 @@ def step_frame(params: SystemParams, channel: ChannelRealization,
 
 
 @dataclass(frozen=True)
-class _TrialStats:
-    """Exact per-trial sums used by the Monte-Carlo aggregation."""
-    n_frames: int
-    outage: float
-    sum_cost_local: float
-    n_local: int
-    sum_cost_offload: float
-    n_offload: int
-    sum_e_decode: float
-    n_decode: int
-    sum_e_compute: float
-    sum_e_offload: float
-    sum_eh_local: float
-    sum_eh_offload: float
-    n_chosen_local: int
-    n_chosen_offload: int
-    n_chosen_harvest: int
-    sum_processed_cost: float
-    n_processed: int
+class _Frames:
+    """Simulated (trials x frames) arrays."""
+    local: StrategyArrays
+    offload: StrategyArrays
+    offloads: np.ndarray    # offloading is the cheaper feasible mode
+    cost: np.ndarray        # J, of that mode; inf where nothing is feasible
+    processed: np.ndarray   # the frame ran its mode (i_s == 0)
+    storage: np.ndarray     # J, at the start of the frame
 
 
-def _run_trial(params: SystemParams, n_frames: int,
-               seed: int) -> tuple[list, _TrialStats]:
-    rng = np.random.default_rng(seed)
-    e_stored = 0.0
+def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
+              gain_offload: np.ndarray) -> _Frames:
+    """Solve every frame, then run the storage recursion of every trial
+    (rows) over its frames (columns), starting empty."""
+    local, offload = solve_frames(params, eff_gain_down, gain_offload)
+    offloads = choose_modes(params, eff_gain_down, local, offload)
+    cost = np.where(offloads, offload.cost, local.cost)
+    harvest = harvested_energy(params, eff_gain_down, params.frame_duration)
+    storage = np.empty(cost.shape)
+    processed = np.empty(cost.shape, dtype=bool)
+    level = np.zeros(cost.shape[0])
+    for f in range(cost.shape[1]):
+        storage[:, f] = level
+        processed[:, f] = runs = cost[:, f] <= level
+        level = np.where(runs, level - cost[:, f], level + harvest[:, f])
+    return _Frames(local=local, offload=offload, offloads=offloads, cost=cost,
+                   processed=processed, storage=storage)
+
+
+def _trace_records(params: SystemParams, eff_gain_down: np.ndarray,
+                   frames: _Frames) -> list:
+    """FrameRecords of the first simulated trial."""
+    modes = ((frames.local, Strategy.LOCAL_COMPUTE, 0),
+             (frames.offload, Strategy.OFFLOAD, 1))
     records = []
-    cost_local, cost_off = [], []
-    e_dec, e_cmp, e_off, eh_loc, eh_off = [], [], [], [], []
-    chosen = {Strategy.LOCAL_COMPUTE: 0, Strategy.OFFLOAD: 0,
-              Strategy.HARVEST_ONLY: 0}
-    processed = []
-    for i in range(n_frames):
-        ch = realize_channels(params, rng)
-        local, offload = evaluate_strategies(params, ch.eff_gain_down,
-                                             ch.gain_offload)
-        if local.feasible:
-            cost_local.append(local.cost)
-            e_cmp.append(local.breakdown.e_compute)
-            eh_loc.append(local.breakdown.e_harvest)
-            e_dec.append(local.breakdown.e_decode)
-        elif offload.feasible:
-            e_dec.append(offload.breakdown.e_decode)
-        if offload.feasible:
-            cost_off.append(offload.cost)
-            e_off.append(offload.breakdown.e_offload)
-            eh_off.append(offload.breakdown.e_harvest)
-        alloc, brk = decide(params, ch.eff_gain_down, ch.gain_offload,
-                            e_stored, precomputed=(local, offload))
-        i_s = 1 if alloc.strategy is Strategy.HARVEST_ONLY else 0
-        chosen[alloc.strategy] += 1
+    for i, level in enumerate(frames.storage[0].tolist()):
+        i_s = 0 if frames.processed[0, i] else 1
         if i_s:
-            e_next = e_stored + brk.e_harvest
+            fallback = harvest_only_result(params, float(eff_gain_down[0, i]))
+            alloc = fallback.allocation
+            cost, e_harvest = fallback.cost, fallback.breakdown.e_harvest
         else:
-            e_next = e_stored - brk.cost
-            processed.append(brk.cost)
-        records.append(FrameRecord(frame_index=i, e_stored_begin=e_stored,
-                                   i_s=i_s, strategy=alloc.strategy,
-                                   cost=brk.cost, e_harvest=brk.e_harvest,
-                                   allocation=alloc))
-        e_stored = e_next
-    stats = _TrialStats(
-        n_frames=n_frames,
-        outage=math.fsum(r.i_s for r in records) / n_frames,
-        sum_cost_local=math.fsum(cost_local), n_local=len(cost_local),
-        sum_cost_offload=math.fsum(cost_off), n_offload=len(cost_off),
-        sum_e_decode=math.fsum(e_dec), n_decode=len(e_dec),
-        sum_e_compute=math.fsum(e_cmp),
-        sum_e_offload=math.fsum(e_off),
-        sum_eh_local=math.fsum(eh_loc),
-        sum_eh_offload=math.fsum(eh_off),
-        n_chosen_local=chosen[Strategy.LOCAL_COMPUTE],
-        n_chosen_offload=chosen[Strategy.OFFLOAD],
-        n_chosen_harvest=chosen[Strategy.HARVEST_ONLY],
-        sum_processed_cost=math.fsum(processed), n_processed=len(processed),
-    )
-    return records, stats
+            sol, strategy, i_o = modes[int(frames.offloads[0, i])]
+            alloc = Allocation(
+                tau_e=float(sol.tau_e[0, i]), tau_d=float(sol.tau_d[0, i]),
+                tau_c=float(sol.tau_c[0, i]), tau_o=float(sol.tau_o[0, i]),
+                p_o=float(sol.p_o[0, i]), i_o=i_o, strategy=strategy)
+            cost, e_harvest = float(sol.cost[0, i]), float(sol.e_harvest[0, i])
+        records.append(FrameRecord(
+            frame_index=i, e_stored_begin=level, i_s=i_s,
+            strategy=alloc.strategy, cost=cost, e_harvest=e_harvest,
+            allocation=alloc))
+    return records
 
 
 def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
@@ -176,8 +182,10 @@ def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
         raise ValueError("n_frames must be >= 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    records, _ = _run_trial(params, n_frames, seed)
-    return SimTrace.from_records(params, seed, records)
+    gd, go = (g[np.newaxis] for g in
+              draw_gains(params, np.random.default_rng(seed), n_frames))
+    frames = _simulate(params, gd, go)
+    return SimTrace.from_records(params, seed, _trace_records(params, gd, frames))
 
 
 @dataclass(frozen=True)
@@ -211,9 +219,13 @@ class MonteCarloResult:
     averages: StrategyAverages
 
 
-def _trial_worker(args):
-    params, n_frames, seed = args
-    return _run_trial(params, n_frames, seed)
+def _draw_trials(task) -> tuple[np.ndarray, np.ndarray]:
+    """(trials x frames) gain arrays for one chunk of trial seeds."""
+    params, n_frames, seeds = task
+    gains = [draw_gains(params, np.random.default_rng(seed), n_frames)
+             for seed in seeds]
+    return (np.array([gd for gd, _ in gains]),
+            np.array([go for _, go in gains]))
 
 
 def _ci_halfwidth(values: list[float]) -> float:
@@ -225,6 +237,12 @@ def _ci_halfwidth(values: list[float]) -> float:
     return 1.96 * math.sqrt(var / n)
 
 
+def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
+    """Exact mean of values[mask]; NaN when the mask selects nothing."""
+    count = int(np.count_nonzero(mask))
+    return math.fsum(values[mask].tolist()) / count if count else math.nan
+
+
 def monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
                 master_seed: int, jobs: int = 1) -> MonteCarloResult:
     """Average n_trials independent traces; identical results for any jobs."""
@@ -234,55 +252,53 @@ def monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
         raise ValueError("n_frames must be >= 1")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    tasks = [(params, n_frames, master_seed ^ t) for t in range(n_trials)]
-    if jobs > 1 and n_trials > 1:
-        with Pool(processes=min(jobs, n_trials)) as pool:
-            results = pool.map(_trial_worker, tasks)
+    seeds = [master_seed ^ t for t in range(n_trials)]
+    tasks = [(params, n_frames, seeds[i:i + TRIAL_CHUNK])
+             for i in range(0, n_trials, TRIAL_CHUNK)]
+    if jobs > 1 and len(tasks) > 1:
+        with Pool(processes=min(jobs, len(tasks))) as pool:
+            chunks = pool.map(_draw_trials, tasks)
     else:
-        results = [_trial_worker(t) for t in tasks]
-    all_records = [rec for rec, _ in results]
-    stats = [st for _, st in results]
+        chunks = [_draw_trials(task) for task in tasks]
+    gd = np.concatenate([c[0] for c in chunks])
+    go = np.concatenate([c[1] for c in chunks])
+    frames = _simulate(params, gd, go)
+    local, offload, processed = frames.local, frames.offload, frames.processed
 
-    mean_storage = tuple(
-        math.fsum(trial[f].e_stored_begin for trial in all_records) / n_trials
-        for f in range(n_frames))
-    outage_per_frame = tuple(
-        math.fsum(trial[f].i_s for trial in all_records) / n_trials
-        for f in range(n_frames))
-    per_trial_outage = [st.outage for st in stats]
+    mean_storage = tuple(math.fsum(column) / n_trials
+                         for column in frames.storage.T.tolist())
+    harvested = ~processed
+    outage_per_frame = tuple(n / n_trials for n in harvested.sum(axis=0).tolist())
+    per_trial_outage = [n / n_frames for n in harvested.sum(axis=1).tolist()]
     outage = math.fsum(per_trial_outage) / n_trials
 
-    def _mean(total_key: str, count_key: str) -> float:
-        total = math.fsum(getattr(st, total_key) for st in stats)
-        count = sum(getattr(st, count_key) for st in stats)
-        return total / count if count else math.nan
-
+    per_trial_cost = [math.fsum(c[m].tolist()) / np.count_nonzero(m)
+                      for c, m in zip(frames.cost, processed) if m.any()]
     n_all = n_frames * n_trials
+    n_offloaded = int(np.count_nonzero(processed & frames.offloads))
+    n_processed = int(np.count_nonzero(processed))
     averages = StrategyAverages(
-        mean_cost_local=_mean("sum_cost_local", "n_local"),
-        mean_cost_offload=_mean("sum_cost_offload", "n_offload"),
-        mean_e_decode=_mean("sum_e_decode", "n_decode"),
-        mean_e_compute=_mean("sum_e_compute", "n_local"),
-        mean_e_offload=_mean("sum_e_offload", "n_offload"),
-        mean_e_harvest_local=_mean("sum_eh_local", "n_local"),
-        mean_e_harvest_offload=_mean("sum_eh_offload", "n_offload"),
-        frac_local=sum(st.n_chosen_local for st in stats) / n_all,
-        frac_offload=sum(st.n_chosen_offload for st in stats) / n_all,
-        frac_harvest_only=sum(st.n_chosen_harvest for st in stats) / n_all,
-        n_local_feasible=sum(st.n_local for st in stats),
-        n_offload_feasible=sum(st.n_offload for st in stats),
+        mean_cost_local=_masked_mean(local.cost, local.feasible),
+        mean_cost_offload=_masked_mean(offload.cost, offload.feasible),
+        mean_e_decode=_masked_mean(np.where(local.feasible, local.e_decode,
+                                            offload.e_decode),
+                                   local.feasible | offload.feasible),
+        mean_e_compute=_masked_mean(local.e_compute, local.feasible),
+        mean_e_offload=_masked_mean(offload.e_offload, offload.feasible),
+        mean_e_harvest_local=_masked_mean(local.e_harvest, local.feasible),
+        mean_e_harvest_offload=_masked_mean(offload.e_harvest, offload.feasible),
+        frac_local=(n_processed - n_offloaded) / n_all,
+        frac_offload=n_offloaded / n_all,
+        frac_harvest_only=(n_all - n_processed) / n_all,
+        n_local_feasible=int(np.count_nonzero(local.feasible)),
+        n_offload_feasible=int(np.count_nonzero(offload.feasible)),
     )
-    per_trial_cost = [st.sum_processed_cost / st.n_processed
-                      for st in stats if st.n_processed]
-    mean_cost = (math.fsum(st.sum_processed_cost for st in stats)
-                 / max(1, sum(st.n_processed for st in stats))
-                 if any(st.n_processed for st in stats) else math.nan)
     return MonteCarloResult(
         params=params, n_frames=n_frames, n_trials=n_trials,
         master_seed=master_seed, mean_storage=mean_storage,
         outage_per_frame=outage_per_frame, outage=outage,
         outage_ci=_ci_halfwidth(per_trial_outage),
-        mean_processed_cost=mean_cost,
+        mean_processed_cost=_masked_mean(frames.cost, processed),
         mean_processed_cost_ci=_ci_halfwidth(per_trial_cost),
         averages=averages)
 

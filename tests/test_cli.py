@@ -136,3 +136,42 @@ def test_verify_detects_injected_perturbation(capsys, tmp_path):
                        "--perturb-offload-time", "0.01")
     assert code == 3
     assert "FAILED" in out
+
+
+def test_allocate_overflowing_gain_exits_2_with_message(capsys):
+    # finite gains whose root argument overflows: the root solver cannot
+    # certify a root, and the CLI reports that instead of a traceback
+    code, _, err = run(capsys, "allocate",
+                       "--gain-down", "1e308", "--gain-offload", "1e-6")
+    assert code == 2
+    assert "error:" in err and "lambert_w0" in err
+
+
+def test_allocate_rejects_non_finite_or_negative_gain(capsys):
+    for flag, other in (("--gain-down", "--gain-offload"),
+                        ("--gain-offload", "--gain-down")):
+        for value in ("nan", "inf", "-1e-6"):
+            code, out, err = run(capsys, "allocate", flag, value, other, "1e-6")
+            assert code == 1, (flag, value)
+            assert flag in err
+            assert "banked" not in out
+
+
+def test_simulate_zero_frames_or_trials_is_usage_error(capsys, tmp_path):
+    for flag in ("--frames", "--trials"):
+        code, _, err = run(capsys, "simulate", "--seed", "1", flag, "0",
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "positive integer" in err
+    assert not (tmp_path / "frames.csv").exists()
+
+
+def test_verify_gives_up_when_no_instance_is_feasible(capsys, tmp_path):
+    # the rate floor exceeds every sampled link capacity
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("rate_min = 1e9\n")
+    code, _, err = run(capsys, "verify", "--config", str(cfg), "--seed", "1",
+                       "--instances", "5", "--jobs", "1",
+                       "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "no feasible instance" in err

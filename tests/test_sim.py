@@ -126,15 +126,14 @@ def test_monte_carlo_jobs_do_not_change_results(params):
 
 def test_trial_seed_permutation_leaves_means_unchanged(params):
     # aggregates use exact summation, so trial order cannot matter
-    from swiptfog.sim import _run_trial
     seeds = [11 ^ t for t in range(6)]
-    stats = {s: _run_trial(params, 15, s)[1] for s in seeds}
+    outage = {s: run_trace(params, 15, s).outage for s in seeds}
     for perm_seed in (0, 1):
         rng = np.random.default_rng(perm_seed)
         order = list(seeds)
         rng.shuffle(order)
-        fwd = math.fsum(stats[s].outage for s in seeds) / len(seeds)
-        shuffled = math.fsum(stats[s].outage for s in order) / len(seeds)
+        fwd = math.fsum(outage[s] for s in seeds) / len(seeds)
+        shuffled = math.fsum(outage[s] for s in order) / len(seeds)
         assert fwd == shuffled
 
 
