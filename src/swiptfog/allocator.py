@@ -59,6 +59,7 @@ __all__ = [
     "decide",
     "evaluate_strategies",
     "decision_inequality",
+    "mode_rule_sides",
     "pick_cheaper",
     "harvest_only_result",
 ]
@@ -83,14 +84,6 @@ class Allocation:
     p_o: float
     i_o: int
     strategy: Strategy
-
-    def csv_row(self) -> list[str]:
-        return [repr(self.tau_e), repr(self.tau_d), repr(self.tau_c),
-                repr(self.tau_o), repr(self.p_o), str(self.i_o),
-                self.strategy.value]
-
-
-ALLOCATION_CSV_COLUMNS = ("tau_e", "tau_d", "tau_c", "tau_o", "p_o", "i_o", "strategy")
 
 
 @dataclass(frozen=True)
@@ -261,12 +254,12 @@ def decision_inequality(params: SystemParams, eff_gain_down: float,
     if not (local.feasible and offload.feasible):
         raise ValueError("decision inequality needs both strategies feasible")
     a = offload.allocation
-    return _mode_rule_sides(params, eff_gain_down, a.tau_o, a.p_o)
+    return mode_rule_sides(params, eff_gain_down, a.tau_o, a.p_o)
 
 
-def _mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
-    """Both sides of the mode test at the optimal offload slot and power;
-    element-wise."""
+def mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
+    """Left/right sides of the closed-form mode test at the optimal offload
+    slot and power; offload wins when left > right.  Element-wise."""
     harvest_rate = params.eh_efficiency * (eff_gain_down + params.noise_dev)
     lhs = params.ops_per_bit * params.bits_per_frame * (
         energy_per_op(params) + harvest_rate / params.dev_ops_per_sec)
@@ -325,7 +318,7 @@ def decide(params: SystemParams, eff_gain_down: float, gain_offload: float,
 # ---------------------------------------------------------------------------
 # Array kernel: the same programs on whole arrays of frames.  The scalar
 # functions above stay scalar: they are the reference the kernel is
-# certified against (tests/test_kernel.py) and what verify calls.
+# certified against (tests/test_kernel.py).
 
 
 def lambert_w0_array(x) -> np.ndarray:
@@ -477,7 +470,7 @@ def choose_modes(params: SystemParams, eff_gain_down,
     """
     offloads = offload.cost < local.cost
     both = local.feasible & offload.feasible
-    lhs, rhs = _mode_rule_sides(params, np.asarray(eff_gain_down)[both],
+    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down)[both],
                                 offload.tau_o[both], offload.p_o[both])
     margin = 1e-9 * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
     disagree = ((lhs > rhs) != offloads[both]) & (np.abs(lhs - rhs) > margin)

@@ -13,7 +13,6 @@ The flag exists because the phase-only weight definition and a single-number
 power budget cannot both hold for a multi-antenna array; see README.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -30,7 +29,6 @@ __all__ = [
     "conjugate_beamform",
     "realize_channels",
     "draw_gains",
-    "dump_realizations_csv",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -174,21 +172,3 @@ def realize_channels(params: SystemParams, rng: np.random.Generator) -> ChannelR
     return ChannelRealization(h=h[0], g=complex(g[0]),
                               eff_gain_down=float(eff_gain[0]),
                               gain_offload=float(gain_offload[0]))
-
-
-def dump_realizations_csv(params: SystemParams, n: int, seed: int, path: str) -> None:
-    """Write n seeded realizations for debugging; column order is stable:
-    trial, |h_0|..|h_{N-1}|, eff_gain_down, gain_offload."""
-    rng = np.random.default_rng(seed)
-    header = (["trial"]
-              + [f"h_abs_{i}" for i in range(params.n_antennas)]
-              + ["eff_gain_down", "gain_offload"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for trial in range(n):
-            ch = realize_channels(params, rng)
-            row = ([trial]
-                   + [repr(float(a)) for a in np.abs(ch.h)]
-                   + [repr(ch.eff_gain_down), repr(ch.gain_offload)])
-            writer.writerow(row)

@@ -23,19 +23,25 @@ import csv
 import math
 import os
 import sys
+from collections import Counter
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import bruteforce
+from ._libm import libm
 from .allocator import (
     Strategy,
-    decision_inequality,
+    StrategyArrays,
     decide,
     evaluate_strategies,
     lambert_w0,
+    mode_rule_sides,
+    solve_frames,
 )
 from .channel import realize_channels
-from .energy import offload_bits, offload_power
+from .energy import offload_bits
 from .params import SystemParams, load_params
 from .sim import (
     FRAME_STATS_CSV_COLUMNS,
@@ -46,16 +52,15 @@ from .sim import (
     sweep_csv_rows,
 )
 
+# The traced benchmark run (perfbench/spans.py) wraps this module-level name.
+from .allocator import decision_inequality  # noqa: F401
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
-_AXES = {
-    "ops-per-bit": SweepAxis.OPS_PER_BIT,
-    "dist-ap-dev": SweepAxis.DIST_AP_DEV,
-    "dist-dev-server": SweepAxis.DIST_DEV_SERVER,
-}
+_AXES = {axis.value.replace("_", "-"): axis for axis in SweepAxis}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +86,17 @@ def _load_config(path: str | None) -> SystemParams:
         return load_params("")
     with open(path) as fh:
         return load_params(fh.read())
+
+
+def _write_csv(out_dir: str, name: str, header, rows) -> str:
+    """Write header and rows to out_dir/name; returns the file's path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _fmt(x: float) -> str:
@@ -113,11 +129,8 @@ def cmd_allocate(args) -> int:
                   f"non-negative gain, got {value!r}", file=sys.stderr)
             return EXIT_USAGE
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    counts = {Strategy.LOCAL_COMPUTE: 0, Strategy.OFFLOAD: 0,
-              Strategy.HARVEST_ONLY: 0}
-    repeat = max(1, args.repeat)
-    last = None
-    for _ in range(repeat):
+    counts = Counter()
+    for _ in range(args.repeat):
         if explicit:
             gd, go = args.gain_down, args.gain_offload
         else:
@@ -127,8 +140,6 @@ def cmd_allocate(args) -> int:
         alloc, brk = decide(params, gd, go, args.e_stored,
                             precomputed=(local, offload))
         counts[alloc.strategy] += 1
-        last = (gd, go, local, offload, alloc, brk)
-    gd, go, local, offload, alloc, brk = last
     print(f"channel: eff_gain_down={_fmt(gd)} gain_offload={_fmt(go)}")
     _print_strategy("local  ", local)
     _print_strategy("offload", offload)
@@ -140,8 +151,8 @@ def cmd_allocate(args) -> int:
     else:
         print(f"decision: {alloc.strategy.value} (i_o={alloc.i_o}), "
               f"cost {_fmt(brk.cost)} J")
-    if repeat > 1:
-        total = sum(counts.values())
+    if args.repeat > 1:
+        total = args.repeat
         print(f"over {total} draws: local={counts[Strategy.LOCAL_COMPUTE]/total:.3f} "
               f"offload={counts[Strategy.OFFLOAD]/total:.3f} "
               f"harvest_only={counts[Strategy.HARVEST_ONLY]/total:.3f}")
@@ -157,12 +168,8 @@ def cmd_sweep(args) -> int:
     axis = _AXES[args.axis]
     rows = sweep(params, axis, values, n_frames=args.frames,
                  n_trials=args.trials, master_seed=args.seed, jobs=args.jobs)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"sweep_{axis.value}.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        writer.writerows(sweep_csv_rows(rows))
+    path = _write_csv(args.out_dir, f"sweep_{axis.value}.csv",
+                      SWEEP_CSV_COLUMNS, sweep_csv_rows(rows))
     for row in rows:
         a = row.averages
         print(f"{axis.value}={_fmt(row.value)}: "
@@ -177,14 +184,9 @@ def cmd_simulate(args) -> int:
     params = _load_config(args.config)
     result = monte_carlo(params, n_frames=args.frames, n_trials=args.trials,
                          master_seed=args.seed, jobs=args.jobs)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "frames.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAME_STATS_CSV_COLUMNS)
-        for f in range(result.n_frames):
-            writer.writerow([str(f), repr(result.mean_storage[f]),
-                             repr(result.outage_per_frame[f])])
+    rows = [[str(f), repr(storage), repr(outage)] for f, (storage, outage)
+            in enumerate(zip(result.mean_storage, result.outage_per_frame))]
+    path = _write_csv(args.out_dir, "frames.csv", FRAME_STATS_CSV_COLUMNS, rows)
     print(f"frames={result.n_frames} trials={result.n_trials} "
           f"outage={result.outage:.4f} (ci {result.outage_ci:.4f}) "
           f"mean_processed_cost={_fmt(result.mean_processed_cost)} J")
@@ -196,120 +198,125 @@ def cmd_simulate(args) -> int:
 MAX_REJECTED_DRAWS = 10_000
 
 
-def _verify_instances(params: SystemParams, rng: np.random.Generator, n: int):
-    """Yield (gain_down, gain_offload) pairs feasible for both programs.
+@dataclass(frozen=True)
+class VerifyReport:
+    lines: list     # summary, with one line per failing grid-checked pair
+    rows: list      # verify.csv rows, one per grid-checked pair
+    worst: dict     # largest deviation of each kind (see certify)
+    failures: int   # failed checks
 
-    Raises ValueError after MAX_REJECTED_DRAWS infeasible draws in a row.
+
+def certify(params: SystemParams, eff_gain_down: np.ndarray,
+            gain_offload: np.ndarray, local: StrategyArrays,
+            offload: StrategyArrays, grid_pairs: int) -> VerifyReport:
+    """Check the optima that solve_frames claims, local and offload, on gain
+    pairs under which both modes are feasible; prints nothing.
+
+    Checks the root solver against bisection; the first grid_pairs claims
+    against the grid searches (deviations in multiples of the tolerance),
+    with their offload slot and power delivering the frame's bits; and the
+    mode rule against the cost comparison on the remaining pairs.
     """
-    made = rejected = 0
-    while made < n:
-        gd = 10.0 ** rng.uniform(-8.0, -3.0)
-        go = 10.0 ** rng.uniform(-8.0, -4.0)
-        local, offload = evaluate_strategies(params, gd, go)
-        if local.feasible and offload.feasible:
-            made += 1
-            rejected = 0
-            yield gd, go
-        else:
-            rejected += 1
-            if rejected == MAX_REJECTED_DRAWS:
-                raise ValueError(
-                    f"no feasible instance found in {MAX_REJECTED_DRAWS} draws: "
-                    "no sampled gain pair makes both local computing and "
-                    "offloading feasible under this configuration")
+    xs = np.concatenate([
+        -1.0 / math.e + 10.0 ** np.linspace(-9, math.log10(1.0 / math.e), 200),
+        10.0 ** np.linspace(-12, 6, 800),
+    ])
+    worst = dict.fromkeys(
+        ("root_residual", "root_gap", "local", "offload", "rate"), 0.0)
+    for x in xs.tolist():
+        w = lambert_w0(x)
+        resid = abs(w * math.exp(w) - x) / max(1.0, abs(x))
+        gap = abs(w - bruteforce.bisect_lambert(x))
+        worst["root_residual"] = max(worst["root_residual"], resid)
+        worst["root_gap"] = max(worst["root_gap"], gap)
+    ok = worst["root_residual"] <= 1e-12 and worst["root_gap"] <= 1e-11
+    failures = 0 if ok else 1
+    lines = [f"root solver: residual {worst['root_residual']:.2e}, vs "
+             f"bisection {worst['root_gap']:.2e} -> {'ok' if ok else 'FAIL'}"]
+
+    spec = bruteforce.GridSpec.for_frame(params.frame_duration)
+    rows = []
+    grid = slice(grid_pairs)
+    claims = zip(eff_gain_down[grid].tolist(), gain_offload[grid].tolist(),
+                 local.cost[grid].tolist(), offload.cost[grid].tolist(),
+                 offload.tau_o[grid].tolist(), offload.p_o[grid].tolist())
+    for idx, (gd, go, cost_l, cost_o, tau_o, p_o) in enumerate(claims):
+        _, _, cost_grid = bruteforce.brute_local(params, gd, spec)
+        tol_l = bruteforce.local_grid_tolerance(params, gd, spec)
+        dev_l = abs(cost_l - cost_grid)
+        ok_l = dev_l <= tol_l and cost_grid >= cost_l - tol_l
+
+        _, _, cost_grid_o = bruteforce.brute_offload(params, gd, go, spec)
+        tol_o = bruteforce.offload_grid_tolerance(params, gd, go, spec, tau_o)
+        dev_o = abs(cost_o - cost_grid_o)
+        ok_o = dev_o <= tol_o and cost_grid_o >= cost_o - tol_o
+
+        delivered = offload_bits(params, go, p_o, tau_o)
+        rate_dev = abs(delivered - params.bits_per_frame) / params.bits_per_frame
+        ok_r = rate_dev <= 1e-9
+
+        worst["local"] = max(worst["local"], dev_l / max(tol_l, 1e-300))
+        worst["offload"] = max(worst["offload"], dev_o / max(tol_o, 1e-300))
+        worst["rate"] = max(worst["rate"], rate_dev)
+        ok = ok_l and ok_o and ok_r
+        if not ok:
+            failures += 1
+            lines.append(f"instance {idx}: gd={gd!r} go={go!r} "
+                         f"dev_local={dev_l!r} (tol {tol_l!r}) "
+                         f"dev_offload={dev_o!r} (tol {tol_o!r}) "
+                         f"rate_dev={rate_dev!r}")
+        rows.append([str(idx), repr(gd), repr(go), repr(cost_l),
+                     repr(cost_grid), repr(cost_o), repr(cost_grid_o),
+                     repr(rate_dev), "pass" if ok else "fail"])
+    lines.append(f"grid check: {len(rows)} instances, worst local dev "
+                 f"{worst['local']:.3f}x tol, worst offload dev "
+                 f"{worst['offload']:.3f}x tol, worst rate dev "
+                 f"{worst['rate']:.2e}")
+
+    rest = slice(grid_pairs, None)
+    lhs, rhs = mode_rule_sides(params, eff_gain_down[rest],
+                               offload.tau_o[rest], offload.p_o[rest])
+    agree = (offload.cost[rest] < local.cost[rest]) == (lhs > rhs)
+    ok = agree.all()
+    failures += 0 if ok else 1
+    lines.append(f"mode rule vs cost comparison: {np.count_nonzero(agree)}/"
+                 f"{agree.size} agree -> {'ok' if ok else 'FAIL'}")
+    return VerifyReport(lines=lines, rows=rows, worst=worst, failures=failures)
 
 
 def cmd_verify(args) -> int:
     params = _load_config(args.config)
     rng = np.random.default_rng(args.seed)
-    failures = 0
-    report_rows = []
-
-    # root solver against bisection
-    xs = np.concatenate([
-        -1.0 / math.e + 10.0 ** np.linspace(-9, math.log10(1.0 / math.e), 200),
-        10.0 ** np.linspace(-12, 6, 800),
-    ])
-    worst_resid = 0.0
-    worst_gap = 0.0
-    for x in xs:
-        w = lambert_w0(float(x))
-        resid = abs(w * math.exp(w) - x) / max(1.0, abs(x))
-        gap = abs(w - bruteforce.bisect_lambert(float(x)))
-        worst_resid = max(worst_resid, resid)
-        worst_gap = max(worst_gap, gap)
-    ok = worst_resid <= 1e-12 and worst_gap <= 1e-11
-    failures += 0 if ok else 1
-    print(f"root solver: residual {worst_resid:.2e}, vs bisection "
-          f"{worst_gap:.2e} -> {'ok' if ok else 'FAIL'}")
-
-    spec = bruteforce.GridSpec.for_frame(params.frame_duration)
-    worst_local = worst_off = worst_rate = 0.0
-    for idx, (gd, go) in enumerate(_verify_instances(params, rng,
-                                                     args.instances)):
-        local, offload = evaluate_strategies(params, gd, go)
-        _, _, cost_grid = bruteforce.brute_local(params, gd, spec)
-        tol_l = bruteforce.local_grid_tolerance(params, gd, spec)
-        dev_l = abs(local.cost - cost_grid)
-        ok_l = dev_l <= tol_l and cost_grid >= local.cost - tol_l
-
-        tau_o = offload.allocation.tau_o * (1.0 + args.perturb_offload_time)
-        cost_claim = (offload.breakdown.e_decode
-                      + tau_o * offload_power(params, go, tau_o)
-                      - params.eh_efficiency * (gd + params.noise_dev)
-                      * (params.frame_duration
-                         - offload.allocation.tau_d - tau_o))
-        _, _, cost_grid_o = bruteforce.brute_offload(params, gd, go, spec)
-        tol_o = bruteforce.offload_grid_tolerance(params, gd, go, spec, tau_o)
-        dev_o = abs(cost_claim - cost_grid_o)
-        ok_o = dev_o <= tol_o and cost_grid_o >= cost_claim - tol_o
-
-        delivered = offload_bits(params, go, offload.allocation.p_o,
-                                 offload.allocation.tau_o)
-        rate_dev = abs(delivered - params.bits_per_frame) / params.bits_per_frame
-        ok_r = rate_dev <= 1e-9
-
-        worst_local = max(worst_local, dev_l / max(tol_l, 1e-300))
-        worst_off = max(worst_off, dev_o / max(tol_o, 1e-300))
-        worst_rate = max(worst_rate, rate_dev)
-        if not (ok_l and ok_o and ok_r):
-            failures += 1
-            print(f"instance {idx}: gd={gd!r} go={go!r} "
-                  f"dev_local={dev_l!r} (tol {tol_l!r}) "
-                  f"dev_offload={dev_o!r} (tol {tol_o!r}) rate_dev={rate_dev!r}")
-        report_rows.append([str(idx), repr(gd), repr(go), repr(local.cost),
-                            repr(cost_grid), repr(cost_claim), repr(cost_grid_o),
-                            repr(rate_dev),
-                            "pass" if (ok_l and ok_o and ok_r) else "fail"])
-    print(f"grid check: {args.instances} instances, worst local dev "
-          f"{worst_local:.3f}x tol, worst offload dev {worst_off:.3f}x tol, "
-          f"worst rate dev {worst_rate:.2e}")
-
-    agree = 0
-    total = 1000
-    for gd, go in _verify_instances(params, rng, total):
-        local, offload = evaluate_strategies(params, gd, go)
-        lhs, rhs = decision_inequality(params, gd, go)
-        if (offload.cost < local.cost) == (lhs > rhs):
-            agree += 1
-    ok = agree == total
-    failures += 0 if ok else 1
-    print(f"mode rule vs cost comparison: {agree}/{total} agree "
-          f"-> {'ok' if ok else 'FAIL'}")
-
+    # The first --instances pairs of the stream under which both modes are
+    # feasible go to the grid check, the next 1000 to the mode rule.  Each
+    # block draws the pairs still needed, so none yields more.
+    kept, needed, run = [], args.instances + 1000, 0
+    while needed:
+        u = rng.random((needed, 2))
+        pairs = libm(partial(pow, 10.0), -8.0 + u * (5.0, 4.0))
+        local, offload = solve_frames(params, pairs[:, 0], pairs[:, 1])
+        ok = local.feasible & offload.feasible
+        for feasible in ok.tolist():
+            run = 0 if feasible else run + 1
+            if run == MAX_REJECTED_DRAWS:
+                raise ValueError(
+                    f"no feasible instance found in {MAX_REJECTED_DRAWS} "
+                    "draws: no sampled gain pair makes both local computing "
+                    "and offloading feasible under this configuration")
+        kept.append(pairs[ok])
+        needed -= len(kept[-1])
+    gd, go = np.concatenate(kept).T
+    report = certify(params, gd, go, *solve_frames(params, gd, go),
+                     args.instances)
+    print("\n".join(report.lines))
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "verify.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance", "gain_down", "gain_offload",
-                             "cost_local_closed", "cost_local_grid",
-                             "cost_offload_closed", "cost_offload_grid",
-                             "rate_deviation", "status"])
-            writer.writerows(report_rows)
+        path = _write_csv(args.out_dir, "verify.csv", (
+            "instance", "gain_down", "gain_offload", "cost_local_closed",
+            "cost_local_grid", "cost_offload_closed", "cost_offload_grid",
+            "rate_deviation", "status"), report.rows)
         print(f"wrote {path}")
-    if failures:
-        print(f"verification FAILED ({failures} check(s))")
+    if report.failures:
+        print(f"verification FAILED ({report.failures} check(s))")
         return EXIT_VERIFY
     print("verification passed")
     return EXIT_OK
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key=value parameter file")
         p.add_argument("--seed", type=int, required=seed_required,
                        help="master seed; all randomness derives from it")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                        help="worker processes (results are jobs-independent)")
         p.add_argument("--out-dir", default=".", help="directory for CSV output")
 
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit effective downlink gain (skip channel draw)")
     p.add_argument("--gain-offload", type=float,
                    help="explicit offload power gain (skip channel draw)")
-    p.add_argument("--repeat", type=int, default=1,
+    p.add_argument("--repeat", type=_positive_int, default=1,
                    help="number of channel draws to aggregate")
     p.add_argument("--e-stored", type=float, default=math.inf,
                    help="stored energy budget in joules (default: unlimited)")
@@ -358,10 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify closed forms against grid search")
     common(p)
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--perturb-offload-time", type=float, default=0.0,
-                   help="self-test hook: fractional perturbation applied to "
-                        "the claimed offload slot (nonzero must fail)")
+    p.add_argument("--instances", type=_positive_int, default=100)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -35,9 +35,6 @@ __all__ = [
 
 _EXP2 = partial(pow, 2.0)  # 2.0 ** x on a float: the C library's pow
 
-ENERGY_CSV_COLUMNS = ("e_decode", "e_compute", "e_offload", "e_harvest", "cost")
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     e_decode: float    # J
@@ -45,10 +42,6 @@ class EnergyBreakdown:
     e_offload: float   # J, transmit energy tau_o * p_o
     e_harvest: float   # J
     cost: float        # J, consumed - harvested; may be negative
-
-    def csv_row(self) -> list[str]:
-        return [repr(self.e_decode), repr(self.e_compute), repr(self.e_offload),
-                repr(self.e_harvest), repr(self.cost)]
 
 
 def _check_slot(tau: float, frame: float, name: str) -> None:

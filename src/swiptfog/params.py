@@ -57,14 +57,16 @@ class SystemParams:
     normalize_beamforming: bool = True       # cap total radiated power at p_transmit
 
     def __post_init__(self):
-        if not isinstance(self.n_antennas, int) or self.n_antennas < 1:
+        if (not isinstance(self.n_antennas, int)
+                or isinstance(self.n_antennas, bool) or self.n_antennas < 1):
             raise ValueError("n_antennas must be a positive integer")
+        if not isinstance(self.normalize_beamforming, bool):
+            raise ValueError("normalize_beamforming must be a boolean")
         for name in (
             "p_transmit", "bw_downlink", "bw_offload", "noise_dev",
             "noise_server", "rate_min", "frame_duration", "ops_per_bit",
             "dev_ops_per_sec", "immaturity_factor", "fanout",
             "thermal_noise_density", "carrier_freq_mhz",
-            "dist_ap_dev", "dist_dev_server",
         ):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
@@ -75,10 +77,12 @@ class SystemParams:
         if not 0.0 < self.activity_factor < 1.0:
             raise ValueError(
                 f"activity_factor must lie in (0, 1), got {self.activity_factor!r}")
-        if self.decode_energy_per_bit < 0.0:
-            raise ValueError("decode_energy_per_bit must be non-negative")
-        if self.pathloss_coeff < 0.0:
-            raise ValueError("pathloss_coeff must be non-negative")
+        for name, low in (("decode_energy_per_bit", 0.0),
+                          ("pathloss_coeff", 0.0),
+                          ("dist_ap_dev", 1.0), ("dist_dev_server", 1.0)):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value!r}")
         if not math.isfinite(self.rician_k_db):
             raise ValueError("rician_k_db must be finite")
         if self.rate_min * self.frame_duration <= 0.0:

@@ -59,8 +59,6 @@ __all__ = [
     "run_trace",
     "monte_carlo",
     "sweep",
-    "trace_records_csv_rows",
-    "TRACE_CSV_COLUMNS",
     "SWEEP_CSV_COLUMNS",
     "FRAME_STATS_CSV_COLUMNS",
 ]
@@ -334,9 +332,6 @@ def sweep(params: SystemParams, axis: SweepAxis, values, n_frames: int,
     return rows
 
 
-TRACE_CSV_COLUMNS = ("frame", "e_stored_begin", "i_s", "strategy", "cost",
-                     "e_harvest", "tau_e", "tau_d", "tau_c", "tau_o", "p_o")
-
 FRAME_STATS_CSV_COLUMNS = ("frame", "mean_storage", "outage_rate")
 
 SWEEP_CSV_COLUMNS = ("axis", "value", "mean_cost_local", "mean_cost_offload",
@@ -344,17 +339,6 @@ SWEEP_CSV_COLUMNS = ("axis", "value", "mean_cost_local", "mean_cost_offload",
                      "mean_e_harvest_local", "mean_e_harvest_offload",
                      "frac_local", "frac_offload", "frac_harvest_only",
                      "outage", "outage_ci")
-
-
-def trace_records_csv_rows(trace: SimTrace) -> list[list[str]]:
-    rows = []
-    for r in trace.records:
-        a = r.allocation
-        rows.append([str(r.frame_index), repr(r.e_stored_begin), str(r.i_s),
-                     r.strategy.value, repr(r.cost), repr(r.e_harvest),
-                     repr(a.tau_e), repr(a.tau_d), repr(a.tau_c),
-                     repr(a.tau_o), repr(a.p_o)])
-    return rows
 
 
 def sweep_csv_rows(rows: list[SweepRow]) -> list[list[str]]:

@@ -10,7 +10,6 @@ from swiptfog import (
     pathloss_db,
     realize_channels,
 )
-from swiptfog.channel import dump_realizations_csv
 
 
 def test_pathloss_reference_points():
@@ -145,13 +144,3 @@ def test_seeded_realizations_are_bit_identical(params):
     assert a.g == b.g
     assert a.eff_gain_down == b.eff_gain_down
     assert a.gain_offload == b.gain_offload
-
-
-def test_realization_csv_dump(tmp_path, params):
-    path = tmp_path / "real.csv"
-    dump_realizations_csv(params, 5, 42, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:2] == ["trial", "h_abs_0"]
-    assert len(lines) == 6
-    dump_realizations_csv(params, 5, 42, str(tmp_path / "again.csv"))
-    assert (tmp_path / "again.csv").read_text() == path.read_text()

@@ -1,4 +1,11 @@
-from swiptfog.cli import main
+from dataclasses import replace
+
+import numpy as np
+from conftest import random_gain_pairs
+
+from swiptfog.allocator import solve_frames
+from swiptfog.cli import certify, main
+from swiptfog.energy import offload_power
 
 
 def run(capsys, *argv):
@@ -78,6 +85,21 @@ def test_bad_config_exit_code(capsys, tmp_path):
     assert "eh_efficiency" in err
 
 
+def test_non_finite_or_sub_metre_config_exits_2_at_load(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    for line in ("decode_energy_per_bit = nan", "pathloss_coeff = nan",
+                 "dist_ap_dev = 0.5"):
+        cfg.write_text(line + "\n")
+        key = line.split()[0]
+        for argv in (("allocate", "--gain-down", "1e-6", "--gain-offload", "1e-7"),
+                     ("simulate", "--seed", "1", "--frames", "2", "--trials", "1",
+                      "--jobs", "1", "--out-dir", str(tmp_path))):
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert (code, out) == (2, ""), (line, argv[0])
+            assert key in err
+    assert not (tmp_path / "frames.csv").exists()
+
+
 def test_sweep_writes_deterministic_csv(capsys, tmp_path):
     args = ("sweep", "--seed", "5", "--axis", "ops-per-bit",
             "--values", "1e3,1e4", "--frames", "10", "--trials", "2",
@@ -130,12 +152,21 @@ def test_verify_passes_and_writes_report(capsys, tmp_path):
     assert report[0].startswith("instance,")
 
 
-def test_verify_detects_injected_perturbation(capsys, tmp_path):
-    code, out, _ = run(capsys, "verify", "--seed", "4", "--instances", "5",
-                       "--jobs", "1", "--out-dir", str(tmp_path),
-                       "--perturb-offload-time", "0.01")
-    assert code == 3
-    assert "FAILED" in out
+def test_verify_detects_injected_perturbation(params):
+    gd, go = np.array(random_gain_pairs(np.random.default_rng(4), 5, params)).T
+    local, offload = solve_frames(params, gd, go)
+    assert certify(params, gd, go, local, offload, 5).failures == 0
+    # claim an offload slot 1 % longer, with its power and cost recomputed
+    tau_o = offload.tau_o * 1.01
+    p_o = offload_power(params, go, tau_o)
+    harvest = (params.eh_efficiency * (gd + params.noise_dev)
+               * (params.frame_duration - offload.tau_d - tau_o))
+    claim = replace(offload, tau_o=tau_o, p_o=p_o, e_offload=tau_o * p_o,
+                    cost=offload.e_decode + tau_o * p_o - harvest)
+    report = certify(params, gd, go, local, claim, 5)
+    assert report.failures > 0
+    assert [row[-1] for row in report.rows].count("fail") == report.failures
+    assert report.worst["offload"] > 1.0
 
 
 def test_allocate_overflowing_gain_exits_2_with_message(capsys):
@@ -175,3 +206,16 @@ def test_verify_gives_up_when_no_instance_is_feasible(capsys, tmp_path):
                        "--out-dir", str(tmp_path))
     assert code == 2
     assert "no feasible instance" in err
+
+
+def test_counts_below_one_are_usage_errors(capsys, tmp_path):
+    out_dir = ("--out-dir", str(tmp_path))
+    for argv in (("verify", *out_dir, "--seed", "1", "--jobs", "1", "--instances"),
+                 ("allocate", "--seed", "1", "--repeat"),
+                 ("simulate", *out_dir, "--seed", "1", "--frames", "2",
+                  "--trials", "1", "--jobs")):
+        for value in ("0", "-3"):
+            code, out, err = run(capsys, *argv, value)
+            assert (code, out) == (1, ""), (argv[0], value)
+            assert "positive integer" in err
+    assert list(tmp_path.iterdir()) == []

@@ -114,3 +114,28 @@ def test_bits_per_frame_positive():
     p = SystemParams(rate_min=2e4, frame_duration=1.0)
     assert p.bits_per_frame == 2e4
     assert math.isfinite(p.rician_k_linear)
+
+
+@pytest.mark.parametrize("field", ["decode_energy_per_bit", "pathloss_coeff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_cost_and_loss_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SystemParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["dist_ap_dev", "dist_dev_server"])
+def test_sub_metre_distance_rejected_at_construction(field):
+    with pytest.raises(ValueError, match=field):
+        SystemParams(**{field: 0.5})
+    assert getattr(SystemParams(**{field: 1.0}), field) == 1.0
+
+
+def test_bool_antenna_count_rejected():
+    with pytest.raises(ValueError, match="n_antennas"):
+        SystemParams(n_antennas=True)
+
+
+def test_non_bool_beamforming_flag_rejected():
+    for value in ("no", 0, None):
+        with pytest.raises(ValueError, match="normalize_beamforming"):
+            SystemParams(normalize_beamforming=value)

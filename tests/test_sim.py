@@ -12,7 +12,7 @@ from swiptfog import (
     sweep,
 )
 from swiptfog.params import with_overrides
-from swiptfog.sim import SweepAxis, sweep_csv_rows, trace_records_csv_rows
+from swiptfog.sim import SweepAxis, sweep_csv_rows
 
 
 def _fixed_channel(gd: float, go: float) -> ChannelRealization:
@@ -179,9 +179,6 @@ def test_sweep_rejects_empty_values(params):
 
 
 def test_csv_row_shapes(params):
-    trace = run_trace(params, 5, seed=1)
-    rows = trace_records_csv_rows(trace)
-    assert len(rows) == 5 and len(rows[0]) == 11
     srows = sweep_csv_rows(sweep(params, SweepAxis.OPS_PER_BIT, [1e3],
                                  n_frames=5, n_trials=2, master_seed=1))
     assert len(srows) == 1 and len(srows[0]) == 14
