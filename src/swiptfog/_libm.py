@@ -3,7 +3,7 @@
 numpy's own loops for exp, log and power may round differently from the C
 library in the last bit; on AVX-512 builds they do, for a few percent of
 inputs.  The array code evaluates these functions through the math module,
-as the scalar code does, so that both give the same bits.
+so that its bits do not depend on how numpy was built.
 """
 
 import numpy as np

@@ -16,11 +16,15 @@ form:
   terms of the principal branch of w * e^w = x, and power follows from the
   tight bit constraint.
 
-Both solvers refuse allocations whose slots exceed the frame (weak channels
+Both programs refuse allocations whose slots exceed the frame (weak channels
 can push the closed forms past the frame boundary; those cases are reported
 infeasible rather than clamped).  The decision compares the two optimal
 costs; ties go to local compute, and if the cheaper cost exceeds the stored
 energy the frame is spent harvesting.
+
+The closed forms are written once, in solve_frames, which solves whole
+arrays of frames.  solve_local, solve_offload and evaluate_strategies are
+views of it on one frame; for many frames, call solve_frames.
 """
 
 import logging
@@ -35,13 +39,15 @@ from ._libm import libm
 from .energy import (
     EnergyBreakdown,
     compute_energy,
-    decode_energy,
     energy_per_op,
     frame_cost,
     harvested_energy,
     offload_power,
 )
 from .params import SystemParams
+
+# The traced benchmark run (perfbench/spans.py) wraps this module-level name.
+from .energy import decode_energy  # noqa: F401
 
 __all__ = [
     "Strategy",
@@ -52,7 +58,6 @@ __all__ = [
     "solve_local",
     "solve_offload",
     "lambert_w0",
-    "lambert_w0_array",
     "StrategyArrays",
     "solve_frames",
     "choose_modes",
@@ -100,244 +105,71 @@ class StrategyResult:
 _INFEASIBLE = StrategyResult(feasible=False)
 
 
-def _log2_capacity(params: SystemParams, eff_gain_down: float) -> float:
-    if eff_gain_down < 0.0:
-        raise ValueError("eff_gain_down must be non-negative")
-    return math.log2(1.0 + eff_gain_down / params.noise_dev)
+def _check_gains(**gains) -> None:
+    """Reject NaN, infinite and negative gains, scalar or array."""
+    for name, gain in gains.items():
+        if not np.all((0.0 <= gain) & (gain < math.inf)):
+            raise ValueError(f"{name} must be finite and non-negative")
+
+
+def _log2_capacity(params: SystemParams, eff_gain_down):
+    """log2(1 + SNR) of the downlink, element-wise."""
+    return libm(math.log2, 1.0 + eff_gain_down / params.noise_dev)
+
+
+def _local_fits(params: SystemParams, l2):
+    """Seconds per bit spent decoding, 1/(B_h * log2(1+SNR)), plus seconds
+    per bit computing, K/f_op, fit into 1/rate_min.  Element-wise."""
+    return (1.0 / (params.bw_downlink * l2)
+            + params.ops_per_bit / params.dev_ops_per_sec
+            <= 1.0 / params.rate_min)
+
+
+def _offload_fits(params: SystemParams, l2):
+    """The rate floor lies strictly below the full-frame link capacity."""
+    return params.rate_min < params.bw_downlink * l2
 
 
 def local_feasible(params: SystemParams, eff_gain_down: float) -> bool:
-    """Can the rate floor and the compute budget share one frame?
-
-    Requires 1/(B_h * log2(1+SNR)) + K/f_op <= 1/rate_min; the first term is
-    seconds-per-bit spent decoding, the second seconds-per-bit computing.
-    """
-    l2 = _log2_capacity(params, eff_gain_down)
-    if l2 <= 0.0:
-        return False
-    decode_secs_per_bit = 1.0 / (params.bw_downlink * l2)
-    compute_secs_per_bit = params.ops_per_bit / params.dev_ops_per_sec
-    return decode_secs_per_bit + compute_secs_per_bit <= 1.0 / params.rate_min
+    """Can the rate floor and the compute budget share one frame?"""
+    _check_gains(eff_gain_down=eff_gain_down)
+    l2 = np.float64(_log2_capacity(params, eff_gain_down))  # 1/0 gives inf
+    with np.errstate(divide="ignore"):
+        return bool(_local_fits(params, l2))
 
 
 def offload_feasible(params: SystemParams, eff_gain_down: float) -> bool:
     """The rate floor must be strictly below the full-frame link capacity."""
-    l2 = _log2_capacity(params, eff_gain_down)
-    return params.rate_min < params.bw_downlink * l2
+    _check_gains(eff_gain_down=eff_gain_down)
+    return bool(_offload_fits(params, _log2_capacity(params, eff_gain_down)))
 
 
-def _min_decode_slot(params: SystemParams, eff_gain_down: float) -> float:
-    l2 = _log2_capacity(params, eff_gain_down)
-    return params.bits_per_frame / (params.bw_downlink * l2)
+def lambert_w0(x):
+    """Principal branch of w * exp(w) = x for x >= -1/e, element-wise.
 
-
-def solve_local(params: SystemParams, eff_gain_down: float) -> StrategyResult:
-    """Optimal harvest/decode/compute split, or infeasible."""
-    if not local_feasible(params, eff_gain_down):
-        return _INFEASIBLE
-    tee = params.frame_duration
-    tau_d = _min_decode_slot(params, eff_gain_down)
-    tau_c = params.ops_per_bit * params.bits_per_frame / params.dev_ops_per_sec
-    tau_e = tee - tau_d - tau_c
-    if tau_e < 0.0:
-        return _INFEASIBLE
-    e_dec = decode_energy(params, eff_gain_down, tau_d)
-    e_cmp = compute_energy(params, params.rate_min)
-    e_hrv = harvested_energy(params, eff_gain_down, tau_e)
-    breakdown = frame_cost(e_dec, e_cmp, 0.0, e_hrv, i_o=0)
-    alloc = Allocation(tau_e=tau_e, tau_d=tau_d, tau_c=tau_c, tau_o=0.0,
-                       p_o=0.0, i_o=0, strategy=Strategy.LOCAL_COMPUTE)
-    return StrategyResult(feasible=True, allocation=alloc, breakdown=breakdown)
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of w * exp(w) = x for x >= -1/e.
-
-    Halley iteration from ln(1+x) for x >= 0 and from the square-root series
-    around the branch point for x < 0; iterates until the step is at rounding
-    level (at most 50 passes) and guarantees a residual |w e^w - x| within
-    1e-12 * max(1, |x|).  No external special-function dependency.
+    Halley iteration (Corless et al., "On the Lambert W function", 1996)
+    from ln(1+x) for x > 0 and from the square-root series around the branch
+    point for x < 0.  Each element iterates until its step is at rounding
+    level (at most 50 passes) and must leave a residual |w e^w - x| within
+    1e-12 * max(1, |x|).  A number gives a float, an array an array of its
+    shape.  No external special-function dependency.
     """
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if x < -_INV_E:
-        # tolerate representation noise at the branch point
-        if x > -_INV_E - 1e-15:
-            return -1.0
-        raise ValueError(f"lambert_w0 domain is x >= -1/e, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x >= 0.0:
-        w = math.log1p(x)
-    else:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-        if w >= 0.0:
-            w = -1e-300  # keep the iterate on the negative side
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        if f == 0.0 or wp1 == 0.0:
-            break
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if w < -1.0:
-            w = -1.0 + 1e-16
-        if abs(step) <= 2e-16 * (1.0 + abs(w)):
-            break
-    if abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x)):
-        return w
-    raise ArithmeticError(f"lambert_w0 failed to converge for x={x!r}")
-
-
-def solve_offload(params: SystemParams, eff_gain_down: float,
-                  gain_offload: float) -> StrategyResult:
-    """Optimal harvest/decode/offload split and transmit power, or infeasible.
-
-    The root argument x = eta * |g|^2 * (G + noise_dev) / noise_server equals
-    the textbook form with 2^(bits/(B_h*tau_d)) substituted, because the
-    decode slot is chosen to meet the rate floor with equality.  x == 0 (no
-    offload path) and allocations exceeding the frame are infeasible.
-    """
-    if gain_offload < 0.0:
-        raise ValueError("gain_offload must be non-negative")
-    if not offload_feasible(params, eff_gain_down):
-        return _INFEASIBLE
-    tee = params.frame_duration
-    tau_d = _min_decode_slot(params, eff_gain_down)
-    x = (params.eh_efficiency * gain_offload
-         * (eff_gain_down + params.noise_dev) / params.noise_server)
-    if x <= 0.0:
-        return _INFEASIBLE
-    w = lambert_w0((x - 1.0) * _INV_E)
-    if w <= -1.0 + 1e-12:
-        return _INFEASIBLE
-    bits = params.bits_per_frame
-    tau_o = (bits * math.log(2.0) / params.bw_offload) / (1.0 + w)
-    tau_e = tee - tau_d - tau_o
-    if tau_e < 0.0:
-        return _INFEASIBLE
-    p_o = offload_power(params, gain_offload, tau_o)
-    e_dec = decode_energy(params, eff_gain_down, tau_d)
-    e_off = tau_o * p_o
-    e_hrv = harvested_energy(params, eff_gain_down, tau_e)
-    breakdown = frame_cost(e_dec, 0.0, e_off, e_hrv, i_o=1)
-    alloc = Allocation(tau_e=tau_e, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
-                       p_o=p_o, i_o=1, strategy=Strategy.OFFLOAD)
-    return StrategyResult(feasible=True, allocation=alloc, breakdown=breakdown)
-
-
-def evaluate_strategies(params: SystemParams, eff_gain_down: float,
-                        gain_offload: float) -> tuple[StrategyResult, StrategyResult]:
-    """Solve both per-frame programs; either side may be infeasible."""
-    return (solve_local(params, eff_gain_down),
-            solve_offload(params, eff_gain_down, gain_offload))
-
-
-def pick_cheaper(cost_local: float, cost_offload: float) -> Strategy:
-    """Mode chosen by cost comparison; exact ties keep computation local."""
-    if cost_offload < cost_local:
-        return Strategy.OFFLOAD
-    return Strategy.LOCAL_COMPUTE
-
-
-def decision_inequality(params: SystemParams, eff_gain_down: float,
-                        gain_offload: float,
-                        precomputed: tuple[StrategyResult, StrategyResult] | None = None,
-                        ) -> tuple[float, float]:
-    """Left/right sides of the closed-form mode test; offload wins when
-    left > right.  Only defined when both strategies are feasible."""
-    local, offload = precomputed if precomputed is not None else evaluate_strategies(
-        params, eff_gain_down, gain_offload)
-    if not (local.feasible and offload.feasible):
-        raise ValueError("decision inequality needs both strategies feasible")
-    a = offload.allocation
-    return mode_rule_sides(params, eff_gain_down, a.tau_o, a.p_o)
-
-
-def mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
-    """Left/right sides of the closed-form mode test at the optimal offload
-    slot and power; offload wins when left > right.  Element-wise."""
-    harvest_rate = params.eh_efficiency * (eff_gain_down + params.noise_dev)
-    lhs = params.ops_per_bit * params.bits_per_frame * (
-        energy_per_op(params) + harvest_rate / params.dev_ops_per_sec)
-    rhs = tau_o * (p_o + harvest_rate)
-    return lhs, rhs
-
-
-def harvest_only_result(params: SystemParams, eff_gain_down: float) -> StrategyResult:
-    """Whole frame spent harvesting; cost is the negated full-frame harvest."""
-    e_hrv = harvested_energy(params, eff_gain_down, params.frame_duration)
-    breakdown = frame_cost(0.0, 0.0, 0.0, e_hrv, i_o=0)
-    alloc = Allocation(tau_e=params.frame_duration, tau_d=0.0, tau_c=0.0,
-                       tau_o=0.0, p_o=0.0, i_o=0, strategy=Strategy.HARVEST_ONLY)
-    return StrategyResult(feasible=True, allocation=alloc, breakdown=breakdown)
-
-
-def decide(params: SystemParams, eff_gain_down: float, gain_offload: float,
-           e_stored: float,
-           precomputed: tuple[StrategyResult, StrategyResult] | None = None,
-           ) -> tuple[Allocation, EnergyBreakdown]:
-    """Pick the affordable cheaper mode, falling back to pure harvesting.
-
-    Feasible strategies are compared by optimal cost (ties -> local); if the
-    winner's cost exceeds e_stored, or nothing is feasible, the frame is
-    spent harvesting.  When both strategies are feasible, the cost ordering
-    is cross-checked against the closed-form inequality and any disagreement
-    (beyond rounding noise) is logged.
-    """
-    if e_stored < 0.0:
-        raise ValueError("e_stored must be non-negative")
-    local, offload = precomputed if precomputed is not None else evaluate_strategies(
-        params, eff_gain_down, gain_offload)
-    if local.feasible and offload.feasible:
-        chosen = local if pick_cheaper(local.cost, offload.cost) is Strategy.LOCAL_COMPUTE else offload
-        lhs, rhs = decision_inequality(params, eff_gain_down, gain_offload,
-                                       precomputed=(local, offload))
-        margin = 1e-9 * max(abs(lhs), abs(rhs), 1e-30)
-        rule_offloads = lhs > rhs
-        cost_offloads = offload.cost < local.cost
-        if rule_offloads != cost_offloads and abs(lhs - rhs) > margin:
-            log.warning(
-                "mode rule disagrees with cost comparison: lhs=%r rhs=%r "
-                "cost_local=%r cost_offload=%r", lhs, rhs, local.cost, offload.cost)
-    elif local.feasible:
-        chosen = local
-    elif offload.feasible:
-        chosen = offload
-    else:
-        chosen = None
-    if chosen is not None and chosen.cost <= e_stored:
-        return chosen.allocation, chosen.breakdown
-    fallback = harvest_only_result(params, eff_gain_down)
-    return fallback.allocation, fallback.breakdown
-
-
-# ---------------------------------------------------------------------------
-# Array kernel: the same programs on whole arrays of frames.  The scalar
-# functions above stay scalar: they are the reference the kernel is
-# certified against (tests/test_kernel.py).
-
-
-def lambert_w0_array(x) -> np.ndarray:
-    """lambert_w0 element by element, with its start points, pass cap,
-    stopping rules and residual certificate applied to each element."""
     x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.ravel()
     if np.isnan(x).any():
         raise ValueError("x must not be NaN")
     below = x < -_INV_E
     if (below & ~(x > -_INV_E - 1e-15)).any():
         raise ValueError(
             f"lambert_w0 domain is x >= -1/e, got {float(x[below].min())!r}")
+    # representation noise just below the branch point gives -1
     w = np.where(below, -1.0, 0.0)
     pos = x > 0.0
     neg = (x < 0.0) & ~below
     w[pos] = libm(math.log1p, x[pos])
     p = np.sqrt(2.0 * (math.e * x[neg] + 1.0))
     w_neg = -1.0 + p - p * p / 3.0 + 11.0 * libm(partial(pow, exp=3), p) / 72.0
-    w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)
+    w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)  # stay on the negative side
     iterated = np.flatnonzero(pos | neg)
     active = iterated
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -362,7 +194,8 @@ def lambert_w0_array(x) -> np.ndarray:
     if not certified.all():
         raise ArithmeticError(
             f"lambert_w0 failed to converge for x={float(xi[~certified][0])!r}")
-    return w
+    w = w.reshape(shape)
+    return float(w) if w.ndim == 0 else w
 
 
 @dataclass(frozen=True)
@@ -406,36 +239,32 @@ def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
 
 def solve_frames(params: SystemParams, eff_gain_down,
                  gain_offload) -> tuple[StrategyArrays, StrategyArrays]:
-    """solve_local and solve_offload on every element of two gain arrays of
-    one shape, with the scalar solvers' infeasibility rules.
+    """Optimal local and offload allocations for every element of two gain
+    arrays of one shape; either mode may be infeasible on any element.
 
-    Each element runs the scalar solvers' operations in the same order, with
-    log2, exp and pow from the C library, so results equal theirs bit for
-    bit.
+    The root argument x = eta * |g|^2 * (G + noise_dev) / noise_server
+    equals the textbook form with 2^(bits/(B_h*tau_d)) substituted, because
+    the decode slot meets the rate floor with equality.  x == 0 (no offload
+    path) and allocations exceeding the frame are infeasible.  Gains must be
+    finite and non-negative.  log2, exp and pow come from the C library, so
+    results do not depend on numpy's vector loops.
     """
     gd = np.asarray(eff_gain_down, dtype=float)
     go = np.asarray(gain_offload, dtype=float)
     if gd.shape != go.shape:
         raise ValueError("gain arrays must have one shape")
-    if (gd < 0.0).any():
-        raise ValueError("eff_gain_down must be non-negative")
-    if (go < 0.0).any():
-        raise ValueError("gain_offload must be non-negative")
+    _check_gains(eff_gain_down=gd, gain_offload=go)
     tee = params.frame_duration
     bits = params.bits_per_frame
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        l2 = libm(math.log2, 1.0 + gd / params.noise_dev)
+        l2 = _log2_capacity(params, gd)
         tau_d = bits / (params.bw_downlink * l2)
         e_dec = params.decode_energy_per_bit * (params.bw_downlink * l2 * tau_d)
         harvest_rate = params.eh_efficiency * (gd + params.noise_dev)
 
-        compute_secs_per_bit = params.ops_per_bit / params.dev_ops_per_sec
         tau_c = params.ops_per_bit * bits / params.dev_ops_per_sec
         tau_e = tee - tau_d - tau_c
-        ok = ((l2 > 0.0)
-              & (1.0 / (params.bw_downlink * l2) + compute_secs_per_bit
-                 <= 1.0 / params.rate_min)
-              & (tau_e >= 0.0))
+        ok = _local_fits(params, l2) & (tau_e >= 0.0)
         local = _strategy_arrays(
             params, ok, 0, tau_e=tau_e, tau_d=tau_d, tau_c=tau_c, tau_o=0.0,
             p_o=0.0, e_decode=e_dec,
@@ -444,9 +273,9 @@ def solve_frames(params: SystemParams, eff_gain_down,
 
         x = (params.eh_efficiency * go * (gd + params.noise_dev)
              / params.noise_server)
-        ok = (params.rate_min < params.bw_downlink * l2) & (x > 0.0)
+        ok = _offload_fits(params, l2) & (x > 0.0)
         w = np.full(gd.shape, math.nan)
-        w[ok] = lambert_w0_array((x[ok] - 1.0) * _INV_E)
+        w[ok] = lambert_w0((x[ok] - 1.0) * _INV_E)
         tau_o = (bits * math.log(2.0) / params.bw_offload) / (1.0 + w)
         tau_e = tee - tau_d - tau_o
         ok &= (w > -1.0 + 1e-12) & (tau_e >= 0.0)
@@ -457,6 +286,121 @@ def solve_frames(params: SystemParams, eff_gain_down,
             p_o=p_o, e_decode=e_dec, e_compute=0.0, e_offload=tau_o * p_o,
             e_harvest=harvest_rate * tau_e)
     return local, offload
+
+
+def _frame_result(arrays: StrategyArrays, strategy: Strategy,
+                  i_o: int) -> StrategyResult:
+    """Element 0 of one mode's arrays, with its ledger from frame_cost."""
+    if not arrays.feasible[0]:
+        return _INFEASIBLE
+    slots = (float(s[0]) for s in (arrays.tau_e, arrays.tau_d, arrays.tau_c,
+                                   arrays.tau_o, arrays.p_o))
+    energies = (float(e[0]) for e in (arrays.e_decode, arrays.e_compute,
+                                      arrays.e_offload, arrays.e_harvest))
+    return StrategyResult(
+        feasible=True,
+        allocation=Allocation(*slots, i_o=i_o, strategy=strategy),
+        breakdown=frame_cost(*energies, i_o=i_o))
+
+
+def evaluate_strategies(params: SystemParams, eff_gain_down: float,
+                        gain_offload: float) -> tuple[StrategyResult, StrategyResult]:
+    """Both per-frame programs for one frame; either side may be infeasible."""
+    local, offload = solve_frames(params, [eff_gain_down], [gain_offload])
+    return (_frame_result(local, Strategy.LOCAL_COMPUTE, 0),
+            _frame_result(offload, Strategy.OFFLOAD, 1))
+
+
+def solve_local(params: SystemParams, eff_gain_down: float) -> StrategyResult:
+    """Optimal harvest/decode/compute split for one frame, or infeasible."""
+    return evaluate_strategies(params, eff_gain_down, 0.0)[0]
+
+
+def solve_offload(params: SystemParams, eff_gain_down: float,
+                  gain_offload: float) -> StrategyResult:
+    """Optimal harvest/decode/offload split and transmit power for one
+    frame, or infeasible."""
+    return evaluate_strategies(params, eff_gain_down, gain_offload)[1]
+
+
+def pick_cheaper(cost_local: float, cost_offload: float) -> Strategy:
+    """Mode chosen by cost comparison; exact ties keep computation local."""
+    if cost_offload < cost_local:
+        return Strategy.OFFLOAD
+    return Strategy.LOCAL_COMPUTE
+
+
+def decision_inequality(params: SystemParams, eff_gain_down: float,
+                        gain_offload: float,
+                        precomputed: tuple[StrategyResult, StrategyResult] | None = None,
+                        ) -> tuple[float, float]:
+    """Left/right sides of the closed-form mode test; offload wins when
+    left > right.  Only defined when both strategies are feasible."""
+    local, offload = precomputed if precomputed is not None else evaluate_strategies(
+        params, eff_gain_down, gain_offload)
+    if not (local.feasible and offload.feasible):
+        raise ValueError("decision inequality needs both strategies feasible")
+    a = offload.allocation
+    return mode_rule_sides(params, eff_gain_down, a.tau_o, a.p_o)
+
+
+def mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
+    """Left/right sides of the closed-form mode test at the optimal offload
+    slot and power; offload wins when left > right.  Element-wise."""
+    harvest_rate = params.eh_efficiency * (eff_gain_down + params.noise_dev)
+    lhs = params.ops_per_bit * params.bits_per_frame * (
+        energy_per_op(params) + harvest_rate / params.dev_ops_per_sec)
+    rhs = tau_o * (p_o + harvest_rate)
+    return lhs, rhs
+
+
+def _rule_contradicts(lhs, rhs, offloads):
+    """Where the mode rule (offload when lhs > rhs) contradicts the cost
+    comparison by more than rounding noise.  Element-wise."""
+    margin = 1e-9 * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    return ((lhs > rhs) != offloads) & (np.abs(lhs - rhs) > margin)
+
+
+def harvest_only_result(params: SystemParams, eff_gain_down: float) -> StrategyResult:
+    """Whole frame spent harvesting; cost is the negated full-frame harvest."""
+    e_hrv = harvested_energy(params, eff_gain_down, params.frame_duration)
+    breakdown = frame_cost(0.0, 0.0, 0.0, e_hrv, i_o=0)
+    alloc = Allocation(tau_e=params.frame_duration, tau_d=0.0, tau_c=0.0,
+                       tau_o=0.0, p_o=0.0, i_o=0, strategy=Strategy.HARVEST_ONLY)
+    return StrategyResult(feasible=True, allocation=alloc, breakdown=breakdown)
+
+
+def decide(params: SystemParams, eff_gain_down: float, gain_offload: float,
+           e_stored: float,
+           precomputed: tuple[StrategyResult, StrategyResult] | None = None,
+           ) -> tuple[Allocation, EnergyBreakdown]:
+    """Pick the affordable cheaper mode, falling back to pure harvesting.
+
+    Feasible strategies are compared by optimal cost (ties -> local); if the
+    winner's cost exceeds e_stored, or nothing is feasible, the frame is
+    spent harvesting.  When both strategies are feasible, the cost ordering
+    is cross-checked against the closed-form inequality and any disagreement
+    (beyond rounding noise) is logged.
+    """
+    if not e_stored >= 0.0:
+        raise ValueError(f"e_stored must be a non-negative number, got {e_stored!r}")
+    local, offload = precomputed if precomputed is not None else evaluate_strategies(
+        params, eff_gain_down, gain_offload)
+    # an infeasible mode costs inf, so the cheaper mode is a feasible one
+    # whenever either is
+    offloads = pick_cheaper(local.cost, offload.cost) is Strategy.OFFLOAD
+    chosen = offload if offloads else local
+    if local.feasible and offload.feasible:
+        lhs, rhs = decision_inequality(params, eff_gain_down, gain_offload,
+                                       precomputed=(local, offload))
+        if _rule_contradicts(lhs, rhs, offloads):
+            log.warning(
+                "mode rule disagrees with cost comparison: lhs=%r rhs=%r "
+                "cost_local=%r cost_offload=%r", lhs, rhs, local.cost, offload.cost)
+    if chosen.feasible and chosen.cost <= e_stored:
+        return chosen.allocation, chosen.breakdown
+    fallback = harvest_only_result(params, eff_gain_down)
+    return fallback.allocation, fallback.breakdown
 
 
 def choose_modes(params: SystemParams, eff_gain_down,
@@ -471,9 +415,8 @@ def choose_modes(params: SystemParams, eff_gain_down,
     offloads = offload.cost < local.cost
     both = local.feasible & offload.feasible
     lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down)[both],
-                                offload.tau_o[both], offload.p_o[both])
-    margin = 1e-9 * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    disagree = ((lhs > rhs) != offloads[both]) & (np.abs(lhs - rhs) > margin)
+                               offload.tau_o[both], offload.p_o[both])
+    disagree = _rule_contradicts(lhs, rhs, offloads[both])
     if disagree.any():
         log.warning("mode rule disagrees with cost comparison on %d of %d "
                     "frames where both modes are feasible",

@@ -70,15 +70,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, expected: str):
+    """Argument type: convert(text), which must satisfy ok."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_gain = _checked(float, lambda g: 0.0 <= g < math.inf,
+                 "a finite, non-negative number")
+_energy = _checked(float, lambda e: e >= 0.0, "a non-negative number")
+_numbers = _checked(lambda text: [float(v) for v in text.split(",") if v.strip()],
+                    lambda values: values and all(map(math.isfinite, values)),
+                    "comma-separated finite numbers")
 
 
 def _load_config(path: str | None) -> SystemParams:
@@ -122,12 +134,6 @@ def cmd_allocate(args) -> int:
         print("error: --seed is required unless both --gain-down and "
               "--gain-offload are given", file=sys.stderr)
         return EXIT_USAGE
-    for name in ("gain_down", "gain_offload"):
-        value = getattr(args, name)
-        if value is not None and not (math.isfinite(value) and value >= 0.0):
-            print(f"error: --{name.replace('_', '-')} must be a finite, "
-                  f"non-negative gain, got {value!r}", file=sys.stderr)
-            return EXIT_USAGE
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     counts = Counter()
     for _ in range(args.repeat):
@@ -161,12 +167,8 @@ def cmd_allocate(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _load_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        print("error: --values must list at least one number", file=sys.stderr)
-        return EXIT_USAGE
     axis = _AXES[args.axis]
-    rows = sweep(params, axis, values, n_frames=args.frames,
+    rows = sweep(params, axis, args.values, n_frames=args.frames,
                  n_trials=args.trials, master_seed=args.seed, jobs=args.jobs)
     path = _write_csv(args.out_dir, f"sweep_{axis.value}.csv",
                       SWEEP_CSV_COLUMNS, sweep_csv_rows(rows))
@@ -221,14 +223,13 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
         -1.0 / math.e + 10.0 ** np.linspace(-9, math.log10(1.0 / math.e), 200),
         10.0 ** np.linspace(-12, 6, 800),
     ])
-    worst = dict.fromkeys(
-        ("root_residual", "root_gap", "local", "offload", "rate"), 0.0)
-    for x in xs.tolist():
-        w = lambert_w0(x)
-        resid = abs(w * math.exp(w) - x) / max(1.0, abs(x))
-        gap = abs(w - bruteforce.bisect_lambert(x))
-        worst["root_residual"] = max(worst["root_residual"], resid)
-        worst["root_gap"] = max(worst["root_gap"], gap)
+    w = lambert_w0(xs)
+    worst = dict(
+        root_residual=float(np.max(np.abs(w * libm(math.exp, w) - xs)
+                                   / np.maximum(1.0, np.abs(xs)))),
+        root_gap=max(abs(wx - bruteforce.bisect_lambert(x))
+                     for x, wx in zip(xs.tolist(), w.tolist())),
+        local=0.0, offload=0.0, rate=0.0)
     ok = worst["root_residual"] <= 1e-12 and worst["root_gap"] <= 1e-11
     failures = 0 if ok else 1
     lines = [f"root solver: residual {worst['root_residual']:.2e}, vs "
@@ -327,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=True):
+    def common(p):
         p.add_argument("--config", help="path to a key=value parameter file")
-        p.add_argument("--seed", type=int, required=seed_required,
+        p.add_argument("--seed", type=_seed, required=True,
                        help="master seed; all randomness derives from it")
         p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                        help="worker processes (results are jobs-independent)")
@@ -337,21 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="solve and report a single frame")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gain-down", type=float,
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--gain-down", type=_gain,
                    help="explicit effective downlink gain (skip channel draw)")
-    p.add_argument("--gain-offload", type=float,
+    p.add_argument("--gain-offload", type=_gain,
                    help="explicit offload power gain (skip channel draw)")
     p.add_argument("--repeat", type=_positive_int, default=1,
                    help="number of channel draws to aggregate")
-    p.add_argument("--e-stored", type=float, default=math.inf,
+    p.add_argument("--e-stored", type=_energy, default=math.inf,
                    help="stored energy budget in joules (default: unlimited)")
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("sweep", help="aggregate statistics along one axis")
     common(p)
     p.add_argument("--axis", choices=sorted(_AXES), required=True)
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", type=_numbers, required=True,
                    help="comma-separated axis values")
     p.add_argument("--frames", type=_positive_int, default=100)
     p.add_argument("--trials", type=_positive_int, default=10)

@@ -102,9 +102,9 @@ def step_frame(params: SystemParams, channel: ChannelRealization,
                e_stored: float, frame_index: int = 0) -> tuple[FrameRecord, float]:
     """Advance the storage by one frame; returns the record and next level.
 
-    The scalar reference for one frame of the array simulation."""
-    if e_stored < 0.0:
-        raise ValueError("e_stored must be non-negative")
+    One frame of the array simulation, through decide."""
+    if not e_stored >= 0.0:
+        raise ValueError(f"e_stored must be a non-negative number, got {e_stored!r}")
     alloc, brk = decide(params, channel.eff_gain_down, channel.gain_offload,
                         e_stored)
     i_s = 1 if alloc.strategy is Strategy.HARVEST_ONLY else 0

@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,12 @@ from swiptfog import (
     solve_offload,
     throughput,
 )
-from swiptfog.allocator import harvest_only_result, pick_cheaper
+from swiptfog.allocator import (
+    choose_modes,
+    harvest_only_result,
+    pick_cheaper,
+    solve_frames,
+)
 from swiptfog.bruteforce import bisect_lambert
 from swiptfog.params import with_overrides
 
@@ -127,6 +134,24 @@ def test_root_solver_rejects_left_of_branch_point():
         lambert_w0(-1.0 / math.e - 1e-6)
     with pytest.raises(ValueError):
         lambert_w0(math.nan)
+
+
+def test_root_solver_special_points_and_domain_elementwise():
+    branch = -1.0 / math.e
+    w = lambert_w0([0.0, branch - 5e-16, branch, math.e])
+    assert isinstance(w, np.ndarray) and w.shape == (4,)
+    assert w[0] == 0.0 and w[1] == -1.0
+    assert w[2] == pytest.approx(-1.0, abs=1e-7)
+    assert w[3] == pytest.approx(1.0, rel=1e-15)
+    assert lambert_w0(np.full((2, 3), math.e)).shape == (2, 3)
+    assert type(lambert_w0(math.e)) is float
+    # one bad element fails the whole call
+    with pytest.raises(ValueError):
+        lambert_w0([1.0, math.nan])
+    with pytest.raises(ValueError):
+        lambert_w0([1.0, -0.5])
+    with pytest.raises(ArithmeticError):
+        lambert_w0([1.0, math.inf])
 
 
 def test_root_solver_round_trip_along_domain():
@@ -272,6 +297,54 @@ def test_decision_rule_matches_cost_comparison(params):
         local, offload = evaluate_strategies(params, gd, go)
         lhs, rhs = decision_inequality(params, gd, go)
         assert (lhs > rhs) == (offload.cost < local.cost)
+
+
+def _contradicting_claims(params, n):
+    """solve_frames' optima on n pairs where local is cheaper, with each
+    offload cost lowered below the local one: the closed-form rule, which
+    reads the offload slot and power, still says local; the costs say
+    offload."""
+    gd, go = np.array(random_gain_pairs(np.random.default_rng(8), 4 * n, params)).T
+    local, offload = solve_frames(params, gd, go)
+    keep = np.flatnonzero(local.cost < offload.cost)[:n]
+    assert keep.size == n
+    pick = lambda arrays: replace(arrays, **{
+        f.name: getattr(arrays, f.name)[keep] for f in fields(arrays)})
+    local, offload = pick(local), pick(offload)
+    cheaper = local.cost - np.abs(local.cost) - 1e-6
+    return gd[keep], go[keep], local, replace(offload, cost=cheaper)
+
+
+def test_decide_warns_once_when_claims_contradict_the_mode_rule(params, caplog):
+    gd, go, _, offload = _contradicting_claims(params, 1)
+    local_r, offload_r = evaluate_strategies(params, gd[0], go[0])
+    claim = replace(offload_r, breakdown=replace(
+        offload_r.breakdown, cost=float(offload.cost[0])))
+    with caplog.at_level(logging.WARNING, logger="swiptfog.allocator"):
+        alloc, _ = decide(params, gd[0], go[0], math.inf,
+                          precomputed=(local_r, claim))
+    assert alloc.strategy is Strategy.OFFLOAD  # the costs decide
+    assert [r.getMessage().startswith("mode rule disagrees")
+            for r in caplog.records] == [True]
+
+
+def test_choose_modes_warns_once_with_the_count(params, caplog):
+    gd, _, local, offload = _contradicting_claims(params, 7)
+    # the last two offload claims cost more than local, as the rule says
+    offload = replace(offload, cost=np.concatenate(
+        [offload.cost[:5], local.cost[5:] + 1.0]))
+    with caplog.at_level(logging.WARNING, logger="swiptfog.allocator"):
+        offloads = choose_modes(params, gd, local, offload)
+    assert offloads.tolist() == [True] * 5 + [False] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "mode rule disagrees with cost comparison on 5 of 7 frames where "
+        "both modes are feasible"]
+
+
+def test_decide_rejects_nan_or_negative_storage(params):
+    for e_stored in (math.nan, -1e-12):
+        with pytest.raises(ValueError, match="e_stored"):
+            decide(params, 1e-6, 1e-7, e_stored)
 
 
 def test_decision_rule_requires_both_feasible(params):

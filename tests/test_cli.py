@@ -219,3 +219,36 @@ def test_counts_below_one_are_usage_errors(capsys, tmp_path):
             assert (code, out) == (1, ""), (argv[0], value)
             assert "positive integer" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_argument_errors_exit_1_before_any_work(capsys, tmp_path):
+    out_dir = ("--out-dir", str(tmp_path))
+    cases = [
+        (("allocate", "--seed", "1", "--e-stored", "nan"), "--e-stored"),
+        (("allocate", "--seed", "1", "--e-stored", "-1"), "--e-stored"),
+        (("allocate", "--seed", "-1"), "--seed"),
+        (("simulate", *out_dir, "--seed", "-1", "--frames", "2",
+          "--trials", "1", "--jobs", "1"), "--seed"),
+        (("sweep", *out_dir, "--seed", "-1", "--axis", "ops-per-bit",
+          "--values", "1e3", "--frames", "2", "--trials", "1"), "--seed"),
+        (("verify", *out_dir, "--seed", "-1", "--instances", "1",
+          "--jobs", "1"), "--seed"),
+        (("sweep", *out_dir, "--seed", "1", "--axis", "ops-per-bit",
+          "--values", "abc"), "--values"),
+        (("sweep", *out_dir, "--seed", "1", "--axis", "ops-per-bit",
+          "--values", "1e3,nan"), "--values"),
+    ]
+    for argv, flag in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"argument {flag}:" in err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_allocate_stored_energy_defaults_to_unlimited(capsys):
+    gains = ("--gain-down", "1e-6", "--gain-offload", "1e-7")
+    default = run(capsys, "allocate", *gains)
+    assert default[0] == 0 and "decision: local" in default[1]
+    assert run(capsys, "allocate", *gains, "--e-stored", "inf") == default
+    code, out, _ = run(capsys, "allocate", *gains, "--e-stored", "0")
+    assert code == 0 and "cheapest cost exceeds stored energy" in out

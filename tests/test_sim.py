@@ -54,6 +54,11 @@ def test_step_rejects_negative_storage(params):
         step_frame(params, _fixed_channel(1e-6, 1e-7), -1e-12)
 
 
+def test_step_rejects_nan_storage(params):
+    with pytest.raises(ValueError, match="e_stored"):
+        step_frame(params, _fixed_channel(1e-6, 1e-7), math.nan)
+
+
 def test_trace_length_one(params):
     trace = run_trace(params, 1, seed=5)
     assert len(trace.records) == 1
