@@ -246,14 +246,19 @@ def solve_frames(params: SystemParams, eff_gain_down,
     equals the textbook form with 2^(bits/(B_h*tau_d)) substituted, because
     the decode slot meets the rate floor with equality.  x == 0 (no offload
     path) and allocations exceeding the frame are infeasible.  Gains must be
-    finite and non-negative.  log2, exp and pow come from the C library, so
-    results do not depend on numpy's vector loops.
+    finite and non-negative, with a finite downlink SNR G / noise_dev.
+    log2, exp and pow come from the C library, so results do not depend on
+    numpy's vector loops.
     """
     gd = np.asarray(eff_gain_down, dtype=float)
     go = np.asarray(gain_offload, dtype=float)
     if gd.shape != go.shape:
         raise ValueError("gain arrays must have one shape")
     _check_gains(eff_gain_down=gd, gain_offload=go)
+    with np.errstate(over="ignore"):
+        if np.isinf(gd / params.noise_dev).any():
+            raise ValueError("eff_gain_down / noise_dev, the downlink SNR, "
+                             "overflows to inf")
     tee = params.frame_duration
     bits = params.bits_per_frame
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -12,12 +12,12 @@ Reduction lemmas (both verified numerically in the test suite):
   cheapest grid point for a given decode slot uses the smallest grid compute
   slot satisfying the op-count constraint.  The scan therefore walks the
   decode axis and derives the compute cell, which equals the full 2-D grid
-  minimum (``brute_local_grid2d`` cross-checks this on coarse grids).
+  minimum (the test suite cross-checks this with 2-D scans on coarse grids).
 
 * offload program: the objective is strictly increasing in the transmit
   energy, so the energy is pinned to the smallest value meeting the bit
-  constraint, leaving a 1-D convex sweep over the offload slot
-  (``brute_offload_grid2d`` cross-checks on coarse grids).
+  constraint, leaving a 1-D convex sweep over the offload slot (cross-checked
+  the same way).
 
 Grid-gap bounds: the returned minimum can sit above the true optimum by at
 most (Lipschitz constant) x (cell size) per axis.  ``local_grid_tolerance``
@@ -26,18 +26,17 @@ grid, including the refinement shrink factor 0.618**refine_iters.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._libm import libm
 from .params import SystemParams
 
 __all__ = [
     "GridSpec",
     "brute_local",
     "brute_offload",
-    "brute_local_grid2d",
-    "brute_offload_grid2d",
     "bisect_lambert",
     "local_grid_tolerance",
     "offload_grid_tolerance",
@@ -52,7 +51,6 @@ _EXP2_CAP = 900.0  # 2**x overflows past ~1023; treat beyond-cap as unaffordable
 class GridSpec:
     resolution: float = 1e-4        # s, grid step on every time axis
     refine_iters: int = 60          # golden-section passes inside the best cell
-    power_grid: tuple = field(default_factory=tuple)  # J samples for the 2-D energy scan
 
     def __post_init__(self):
         if self.resolution <= 0.0:
@@ -70,134 +68,157 @@ def _per_op_energy(params: SystemParams) -> float:
             * params.thermal_noise_density * math.log(2.0))
 
 
-def _harvest_rate(params: SystemParams, eff_gain_down: float) -> float:
+def _log2_snr(params: SystemParams, eff_gain_down):
+    """log2(1 + SNR) of the downlink, through the C library; element-wise."""
+    return libm(math.log2, 1.0 + eff_gain_down / params.noise_dev)
+
+
+def _harvest_rate(params: SystemParams, eff_gain_down):
     return params.eh_efficiency * (eff_gain_down + params.noise_dev)
 
 
-def _exp2m1(u):
-    """2**u - 1 with overflow mapped to +inf (numpy or scalar input)."""
-    u = np.asarray(u, dtype=float)
-    out = np.full(u.shape, np.inf)
-    ok = u <= _EXP2_CAP
-    out[ok] = np.exp2(u[ok]) - 1.0
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _exp2m1(u: np.ndarray) -> np.ndarray:
+    """2**u - 1 element-wise, overwriting u, with overflow mapped to +inf."""
+    over = u > _EXP2_CAP
+    with np.errstate(over="ignore"):
+        np.exp2(u, out=u)
+    u -= 1.0
+    u[over] = np.inf
+    return u
 
 
-def _golden_min(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimum of a quasi-convex f on [lo, hi]."""
-    a, b = lo, hi
+def _golden_min(f, a: np.ndarray, b: np.ndarray, iters: int) -> tuple:
+    """Golden-section minima of quasi-convex functions on [a, b], all
+    elements in lockstep: f maps an array of points to the values of each
+    element's function there.  Returns the best points and values."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    xs = (x1, x2, 0.5 * (a + b))
-    vals = [f(x) for x in xs]
-    i = int(np.argmin(vals))
-    return xs[i], vals[i]
+        left = f1 <= f2  # keep [a, x2], else [x1, b]
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fp = f(probe)
+        x1, x2 = np.where(left, probe, x2), np.where(left, x1, probe)
+        f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
+    xs = np.stack((x1, x2, 0.5 * (a + b)))
+    vals = f(xs)
+    i = vals.argmin(axis=0)
+    return np.choose(i, xs), np.choose(i, vals)
+
+
+def _shaped(shape: tuple, *arrays: np.ndarray) -> tuple:
+    """The flat arrays in shape; floats for a number's empty shape."""
+    if not shape:
+        return tuple(float(x[0]) for x in arrays)
+    return tuple(x.reshape(shape) for x in arrays)
 
 
 # ---------------------------------------------------------------------------
 # local-computation program
 # ---------------------------------------------------------------------------
 
-def _local_objective_grid(params: SystemParams, eff_gain_down: float,
-                          tau_d: np.ndarray, tau_c: np.ndarray) -> np.ndarray:
-    l2 = math.log2(1.0 + eff_gain_down / params.noise_dev)
-    rate = params.bw_downlink * (tau_d / params.frame_duration) * l2
-    e_dec = params.decode_energy_per_bit * params.bw_downlink * l2 * tau_d
-    e_cmp = _per_op_energy(params) * params.ops_per_bit * rate * params.frame_duration
-    e_hrv = _harvest_rate(params, eff_gain_down) * (
-        params.frame_duration - tau_d - tau_c)
-    return e_dec + e_cmp - e_hrv
-
-
-def brute_local(params: SystemParams, eff_gain_down: float,
-                spec: GridSpec) -> tuple[float, float, float]:
-    """Grid minimum of the local program; returns (tau_d, tau_c, cost).
-
-    Sweeps the decode axis at the grid resolution, derives the cheapest
-    grid-aligned compute slot per the reduction lemma, then (optionally)
-    golden-sections the surviving 1-D problem inside the best cell with the
-    compute slot left continuous.
-    """
+def _local_cost(params: SystemParams, l2, hr, tau_d, tau_c, rate,
+                out=None, tmp=None):
+    """E_D + E_C - E_H at slots tau_d and tau_c, element-wise; l2 is
+    log2(1 + SNR), hr the harvest rate and rate B_h (tau_d / T) l2.  Written
+    into out (tmp is a work buffer of its shape) if given, which they must be
+    when the slots broadcast to a larger shape than rate has."""
     tee = params.frame_duration
-    step = spec.resolution
-    l2 = math.log2(1.0 + eff_gain_down / params.noise_dev)
-    if l2 <= 0.0:
-        raise ValueError("empty feasible grid: zero channel capacity")
+    e_cmp = np.multiply(_per_op_energy(params) * params.ops_per_bit, rate, out=tmp)
+    e_cmp *= tee
+    out = np.multiply(params.decode_energy_per_bit * params.bw_downlink * l2,
+                      tau_d, out=out)
+    out += e_cmp
+    span = np.subtract(tee, tau_d, out=tmp)
+    span -= tau_c
+    out -= np.multiply(hr, span, out=tmp)
+    return out
+
+
+def _local_grid(params: SystemParams, l2, hr, step: float) -> tuple:
+    """Best grid cell (tau_d, tau_c, cost) of the local program for each
+    gain, given its l2 = log2(1 + SNR) and harvest rate hr; NaN, NaN and inf
+    where no cell is feasible."""
+    tee = params.frame_duration
     n = int(math.floor(tee / step))
     tau_d = step * np.arange(1, n + 1)
-    rate = params.bw_downlink * (tau_d / tee) * l2
-    tau_c_need = params.ops_per_bit * rate * tee / params.dev_ops_per_sec
-    tau_c = step * np.ceil(tau_c_need / step - 1e-12)
-    mask = (rate >= params.rate_min) & (tau_c <= tee) & (tau_d + tau_c <= tee)
-    if not np.any(mask):
-        raise ValueError("empty feasible grid for the local program")
-    cost = np.where(mask,
-                    _local_objective_grid(params, eff_gain_down, tau_d, tau_c),
-                    np.inf)
-    i = int(np.argmin(cost))
-    best_d, best_c, best = float(tau_d[i]), float(tau_c[i]), float(cost[i])
-    if spec.refine_iters > 0:
-        def reduced(td: float) -> float:
-            r = params.bw_downlink * (td / tee) * l2
-            if r < params.rate_min:
-                return math.inf
-            tc = params.ops_per_bit * r * tee / params.dev_ops_per_sec
-            if td + tc > tee:
-                return math.inf
-            return float(_local_objective_grid(
-                params, eff_gain_down, np.asarray(td), np.asarray(tc)))
-        lo = max(step * 1e-6, best_d - step)
-        hi = min(tee, best_d + step)
-        td, val = _golden_min(reduced, lo, hi, spec.refine_iters)
-        if val < best:
-            r = params.bw_downlink * (td / tee) * l2
-            best_d = td
-            best_c = params.ops_per_bit * r * tee / params.dev_ops_per_sec
-            best = val
+    rate_per_l2 = params.bw_downlink * (tau_d / tee)
+    rate, tau_c, cost, tmp = (np.empty(n) for _ in range(4))
+    best_d, best_c = np.full(l2.size, math.nan), np.full(l2.size, math.nan)
+    best = np.full(l2.size, math.inf)
+    for k, (l2k, hrk) in enumerate(zip(l2.tolist(), hr.tolist())):
+        np.multiply(rate_per_l2, l2k, out=rate)
+        np.multiply(params.ops_per_bit, rate, out=tau_c)  # K R T / f ops
+        tau_c *= tee
+        tau_c /= params.dev_ops_per_sec
+        tau_c /= step  # rounded up to the grid
+        tau_c -= 1e-12
+        np.ceil(tau_c, out=tau_c)
+        tau_c *= step
+        # rate and tau_d + tau_c rise along the axis, so the cells meeting
+        # the rate floor and fitting the frame are the run [lo, hi)
+        lo = int(rate.searchsorted(params.rate_min))
+        hi = int(np.add(tau_d, tau_c, out=tmp).searchsorted(tee, side="right"))
+        if lo >= hi:
+            continue
+        c = _local_cost(params, l2k, hrk, tau_d[lo:hi], tau_c[lo:hi], rate[lo:hi],
+                        cost[lo:hi], tmp[lo:hi])
+        i = lo + int(c.argmin())
+        best_d[k], best_c[k], best[k] = tau_d[i], tau_c[i], cost[i]
     return best_d, best_c, best
 
 
-def brute_local_grid2d(params: SystemParams, eff_gain_down: float,
-                       spec: GridSpec) -> tuple[float, float, float]:
-    """Plain full 2-D scan of the local program (no reduction, no refine).
+def brute_local(params: SystemParams, eff_gain_down, spec: GridSpec) -> tuple:
+    """Grid minimum of the local program; returns (tau_d, tau_c, cost), as
+    floats for a number and as arrays of its shape for an array of gains.
 
-    Intended for coarse grids only; used to validate the reduction lemma.
+    For each gain in turn, sweeps the decode axis at the grid resolution with
+    the cheapest grid-aligned compute slot per the reduction lemma, into
+    buffers reused from gain to gain.  Then (optionally) golden-sections the
+    surviving 1-D problem, with the compute slot continuous, for all gains in
+    lockstep inside the best cell, clipped to the decode slots that meet both
+    constraints, [rate_min T / (B_h l2), T / (1 + K B_h l2 / f)]; a gain
+    without a feasible grid cell is refined over all of that interval.
     """
-    tee = params.frame_duration
-    step = spec.resolution
-    n = int(math.floor(tee / step))
-    ax = step * np.arange(0, n + 1)
-    tau_d = ax[:, None]
-    tau_c = ax[None, :]
-    l2 = math.log2(1.0 + eff_gain_down / params.noise_dev)
-    rate = params.bw_downlink * (tau_d / tee) * l2
-    ops_ok = tau_c * params.dev_ops_per_sec >= params.ops_per_bit * rate * tee
-    mask = (rate >= params.rate_min) & ops_ok & (tau_d + tau_c <= tee)
-    if not np.any(mask):
+    gd = np.asarray(eff_gain_down, dtype=float)
+    shape, gd = gd.shape, gd.ravel()
+    tee, step = params.frame_duration, spec.resolution
+    l2 = _log2_snr(params, gd)
+    if (l2 <= 0.0).any():
+        raise ValueError("empty feasible grid: zero channel capacity")
+    hr = _harvest_rate(params, gd)
+    best_d, best_c, best = _local_grid(params, l2, hr, step)
+    if spec.refine_iters > 0:
+        def reduced(td):
+            r = params.bw_downlink * (td / tee) * l2
+            tc = params.ops_per_bit * r * tee / params.dev_ops_per_sec
+            val = _local_cost(params, l2, hr, td, tc, r)
+            val[(r < params.rate_min) | (td + tc > tee)] = math.inf
+            return val
+        d_lo = params.rate_min * tee / (params.bw_downlink * l2)
+        d_hi = tee / (1.0 + params.ops_per_bit * params.bw_downlink * l2
+                      / params.dev_ops_per_sec)
+        # fmax and fmin skip the NaN best_d of gains without a grid cell
+        lo = np.fmax(np.fmax(step * 1e-6, best_d - step), d_lo)
+        hi = np.fmin(np.fmin(tee, best_d + step), d_hi)
+        td, val = _golden_min(reduced, lo, hi, spec.refine_iters)
+        better = val < best
+        r = params.bw_downlink * (td / tee) * l2
+        best_d = np.where(better, td, best_d)
+        best_c = np.where(
+            better, params.ops_per_bit * r * tee / params.dev_ops_per_sec, best_c)
+        best = np.where(better, val, best)
+    if not (best < math.inf).all():
         raise ValueError("empty feasible grid for the local program")
-    cost = np.where(mask,
-                    _local_objective_grid(params, eff_gain_down, tau_d, tau_c),
-                    np.inf)
-    i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
-    return float(ax[i]), float(ax[j]), float(cost[i, j])
+    return _shaped(shape, best_d, best_c, best)
 
 
 def local_grid_tolerance(params: SystemParams, eff_gain_down: float,
                          spec: GridSpec) -> float:
     """Upper bound on (grid minimum - true minimum) for the local program."""
-    l2 = math.log2(1.0 + eff_gain_down / params.noise_dev)
+    l2 = _log2_snr(params, eff_gain_down)
     hr = _harvest_rate(params, eff_gain_down)
     lip_d = (params.bw_downlink * l2
              * (params.ops_per_bit * _per_op_energy(params)
@@ -216,89 +237,78 @@ def local_grid_tolerance(params: SystemParams, eff_gain_down: float,
 # offloading program
 # ---------------------------------------------------------------------------
 
-def _offload_cost_curve(params: SystemParams, eff_gain_down: float,
-                        gain_offload: float, tau_d: float, tau_o):
-    """Strategy cost as a function of the offload slot, with the transmit
-    energy pinned to the smallest value that delivers the frame's bits."""
-    bits = params.bits_per_frame
-    tau_o = np.asarray(tau_o, dtype=float)
-    lam = tau_o * (params.noise_server / gain_offload) * _exp2m1(
-        bits / (params.bw_offload * tau_o))
-    l2 = math.log2(1.0 + eff_gain_down / params.noise_dev)
-    e_dec = params.decode_energy_per_bit * params.bw_downlink * l2 * tau_d
-    e_hrv = _harvest_rate(params, eff_gain_down) * (
-        params.frame_duration - tau_d - tau_o)
-    return e_dec + lam - e_hrv
+def _offload_cost(e_dec, a, hr, room, tau_o, growth, out=None, tmp=None):
+    """Strategy cost at offload slot tau_o, element-wise, with the transmit
+    energy tau_o a growth pinned to the least that delivers the frame's bits;
+    a is N_s/|g|^2, growth 2**(bits/(B_g tau_o)) - 1, room T - tau_d and hr
+    the harvest rate.  Written into out (tmp is a work buffer) if given."""
+    lam = np.multiply(tau_o, a, out=out)
+    lam *= growth
+    out = np.add(e_dec, lam, out=out)
+    span = np.subtract(room, tau_o, out=tmp)
+    out -= np.multiply(hr, span, out=tmp)
+    return out
 
 
-def brute_offload(params: SystemParams, eff_gain_down: float,
-                  gain_offload: float, spec: GridSpec) -> tuple[float, float, float]:
-    """Grid minimum of the offloading program; returns (tau_o, p_o, cost).
+def _offload_grid(params: SystemParams, n, e_dec, a, hr, room,
+                  step: float) -> tuple:
+    """Best grid cell (tau_o, cost) of the offload cost curve for each pair,
+    over its first n grid slots; the other arguments are _offload_cost's."""
+    tau_o = step * np.arange(1, n.max(initial=0) + 1)
+    growth = _exp2m1(params.bits_per_frame / (params.bw_offload * tau_o))
+    cost, tmp = np.empty(tau_o.size), np.empty(tau_o.size)
+    best_o, best = np.empty(n.size), np.empty(n.size)
+    pairs = zip(n.tolist(), e_dec.tolist(), a.tolist(), hr.tolist(),
+                room.tolist())
+    for k, (m, e_dec_k, a_k, hr_k, room_k) in enumerate(pairs):
+        c = _offload_cost(e_dec_k, a_k, hr_k, room_k, tau_o[:m], growth[:m],
+                          cost[:m], tmp[:m])
+        i = int(c.argmin())
+        best_o[k], best[k] = tau_o[i], c[i]
+    return best_o, best
+
+
+def brute_offload(params: SystemParams, eff_gain_down, gain_offload,
+                  spec: GridSpec) -> tuple:
+    """Grid minimum of the offloading program; returns (tau_o, p_o, cost),
+    element-wise over the broadcast gains as brute_local does.
 
     The decode slot is fixed at its rate-floor value (shared with the local
     program); the transmit energy is eliminated per the reduction lemma and
-    the remaining 1-D convex curve is swept then golden-sectioned.
+    the remaining 1-D convex curve is swept for each pair in turn, into
+    buffers reused from pair to pair, then golden-sectioned in lockstep.
     """
-    if gain_offload <= 0.0:
+    gd, go = np.broadcast_arrays(np.asarray(eff_gain_down, dtype=float),
+                                 np.asarray(gain_offload, dtype=float))
+    shape, gd, go = gd.shape, gd.ravel(), go.ravel()
+    if (go <= 0.0).any():
         raise ValueError("gain_offload must be positive for the offload scan")
-    tee = params.frame_duration
-    step = spec.resolution
-    l2 = math.log2(1.0 + eff_gain_down / params.noise_dev)
-    if params.rate_min >= params.bw_downlink * l2:
+    tee, step, bits = params.frame_duration, spec.resolution, params.bits_per_frame
+    l2 = _log2_snr(params, gd)
+    if (params.rate_min >= params.bw_downlink * l2).any():
         raise ValueError("empty feasible grid: rate floor exceeds capacity")
-    tau_d = params.bits_per_frame / (params.bw_downlink * l2)
-    hi = tee - tau_d
-    n = int(math.floor(hi / step))
-    if n < 1:
+    tau_d = bits / (params.bw_downlink * l2)
+    room = tee - tau_d
+    n = np.floor(room / step).astype(int)
+    if (n < 1).any():
         raise ValueError("empty feasible grid for the offloading program")
-    tau_o = step * np.arange(1, n + 1)
-    cost = _offload_cost_curve(params, eff_gain_down, gain_offload, tau_d, tau_o)
-    i = int(np.argmin(cost))
-    best_o, best = float(tau_o[i]), float(cost[i])
-    if not math.isfinite(best):
+    a = params.noise_server / go
+    e_dec = params.decode_energy_per_bit * params.bw_downlink * l2 * tau_d
+    hr = _harvest_rate(params, gd)
+    best_o, best = _offload_grid(params, n, e_dec, a, hr, room, step)
+    if not (best < math.inf).all():
         raise ValueError("empty feasible grid for the offloading program")
     if spec.refine_iters > 0:
-        def curve(to: float) -> float:
-            return float(_offload_cost_curve(
-                params, eff_gain_down, gain_offload, tau_d, to))
-        lo = max(step * 1e-6, best_o - step)
-        top = min(hi, best_o + step)
+        def curve(to):
+            return _offload_cost(e_dec, a, hr, room, to,
+                                 _exp2m1(bits / (params.bw_offload * to)))
+        lo = np.maximum(step * 1e-6, best_o - step)
+        top = np.minimum(room, best_o + step)
         to, val = _golden_min(curve, lo, top, spec.refine_iters)
-        if val < best:
-            best_o, best = to, val
-    bits = params.bits_per_frame
-    p_o = (params.noise_server / gain_offload) * _exp2m1(
-        bits / (params.bw_offload * best_o))
-    return best_o, float(p_o), best
-
-
-def brute_offload_grid2d(params: SystemParams, eff_gain_down: float,
-                         gain_offload: float, spec: GridSpec) -> tuple[float, float, float]:
-    """Full 2-D scan over (offload slot, transmit energy); returns the best
-    (tau_o, p_o, cost).  The energy axis comes from spec.power_grid (J);
-    intended for coarse validation of the energy-elimination lemma."""
-    if not spec.power_grid:
-        raise ValueError("brute_offload_grid2d needs spec.power_grid samples")
-    tee = params.frame_duration
-    step = spec.resolution
-    l2 = math.log2(1.0 + eff_gain_down / params.noise_dev)
-    tau_d = params.bits_per_frame / (params.bw_downlink * l2)
-    n = int(math.floor((tee - tau_d) / step))
-    if n < 1:
-        raise ValueError("empty feasible grid for the offloading program")
-    tau_o = step * np.arange(1, n + 1)[:, None]
-    lam = np.asarray(spec.power_grid, dtype=float)[None, :]
-    bits = params.bits_per_frame
-    delivered = (params.bw_offload * tau_o
-                 * np.log2(1.0 + gain_offload * lam / (tau_o * params.noise_server)))
-    e_dec = params.decode_energy_per_bit * params.bw_downlink * l2 * tau_d
-    e_hrv = _harvest_rate(params, eff_gain_down) * (tee - tau_d - tau_o)
-    cost = np.where(delivered >= bits, e_dec + lam - e_hrv, np.inf)
-    if not np.isfinite(cost).any():
-        raise ValueError("no feasible cell in the 2-D offload grid")
-    i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
-    to = float(tau_o[i, 0])
-    return to, float(lam[0, j] / to), float(cost[i, j])
+        better = val < best
+        best_o, best = np.where(better, to, best_o), np.where(better, val, best)
+    p_o = a * _exp2m1(bits / (params.bw_offload * best_o))
+    return _shaped(shape, best_o, p_o, best)
 
 
 def offload_grid_tolerance(params: SystemParams, eff_gain_down: float,

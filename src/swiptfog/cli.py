@@ -217,7 +217,8 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
     Checks the root solver against bisection; the first grid_pairs claims
     against the grid searches (deviations in multiples of the tolerance),
     with their offload slot and power delivering the frame's bits; and the
-    mode rule against the cost comparison on the remaining pairs.
+    mode rule against the cost comparison on the remaining pairs.  Each grid
+    search runs once, over all grid_pairs.
     """
     xs = np.concatenate([
         -1.0 / math.e + 10.0 ** np.linspace(-9, math.log10(1.0 / math.e), 200),
@@ -238,16 +239,18 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
     spec = bruteforce.GridSpec.for_frame(params.frame_duration)
     rows = []
     grid = slice(grid_pairs)
-    claims = zip(eff_gain_down[grid].tolist(), gain_offload[grid].tolist(),
+    gains = eff_gain_down[grid], gain_offload[grid]
+    claims = zip(*(g.tolist() for g in gains),
                  local.cost[grid].tolist(), offload.cost[grid].tolist(),
-                 offload.tau_o[grid].tolist(), offload.p_o[grid].tolist())
-    for idx, (gd, go, cost_l, cost_o, tau_o, p_o) in enumerate(claims):
-        _, _, cost_grid = bruteforce.brute_local(params, gd, spec)
+                 offload.tau_o[grid].tolist(), offload.p_o[grid].tolist(),
+                 bruteforce.brute_local(params, gains[0], spec)[2].tolist(),
+                 bruteforce.brute_offload(params, *gains, spec)[2].tolist())
+    for idx, (gd, go, cost_l, cost_o, tau_o, p_o, cost_grid,
+              cost_grid_o) in enumerate(claims):
         tol_l = bruteforce.local_grid_tolerance(params, gd, spec)
         dev_l = abs(cost_l - cost_grid)
         ok_l = dev_l <= tol_l and cost_grid >= cost_l - tol_l
 
-        _, _, cost_grid_o = bruteforce.brute_offload(params, gd, go, spec)
         tol_o = bruteforce.offload_grid_tolerance(params, gd, go, spec, tau_o)
         dev_o = abs(cost_o - cost_grid_o)
         ok_o = dev_o <= tol_o and cost_grid_o >= cost_o - tol_o

@@ -13,9 +13,48 @@ from swiptfog import (
     solve_local,
     solve_offload,
 )
-from swiptfog.bruteforce import brute_local_grid2d, brute_offload_grid2d
+from swiptfog.bruteforce import _local_cost
 
-from conftest import random_gain_pairs
+from swiptfog.allocator import solve_frames
+
+from conftest import FEW_CELL_DECODE, random_gain_pairs
+
+
+def brute_local_grid2d(params, gd, spec):
+    """Plain full 2-D scan of the local program (no reduction, no refine),
+    on a coarse grid; validates the oracle's compute-slot reduction."""
+    tee, step = params.frame_duration, spec.resolution
+    ax = step * np.arange(0, int(math.floor(tee / step)) + 1)
+    tau_d, tau_c = ax[:, None], ax[None, :]
+    l2 = math.log2(1.0 + gd / params.noise_dev)
+    rate = params.bw_downlink * (tau_d / tee) * l2
+    ops_ok = tau_c * params.dev_ops_per_sec >= params.ops_per_bit * rate * tee
+    mask = (rate >= params.rate_min) & ops_ok & (tau_d + tau_c <= tee)
+    hr = params.eh_efficiency * (gd + params.noise_dev)
+    cost = _local_cost(params, l2, hr, tau_d, tau_c, rate,
+                       np.empty(mask.shape), np.empty(mask.shape))
+    cost[~mask] = np.inf
+    i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
+    return float(ax[i]), float(ax[j]), float(cost[i, j])
+
+
+def brute_offload_grid2d(params, gd, go, spec, power_grid):
+    """Full 2-D scan over (offload slot, transmit energy in J from
+    power_grid), on a coarse grid; returns the best (tau_o, p_o, cost) and
+    validates the oracle's energy elimination."""
+    tee, step, bits = params.frame_duration, spec.resolution, params.bits_per_frame
+    l2 = math.log2(1.0 + gd / params.noise_dev)
+    tau_d = bits / (params.bw_downlink * l2)
+    tau_o = step * np.arange(1, int(math.floor((tee - tau_d) / step)) + 1)[:, None]
+    lam = np.asarray(power_grid, dtype=float)[None, :]
+    delivered = (params.bw_offload * tau_o
+                 * np.log2(1.0 + go * lam / (tau_o * params.noise_server)))
+    e_dec = params.decode_energy_per_bit * params.bw_downlink * l2 * tau_d
+    e_hrv = params.eh_efficiency * (gd + params.noise_dev) * (tee - tau_d - tau_o)
+    cost = np.where(delivered >= bits, e_dec + lam - e_hrv, np.inf)
+    i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
+    to = float(tau_o[i, 0])
+    return to, float(lam[0, j] / to), float(cost[i, j])
 
 
 def test_gridspec_validation():
@@ -108,11 +147,10 @@ def test_offload_grid_slot_at_root_zero(params):
 def test_offload_energy_elimination_matches_2d_scan(params):
     # coarse 2-D sweep over (slot, energy) agrees with the eliminated form
     gd, go = 2e-6, 5e-7
-    lam = tuple(np.geomspace(1e-9, 1e-3, 4000))
-    spec2 = GridSpec(resolution=5e-3, refine_iters=0, power_grid=lam)
+    lam = np.geomspace(1e-9, 1e-3, 4000)
     spec1 = GridSpec(resolution=5e-3, refine_iters=0)
     to1, _, cost1 = brute_offload(params, gd, go, spec1)
-    to2, _, cost2 = brute_offload_grid2d(params, gd, go, spec2)
+    to2, _, cost2 = brute_offload_grid2d(params, gd, go, spec1, lam)
     assert to2 == pytest.approx(to1, abs=2.5 * spec1.resolution)
     # 2-D scan can't do better than the eliminated scan, and the coarse
     # energy axis can only cost it a little
@@ -136,6 +174,67 @@ def test_offload_constraint_surface_is_concave(params):
         assert mid >= 0.5 * (delivered(t1, l1) + delivered(t2, l2)) - 1e-9
 
 
+def _feasible_pairs(params, rng, n, extra=()):
+    """Wide log-uniform gain pairs under which both modes are feasible, plus
+    the extra pairs."""
+    gd = 10.0 ** rng.uniform(-10.0, -2.0, 40 * n)
+    go = 10.0 ** rng.uniform(-10.0, -2.0, 40 * n)
+    local, offload = solve_frames(params, gd, go)
+    both = np.flatnonzero(local.feasible & offload.feasible)[:n]
+    return (np.concatenate([gd[both], [g for g, _ in extra]]),
+            np.concatenate([go[both], [g for _, g in extra]]))
+
+
+@pytest.mark.parametrize("case", ["default", "few_cell"])
+def test_block_calls_equal_one_element_calls_bit_for_bit(params, case):
+    # wide gains at the default parameters, and a block whose decode slots
+    # span a few grid cells, where most pairs have no feasible grid cell:
+    # refined inside the feasible decode interval, they raise without the
+    # refine, so the block without the refine holds the other pairs
+    rng = np.random.default_rng(11)
+    if case == "default":
+        gd, go = _feasible_pairs(params, rng, 24)
+    else:
+        params, pair = FEW_CELL_DECODE[0]
+        gd, go = _feasible_pairs(params, rng, 12, extra=[pair])
+    for refine_iters in (0, 40, 60):
+        spec = GridSpec.for_frame(params.frame_duration, refine_iters)
+        singles, keep = [], []
+        for g, h in zip(gd.tolist(), go.tolist()):
+            try:
+                singles.append(brute_local(params, g, spec)
+                               + brute_offload(params, g, h, spec))
+            except ValueError:
+                assert refine_iters == 0
+            keep.append(len(singles) > sum(keep))
+        assert all(keep) == (case == "default" or refine_iters > 0)
+        assert all(type(x) is float for x in singles[0])
+        g_kept, h_kept = gd[keep], go[keep]
+        for order in (np.arange(g_kept.size), rng.permutation(g_kept.size)):
+            block = (brute_local(params, g_kept[order], spec)
+                     + brute_offload(params, g_kept[order], h_kept[order], spec))
+            for got, want in zip(block, np.array(singles)[order].T):
+                assert got.shape == g_kept.shape
+                assert got.tolist() == want.tolist()
+
+
+def test_block_with_an_empty_grid_raises_as_one_element_does(params):
+    spec = GridSpec.for_frame(params.frame_duration)
+    gd, go = np.array([1e-6, 0.0, 2e-6]), np.array([1e-7, 1e-7, 0.0])
+    with pytest.raises(ValueError, match="zero channel capacity"):
+        brute_local(params, gd, spec)
+    with pytest.raises(ValueError, match="gain_offload must be positive"):
+        brute_offload(params, gd, go, spec)
+    few, (g, h) = FEW_CELL_DECODE[1]
+    no_refine = GridSpec.for_frame(few.frame_duration, 0)
+    for block in (g, np.array([g, 2 * g])):
+        with pytest.raises(ValueError,
+                           match="empty feasible grid for the local program"):
+            brute_local(few, block, no_refine)
+    with pytest.raises(ValueError, match="rate floor exceeds capacity"):
+        brute_offload(params, gd[:2], go[:2], spec)
+
+
 def test_offload_empty_grid_raises(params):
     from swiptfog.params import with_overrides
     p = with_overrides(params, rate_min=1e12)
@@ -146,14 +245,15 @@ def test_offload_empty_grid_raises(params):
 def test_oracle_objective_matches_energy_composition(params):
     # the vectorized grid objective must agree with the energy primitives
     from swiptfog import compute_energy, decode_energy, harvested_energy, throughput
-    from swiptfog.bruteforce import _local_objective_grid
     rng = np.random.default_rng(4)
     for _ in range(100):
         gd = 10.0 ** rng.uniform(-8, -4)
         tau_d = rng.uniform(1e-4, 0.4)
         tau_c = rng.uniform(1e-4, 0.4)
-        via_grid = float(_local_objective_grid(
-            params, gd, np.asarray(tau_d), np.asarray(tau_c)))
+        l2 = math.log2(1.0 + gd / params.noise_dev)
+        via_grid = float(_local_cost(
+            params, l2, params.eh_efficiency * (gd + params.noise_dev),
+            tau_d, tau_c, params.bw_downlink * (tau_d / params.frame_duration) * l2))
         direct = (decode_energy(params, gd, tau_d)
                   + compute_energy(params, throughput(params, gd, tau_d))
                   - harvested_energy(params, gd,

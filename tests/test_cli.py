@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,24 @@ def test_verify_passes_and_writes_report(capsys, tmp_path):
     assert report[0].startswith("instance,")
 
 
+def test_verify_csv_bits_are_pinned(capsys, tmp_path):
+    """sha256 of verify.csv at seed 256 with 200 instances.  It holds the
+    grid oracle's bits: a change to its operation order, its grid or its
+    refine bracket moves the grid-cost columns.
+
+    The digest pins this platform's C library and numpy: the kernel
+    evaluates log2, exp and pow through the math module, and the oracle
+    evaluates 2**u with numpy's exp2, so another libm or another numpy
+    build may round them differently in the last bit.
+    """
+    code, out, _ = run(capsys, "verify", "--seed", "256", "--instances", "200",
+                       "--jobs", "1", "--out-dir", str(tmp_path))
+    assert code == 0, out
+    digest = hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest()
+    assert digest == (
+        "c187aacb52c93a493d8f9877596fc619b65325d85507f20aa29e24d52d20814d")
+
+
 def test_verify_detects_injected_perturbation(params):
     gd, go = np.array(random_gain_pairs(np.random.default_rng(4), 5, params)).T
     local, offload = solve_frames(params, gd, go)
@@ -170,12 +189,27 @@ def test_verify_detects_injected_perturbation(params):
 
 
 def test_allocate_overflowing_gain_exits_2_with_message(capsys):
-    # finite gains whose root argument overflows: the root solver cannot
-    # certify a root, and the CLI reports that instead of a traceback
+    # a finite downlink gain whose SNR overflows is rejected by the kernel
     code, _, err = run(capsys, "allocate",
                        "--gain-down", "1e308", "--gain-offload", "1e-6")
     assert code == 2
+    assert "error:" in err and "SNR" in err and "overflows" in err
+    # finite gains with a finite SNR whose root argument overflows: the root
+    # solver cannot certify a root, and the CLI reports that instead of a
+    # traceback
+    code, _, err = run(capsys, "allocate",
+                       "--gain-down", "1e290", "--gain-offload", "1e100")
+    assert code == 2
     assert "error:" in err and "lambert_w0" in err
+
+
+def test_allocate_snr_overflow_exits_2_instead_of_a_nan_cost(capsys):
+    # used to print "local: cost=nan J", decide harvest_only and exit 0
+    code, out, err = run(capsys, "allocate",
+                         "--gain-down", "1e300", "--gain-offload", "0")
+    assert code == 2
+    assert "SNR" in err and "overflows" in err
+    assert out == ""
 
 
 def test_allocate_rejects_non_finite_or_negative_gain(capsys):

@@ -45,6 +45,8 @@ from swiptfog.cli import certify
 from swiptfog.params import with_overrides
 from swiptfog.sim import TRIAL_CHUNK
 
+from conftest import FEW_CELL_DECODE
+
 _FIELDS = tuple(f.name for f in dataclasses.fields(StrategyArrays)
                 if f.name not in ("feasible", "cost"))
 
@@ -190,6 +192,17 @@ def test_non_finite_or_negative_gains_fail_in_the_kernel_and_every_view(
             view()
 
 
+def test_solve_frames_rejects_a_downlink_snr_that_overflows(params):
+    # G / noise_dev is inf, so tau_d = 0 and the decode energy inf * 0 = NaN
+    for gd in (1e300, 1e308):
+        with pytest.raises(ValueError, match="SNR.*overflows"):
+            solve_frames(params, np.array([1e-6, gd]), np.array([1e-7, 0.0]))
+        with pytest.raises(ValueError, match="SNR.*overflows"):
+            solve_local(params, gd)
+    local, _ = solve_frames(params, np.array([1e296]), np.array([0.0]))
+    assert np.isfinite(local.cost).all()
+
+
 def test_draw_gains_match_realize_channels(params):
     gd, go = draw_gains(params, np.random.default_rng(99), 50)
     rng = np.random.default_rng(99)
@@ -295,37 +308,63 @@ def test_certify_passes_kernel_optima(exps):
     assert report.failures == 0, report.lines
 
 
-# Two valid configurations, found by running the property above over
-# _params_strategy, under which the grid search cannot certify a correct
-# local optimum: the decode slot spans only two to five grid cells, and the
-# compute slot, which scales with the decoded bits, inherits the decode
-# slot's rounding to the grid.  The closed forms are optimal there; the
-# oracle's tolerance (first case) or its feasible grid (second) is not.
-_FINE_DECODE = dict(n_antennas=1, decode_energy_per_bit=9.991220865059318e-10,
-                    immaturity_factor=100.0, fanout=1.0,
-                    thermal_noise_density=8.217237442651788e-21)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=_params_strategy,
+       exps=st.lists(st.tuples(st.floats(-10.0, -2.0), st.floats(-10.0, -2.0)),
+                     min_size=2, max_size=20))
+def test_certify_passes_kernel_optima_over_configurations(params, exps):
+    gd, go = 10.0 ** np.array(exps).T
+    local, offload = solve_frames(params, gd, go)
+    both = local.feasible & offload.feasible
+    assume(both.any())
+    gd, go = gd[both], go[both]
+    report = certify(params, gd, go, *solve_frames(params, gd, go),
+                     grid_pairs=(gd.size + 1) // 2)
+    assert report.failures == 0, report.lines
 
 
-@pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError),
-                   reason="grid search resolves a decode slot of a few cells "
-                   "only to within one cell")
+@pytest.mark.parametrize("params,gains", FEW_CELL_DECODE)
+def test_certify_where_the_decode_slot_spans_few_grid_cells(params, gains):
+    # found by the certify property over _params_strategy: the grid oracle
+    # must refine the decode slot inside the interval that meets both
+    # constraints, also where no grid cell does
+    gd, go = np.array([gains[0]]), np.array([gains[1]])
+    local, offload = solve_frames(params, gd, go)
+    assert local.feasible[0] and offload.feasible[0]
+    assert certify(params, gd, go, local, offload, grid_pairs=1).failures == 0
+
+
+# Two valid configurations, found by running the certify property over
+# _params_strategy with more examples, under which the grid and the
+# closed-form offload costs differ by more than offload_grid_tolerance,
+# whose rounding floor is 1e-12 of (slope x T + transmit energy).  In the
+# first the decode energy, which the floor leaves out, is almost all of the
+# cost, and the two costs differ by 2 ulp of it.  In the second 2**u - 1 is
+# 1.4e-4 for u = bits / (B_g tau_o), so evaluating it as 2**u minus 1 (in the
+# kernel's offload power and in the oracle) leaves a relative error of
+# 2.6e-13 in the transmit energy, and the costs differ by 1.08x the floor.
+_COMMON = dict(n_antennas=1, p_transmit=1.0, bw_downlink=100000.0,
+               frame_duration=1.0, ops_per_bit=10.0, dev_ops_per_sec=1e7,
+               immaturity_factor=100.0, fanout=1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="offload_grid_tolerance's rounding floor leaves out "
+                   "the decode energy and the cancellation in 2**u - 1")
 @pytest.mark.parametrize("fields,gains", [
-    (dict(p_transmit=2.1358877806317444, bw_downlink=8700778.280990314,
-          bw_offload=938602.7729998252, noise_dev=2.6929096027133064e-10,
-          noise_server=6.108609431128086e-11, eh_efficiency=0.9490681757648523,
-          rate_min=57959.68991448907, frame_duration=0.36025966827784983,
-          ops_per_bit=85510.18688933871, dev_ops_per_sec=5127750042.025527,
-          activity_factor=0.25609497775602563),
-     (10.0 ** -5.480659568940056, 10.0 ** -6.383819408724488)),
-    (dict(bw_downlink=8700253.0, bw_offload=100000.0,
-          noise_dev=6.108609431128086e-11, noise_server=2.6929096027133064e-10,
-          eh_efficiency=1.0, rate_min=41701.0, frame_duration=0.375,
-          ops_per_bit=23382.0, dev_ops_per_sec=978584586.0,
-          activity_factor=0.5),
-     (1e-3, 1e-4)),
+    (dict(bw_offload=558642.0, noise_dev=2.687636644032274e-10,
+          noise_server=1.4650933521752454e-10, eh_efficiency=0.125,
+          decode_energy_per_bit=3.2964179266538404e-10, rate_min=6093.0,
+          activity_factor=0.5, thermal_noise_density=7.179319422630034e-21),
+     (1e-9, 1e-2)),
+    (dict(bw_offload=5167056.0, noise_dev=1e-12,
+          noise_server=5.752152823474621e-10, eh_efficiency=0.5,
+          decode_energy_per_bit=9.999999999999999e-10, rate_min=1000.0,
+          activity_factor=0.5, thermal_noise_density=3.8272478344698235e-21),
+     (10.0 ** -7.75, 10.0 ** -9.21875)),
 ])
-def test_certify_where_the_decode_slot_spans_few_grid_cells(fields, gains):
-    params = SystemParams(**_FINE_DECODE, **fields)
+def test_certify_where_the_offload_tolerance_floor_is_too_small(fields, gains):
+    params = SystemParams(**_COMMON, **fields)
     gd, go = np.array([gains[0]]), np.array([gains[1]])
     local, offload = solve_frames(params, gd, go)
     if not (local.feasible[0] and offload.feasible[0]):
