@@ -49,7 +49,6 @@ from .sim import (
     SweepRow,
     monte_carlo,
     run_trace,
-    step_frame,
     sweep,
 )
 
@@ -65,5 +64,5 @@ __all__ = [
     "lambert_w0", "load_params", "local_feasible", "local_grid_tolerance",
     "monte_carlo", "offload_bits", "offload_feasible",
     "offload_grid_tolerance", "pathloss_db", "realize_channels", "run_trace",
-    "solve_local", "solve_offload", "step_frame", "sweep", "throughput",
+    "solve_local", "solve_offload", "sweep", "throughput",
 ]

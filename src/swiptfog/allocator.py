@@ -23,8 +23,9 @@ costs; ties go to local compute, and if the cheaper cost exceeds the stored
 energy the frame is spent harvesting.
 
 The closed forms are written once, in solve_frames, which solves whole
-arrays of frames.  solve_local, solve_offload and evaluate_strategies are
-views of it on one frame; for many frames, call solve_frames.
+arrays of frames, and the decision once, in choose_modes and _affordable.
+solve_local, solve_offload, evaluate_strategies and decide are views of
+them on one frame; for many frames, call solve_frames.
 """
 
 import logging
@@ -65,7 +66,6 @@ __all__ = [
     "evaluate_strategies",
     "decision_inequality",
     "mode_rule_sides",
-    "pick_cheaper",
     "harvest_only_result",
 ]
 
@@ -246,7 +246,8 @@ def solve_frames(params: SystemParams, eff_gain_down,
     equals the textbook form with 2^(bits/(B_h*tau_d)) substituted, because
     the decode slot meets the rate floor with equality.  x == 0 (no offload
     path) and allocations exceeding the frame are infeasible.  Gains must be
-    finite and non-negative, with a finite downlink SNR G / noise_dev.
+    finite and non-negative, with a finite downlink SNR G / noise_dev and a
+    finite root argument.
     log2, exp and pow come from the C library, so results do not depend on
     numpy's vector loops.
     """
@@ -259,6 +260,13 @@ def solve_frames(params: SystemParams, eff_gain_down,
         if np.isinf(gd / params.noise_dev).any():
             raise ValueError("eff_gain_down / noise_dev, the downlink SNR, "
                              "overflows to inf")
+        x = (params.eh_efficiency * go * (gd + params.noise_dev)
+             / params.noise_server)
+    if np.isinf(x).any():
+        i = np.isinf(x).argmax()
+        raise ValueError(f"gains eff_gain_down={float(gd.flat[i])!r} and "
+                         f"gain_offload={float(go.flat[i])!r} overflow the root "
+                         "argument eta * |g|^2 * (G + noise_dev) / noise_server")
     tee = params.frame_duration
     bits = params.bits_per_frame
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -276,8 +284,6 @@ def solve_frames(params: SystemParams, eff_gain_down,
             e_compute=compute_energy(params, params.rate_min), e_offload=0.0,
             e_harvest=harvest_rate * tau_e)
 
-        x = (params.eh_efficiency * go * (gd + params.noise_dev)
-             / params.noise_server)
         ok = _offload_fits(params, l2) & (x > 0.0)
         w = np.full(gd.shape, math.nan)
         w[ok] = lambert_w0((x[ok] - 1.0) * _INV_E)
@@ -293,27 +299,24 @@ def solve_frames(params: SystemParams, eff_gain_down,
     return local, offload
 
 
-def _frame_result(arrays: StrategyArrays, strategy: Strategy,
-                  i_o: int) -> StrategyResult:
-    """Element 0 of one mode's arrays, with its ledger from frame_cost."""
-    if not arrays.feasible[0]:
+def _frame_result(arrays: StrategyArrays, i_o: int, index=0) -> StrategyResult:
+    """Element index of one mode's arrays, with its ledger from frame_cost."""
+    if not arrays.feasible[index]:
         return _INFEASIBLE
-    slots = (float(s[0]) for s in (arrays.tau_e, arrays.tau_d, arrays.tau_c,
-                                   arrays.tau_o, arrays.p_o))
-    energies = (float(e[0]) for e in (arrays.e_decode, arrays.e_compute,
-                                      arrays.e_offload, arrays.e_harvest))
-    return StrategyResult(
-        feasible=True,
-        allocation=Allocation(*slots, i_o=i_o, strategy=strategy),
-        breakdown=frame_cost(*energies, i_o=i_o))
+    slots = (float(s[index]) for s in (arrays.tau_e, arrays.tau_d, arrays.tau_c,
+                                       arrays.tau_o, arrays.p_o))
+    energies = (float(e[index]) for e in (arrays.e_decode, arrays.e_compute,
+                                          arrays.e_offload, arrays.e_harvest))
+    strategy = Strategy.OFFLOAD if i_o else Strategy.LOCAL_COMPUTE
+    return StrategyResult(True, Allocation(*slots, i_o=i_o, strategy=strategy),
+                          frame_cost(*energies, i_o=i_o))
 
 
 def evaluate_strategies(params: SystemParams, eff_gain_down: float,
                         gain_offload: float) -> tuple[StrategyResult, StrategyResult]:
     """Both per-frame programs for one frame; either side may be infeasible."""
     local, offload = solve_frames(params, [eff_gain_down], [gain_offload])
-    return (_frame_result(local, Strategy.LOCAL_COMPUTE, 0),
-            _frame_result(offload, Strategy.OFFLOAD, 1))
+    return _frame_result(local, 0), _frame_result(offload, 1)
 
 
 def solve_local(params: SystemParams, eff_gain_down: float) -> StrategyResult:
@@ -328,21 +331,11 @@ def solve_offload(params: SystemParams, eff_gain_down: float,
     return evaluate_strategies(params, eff_gain_down, gain_offload)[1]
 
 
-def pick_cheaper(cost_local: float, cost_offload: float) -> Strategy:
-    """Mode chosen by cost comparison; exact ties keep computation local."""
-    if cost_offload < cost_local:
-        return Strategy.OFFLOAD
-    return Strategy.LOCAL_COMPUTE
-
-
 def decision_inequality(params: SystemParams, eff_gain_down: float,
-                        gain_offload: float,
-                        precomputed: tuple[StrategyResult, StrategyResult] | None = None,
-                        ) -> tuple[float, float]:
+                        gain_offload: float) -> tuple[float, float]:
     """Left/right sides of the closed-form mode test; offload wins when
     left > right.  Only defined when both strategies are feasible."""
-    local, offload = precomputed if precomputed is not None else evaluate_strategies(
-        params, eff_gain_down, gain_offload)
+    local, offload = evaluate_strategies(params, eff_gain_down, gain_offload)
     if not (local.feasible and offload.feasible):
         raise ValueError("decision inequality needs both strategies feasible")
     a = offload.allocation
@@ -359,11 +352,36 @@ def mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
     return lhs, rhs
 
 
-def _rule_contradicts(lhs, rhs, offloads):
-    """Where the mode rule (offload when lhs > rhs) contradicts the cost
-    comparison by more than rounding noise.  Element-wise."""
+def choose_modes(params: SystemParams, eff_gain_down,
+                 local: StrategyArrays, offload: StrategyArrays) -> np.ndarray:
+    """The mode choice before the storage check, element-wise: True where
+    offloading is the cheaper feasible mode (ties go local).  An infeasible
+    mode costs inf, so the cheaper mode is a feasible one whenever either is.
+
+    Where both modes are feasible the cost comparison is cross-checked
+    against the closed-form inequality; disagreements beyond rounding noise
+    are logged once, with their count.
+    """
+    offloads = offload.cost < local.cost
+    both = local.feasible & offload.feasible
+    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down)[both],
+                               offload.tau_o[both], offload.p_o[both])
     margin = 1e-9 * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    return ((lhs > rhs) != offloads) & (np.abs(lhs - rhs) > margin)
+    disagree = ((lhs > rhs) != offloads[both]) & (np.abs(lhs - rhs) > margin)
+    if disagree.any():
+        log.warning("mode rule disagrees with cost comparison on %d of %d "
+                    "frames where both modes are feasible",
+                    int(disagree.sum()), int(both.sum()))
+    return offloads
+
+
+def _affordable(local: StrategyArrays, offload: StrategyArrays,
+                offloads: np.ndarray, e_stored) -> np.ndarray:
+    """Where the chosen mode runs, element-wise: it is feasible and its cost
+    is at most e_stored.  An unlimited budget (inf) covers the inf cost of
+    an infeasible mode, so the cost test alone would run one."""
+    feasible = np.where(offloads, offload.feasible, local.feasible)
+    return feasible & (np.where(offloads, offload.cost, local.cost) <= e_stored)
 
 
 def harvest_only_result(params: SystemParams, eff_gain_down: float) -> StrategyResult:
@@ -376,54 +394,19 @@ def harvest_only_result(params: SystemParams, eff_gain_down: float) -> StrategyR
 
 
 def decide(params: SystemParams, eff_gain_down: float, gain_offload: float,
-           e_stored: float,
-           precomputed: tuple[StrategyResult, StrategyResult] | None = None,
-           ) -> tuple[Allocation, EnergyBreakdown]:
+           e_stored: float) -> tuple[Allocation, EnergyBreakdown]:
     """Pick the affordable cheaper mode, falling back to pure harvesting.
 
-    Feasible strategies are compared by optimal cost (ties -> local); if the
-    winner's cost exceeds e_stored, or nothing is feasible, the frame is
-    spent harvesting.  When both strategies are feasible, the cost ordering
-    is cross-checked against the closed-form inequality and any disagreement
-    (beyond rounding noise) is logged.
+    One frame of choose_modes and _affordable: if the cheaper feasible
+    mode's cost exceeds e_stored, or nothing is feasible, the frame is spent
+    harvesting.
     """
     if not e_stored >= 0.0:
         raise ValueError(f"e_stored must be a non-negative number, got {e_stored!r}")
-    local, offload = precomputed if precomputed is not None else evaluate_strategies(
-        params, eff_gain_down, gain_offload)
-    # an infeasible mode costs inf, so the cheaper mode is a feasible one
-    # whenever either is
-    offloads = pick_cheaper(local.cost, offload.cost) is Strategy.OFFLOAD
-    chosen = offload if offloads else local
-    if local.feasible and offload.feasible:
-        lhs, rhs = decision_inequality(params, eff_gain_down, gain_offload,
-                                       precomputed=(local, offload))
-        if _rule_contradicts(lhs, rhs, offloads):
-            log.warning(
-                "mode rule disagrees with cost comparison: lhs=%r rhs=%r "
-                "cost_local=%r cost_offload=%r", lhs, rhs, local.cost, offload.cost)
-    if chosen.feasible and chosen.cost <= e_stored:
-        return chosen.allocation, chosen.breakdown
-    fallback = harvest_only_result(params, eff_gain_down)
-    return fallback.allocation, fallback.breakdown
-
-
-def choose_modes(params: SystemParams, eff_gain_down,
-                 local: StrategyArrays, offload: StrategyArrays) -> np.ndarray:
-    """decide's mode choice before its storage check, element-wise: True
-    where offloading is the cheaper feasible mode (ties go local).
-
-    Where both modes are feasible the cost comparison is cross-checked
-    against the closed-form inequality, as decide does; disagreements beyond
-    rounding noise are logged once, with their count.
-    """
-    offloads = offload.cost < local.cost
-    both = local.feasible & offload.feasible
-    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down)[both],
-                               offload.tau_o[both], offload.p_o[both])
-    disagree = _rule_contradicts(lhs, rhs, offloads[both])
-    if disagree.any():
-        log.warning("mode rule disagrees with cost comparison on %d of %d "
-                    "frames where both modes are feasible",
-                    int(disagree.sum()), int(both.sum()))
-    return offloads
+    local, offload = solve_frames(params, [eff_gain_down], [gain_offload])
+    offloads = choose_modes(params, [eff_gain_down], local, offload)
+    if _affordable(local, offload, offloads, e_stored)[0]:
+        chosen = _frame_result(offload if offloads[0] else local, int(offloads[0]))
+    else:
+        chosen = harvest_only_result(params, eff_gain_down)
+    return chosen.allocation, chosen.breakdown

@@ -327,7 +327,11 @@ def offload_grid_tolerance(params: SystemParams, eff_gain_down: float,
         delta = 2.0 * spec.resolution * _GOLDEN ** spec.refine_iters + 1e-15
     else:
         delta = spec.resolution
-    base = lip * params.frame_duration + a * (2.0 ** u - 1.0) * tau_o_at
+    # rounding floor: 1e-12 of every term's magnitude.  lip * T covers the
+    # harvested energy; the transmit energy is taken before the cancellation
+    # in 2**u - 1, and the decode energy is paid in full.
+    base = (lip * params.frame_duration + a * 2.0 ** u * tau_o_at
+            + params.decode_energy_per_bit * bits)
     return lip * delta + 1e-12 * max(base, 1e-30)
 
 

@@ -23,7 +23,6 @@ import csv
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,13 +33,15 @@ from ._libm import libm
 from .allocator import (
     Strategy,
     StrategyArrays,
+    _affordable,
+    choose_modes,
     decide,
     evaluate_strategies,
     lambert_w0,
     mode_rule_sides,
     solve_frames,
 )
-from .channel import realize_channels
+from .channel import draw_gains
 from .energy import offload_bits
 from .params import SystemParams, load_params
 from .sim import (
@@ -134,18 +135,18 @@ def cmd_allocate(args) -> int:
         print("error: --seed is required unless both --gain-down and "
               "--gain-offload are given", file=sys.stderr)
         return EXIT_USAGE
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    counts = Counter()
-    for _ in range(args.repeat):
-        if explicit:
-            gd, go = args.gain_down, args.gain_offload
-        else:
-            ch = realize_channels(params, rng)
-            gd, go = ch.eff_gain_down, ch.gain_offload
-        local, offload = evaluate_strategies(params, gd, go)
-        alloc, brk = decide(params, gd, go, args.e_stored,
-                            precomputed=(local, offload))
-        counts[alloc.strategy] += 1
+    if explicit:
+        gd, go = (np.full(args.repeat, g) for g in (args.gain_down,
+                                                    args.gain_offload))
+    else:
+        gd, go = draw_gains(params, np.random.default_rng(args.seed), args.repeat)
+    local, offload = solve_frames(params, gd, go)
+    offloads = choose_modes(params, gd, local, offload)
+    runs = _affordable(local, offload, offloads, args.e_stored)
+    # the last draw is reported in full
+    gd, go = float(gd[-1]), float(go[-1])
+    local, offload = evaluate_strategies(params, gd, go)
+    alloc, brk = decide(params, gd, go, args.e_stored)
     print(f"channel: eff_gain_down={_fmt(gd)} gain_offload={_fmt(go)}")
     _print_strategy("local  ", local)
     _print_strategy("offload", offload)
@@ -159,9 +160,11 @@ def cmd_allocate(args) -> int:
               f"cost {_fmt(brk.cost)} J")
     if args.repeat > 1:
         total = args.repeat
-        print(f"over {total} draws: local={counts[Strategy.LOCAL_COMPUTE]/total:.3f} "
-              f"offload={counts[Strategy.OFFLOAD]/total:.3f} "
-              f"harvest_only={counts[Strategy.HARVEST_ONLY]/total:.3f}")
+        n_offload = np.count_nonzero(runs & offloads)
+        n_local = np.count_nonzero(runs) - n_offload
+        print(f"over {total} draws: local={n_local/total:.3f} "
+              f"offload={n_offload/total:.3f} "
+              f"harvest_only={(total - n_local - n_offload)/total:.3f}")
     return EXIT_OK
 
 

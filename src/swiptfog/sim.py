@@ -34,18 +34,18 @@ from .allocator import (
     Allocation,
     Strategy,
     StrategyArrays,
+    _frame_result,
     choose_modes,
-    decide,
     harvest_only_result,
     solve_frames,
 )
-from .channel import ChannelRealization, draw_gains
+from .channel import draw_gains
 from .energy import harvested_energy
 from .params import SystemParams, with_overrides
 
 # The scalar per-frame path stays importable from this module: the traced
 # benchmark run (perfbench/spans.py) wraps these module-level names.
-from .allocator import evaluate_strategies  # noqa: F401
+from .allocator import decide, evaluate_strategies  # noqa: F401
 from .channel import realize_channels  # noqa: F401
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "StrategyAverages",
     "SweepAxis",
     "SweepRow",
-    "step_frame",
     "run_trace",
     "monte_carlo",
     "sweep",
@@ -98,26 +97,6 @@ class SimTrace:
                    mean_cost=mean_cost, mean_harvest=mean_harvest, outage=outage)
 
 
-def step_frame(params: SystemParams, channel: ChannelRealization,
-               e_stored: float, frame_index: int = 0) -> tuple[FrameRecord, float]:
-    """Advance the storage by one frame; returns the record and next level.
-
-    One frame of the array simulation, through decide."""
-    if not e_stored >= 0.0:
-        raise ValueError(f"e_stored must be a non-negative number, got {e_stored!r}")
-    alloc, brk = decide(params, channel.eff_gain_down, channel.gain_offload,
-                        e_stored)
-    i_s = 1 if alloc.strategy is Strategy.HARVEST_ONLY else 0
-    if i_s:
-        e_next = e_stored + brk.e_harvest
-    else:
-        e_next = e_stored - brk.cost
-    record = FrameRecord(frame_index=frame_index, e_stored_begin=e_stored,
-                         i_s=i_s, strategy=alloc.strategy, cost=brk.cost,
-                         e_harvest=brk.e_harvest, allocation=alloc)
-    return record, e_next
-
-
 @dataclass(frozen=True)
 class _Frames:
     """Simulated (trials x frames) arrays."""
@@ -151,25 +130,19 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
 def _trace_records(params: SystemParams, eff_gain_down: np.ndarray,
                    frames: _Frames) -> list:
     """FrameRecords of the first simulated trial."""
-    modes = ((frames.local, Strategy.LOCAL_COMPUTE, 0),
-             (frames.offload, Strategy.OFFLOAD, 1))
     records = []
     for i, level in enumerate(frames.storage[0].tolist()):
-        i_s = 0 if frames.processed[0, i] else 1
-        if i_s:
-            fallback = harvest_only_result(params, float(eff_gain_down[0, i]))
-            alloc = fallback.allocation
-            cost, e_harvest = fallback.cost, fallback.breakdown.e_harvest
+        if frames.processed[0, i]:
+            i_o = int(frames.offloads[0, i])
+            result = _frame_result(frames.offload if i_o else frames.local,
+                                   i_o, (0, i))
         else:
-            sol, strategy, i_o = modes[int(frames.offloads[0, i])]
-            alloc = Allocation(
-                tau_e=float(sol.tau_e[0, i]), tau_d=float(sol.tau_d[0, i]),
-                tau_c=float(sol.tau_c[0, i]), tau_o=float(sol.tau_o[0, i]),
-                p_o=float(sol.p_o[0, i]), i_o=i_o, strategy=strategy)
-            cost, e_harvest = float(sol.cost[0, i]), float(sol.e_harvest[0, i])
+            result = harvest_only_result(params, float(eff_gain_down[0, i]))
+        alloc = result.allocation
         records.append(FrameRecord(
-            frame_index=i, e_stored_begin=level, i_s=i_s,
-            strategy=alloc.strategy, cost=cost, e_harvest=e_harvest,
+            frame_index=i, e_stored_begin=level,
+            i_s=0 if frames.processed[0, i] else 1, strategy=alloc.strategy,
+            cost=result.cost, e_harvest=result.breakdown.e_harvest,
             allocation=alloc))
     return records
 

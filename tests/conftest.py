@@ -1,7 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from swiptfog import SystemParams, evaluate_strategies, load_params
+from swiptfog import SystemParams, load_params
+from swiptfog._libm import libm
+from swiptfog.allocator import solve_frames
 
 
 @pytest.fixture
@@ -41,15 +45,20 @@ FEW_CELL_DECODE = [
 def random_gain_pairs(rng: np.random.Generator, n: int, params: SystemParams,
                       require_both: bool = True):
     """Log-uniform (downlink gain, offload gain) pairs, filtered to instances
-    where the requested strategies are feasible."""
-    pairs = []
-    while len(pairs) < n:
-        gd = 10.0 ** rng.uniform(-8.0, -3.0)
-        go = 10.0 ** rng.uniform(-8.0, -4.0)
-        local, offload = evaluate_strategies(params, gd, go)
-        if require_both and not (local.feasible and offload.feasible):
-            continue
-        if not require_both and not (local.feasible or offload.feasible):
-            continue
-        pairs.append((gd, go))
-    return pairs
+    where the requested strategies are feasible.
+
+    Each block draws the pairs still needed and solves them in one kernel
+    call; a pair's two uniforms come in the order of two rng.uniform calls,
+    and the last block is all kept, so the pairs and the generator's end
+    state are those of drawing and filtering one pair at a time.
+    """
+    kept, needed = [], n
+    while needed:
+        pairs = libm(partial(pow, 10.0),
+                     -8.0 + rng.random((needed, 2)) * (5.0, 4.0))
+        local, offload = solve_frames(params, pairs[:, 0], pairs[:, 1])
+        ok = (local.feasible & offload.feasible if require_both
+              else local.feasible | offload.feasible)
+        kept += map(tuple, pairs[ok].tolist())
+        needed = n - len(kept)
+    return kept

@@ -15,9 +15,6 @@ from swiptfog import (
     bisect_lambert,
     brute_local,
     brute_offload,
-    decide,
-    decision_inequality,
-    evaluate_strategies,
     lambert_w0,
     load_params,
     local_feasible,
@@ -27,6 +24,13 @@ from swiptfog import (
     offload_grid_tolerance,
     solve_local,
     solve_offload,
+)
+from swiptfog.allocator import (
+    _affordable,
+    choose_modes,
+    harvest_only_result,
+    mode_rule_sides,
+    solve_frames,
 )
 from swiptfog.params import SystemParams, with_overrides
 from swiptfog.sim import SweepAxis, monte_carlo, run_trace, sweep
@@ -118,15 +122,15 @@ def test_criterion_3_decision_rule_consistency():
     while done < total:
         k = 10.0 ** rng.uniform(2.0, 4.5)
         p = with_overrides(p0, ops_per_bit=k)
-        gd = 10.0 ** rng.uniform(-8.0, -3.0)
-        go = 10.0 ** rng.uniform(-8.0, -4.0)
-        local, offload = evaluate_strategies(p, gd, go)
-        if not (local.feasible and offload.feasible):
+        gd = np.array([10.0 ** rng.uniform(-8.0, -3.0)])
+        go = np.array([10.0 ** rng.uniform(-8.0, -4.0)])
+        local, offload = solve_frames(p, gd, go)
+        if not (local.feasible[0] and offload.feasible[0]):
             continue
         done += 1
-        alloc, _ = decide(p, gd, go, math.inf, precomputed=(local, offload))
-        lhs, rhs = decision_inequality(p, gd, go, precomputed=(local, offload))
-        if (alloc.i_o == 1) == (lhs > rhs):
+        offloads = choose_modes(p, gd, local, offload)
+        lhs, rhs = mode_rule_sides(p, gd, offload.tau_o, offload.p_o)
+        if offloads[0] == (lhs > rhs)[0]:
             agree += 1
     ok = agree == total
     _report(3, "decision rule", ok, f"{agree}/{total} instances agree "
@@ -266,27 +270,29 @@ def test_criterion_8_feasibility_fuzz():
             )
         except ValueError as exc:  # generator stays inside the legal ranges
             pytest.fail(f"generator produced invalid parameters: {exc}")
-        gd = 10.0 ** rng.uniform(-14.0, -2.0)
-        go = 10.0 ** rng.uniform(-14.0, -2.0)
-        local = solve_local(p, gd)
-        offload = solve_offload(p, gd, go)
-        if not local_feasible(p, gd):
+        gd = np.array([10.0 ** rng.uniform(-14.0, -2.0)])
+        go = np.array([10.0 ** rng.uniform(-14.0, -2.0)])
+        local, offload = solve_frames(p, gd, go)
+        if not local_feasible(p, gd[0]):
             rejected_local += 1
-            assert not local.feasible and local.allocation is None
-        if not offload_feasible(p, gd):
+            assert not local.feasible[0] and local.cost[0] == math.inf
+        if not offload_feasible(p, gd[0]):
             rejected_offload += 1
-            assert not offload.feasible and offload.allocation is None
+            assert not offload.feasible[0] and offload.cost[0] == math.inf
         e_stored = 0.0 if rng.uniform() < 0.5 else 10.0 ** rng.uniform(-9, -3)
-        alloc, brk = decide(p, gd, go, e_stored,
-                            precomputed=(local, offload))
+        offloads = choose_modes(p, gd, local, offload)
+        chosen = offload if offloads[0] else local
+        if _affordable(local, offload, offloads, e_stored)[0]:
+            assert chosen.feasible[0] and chosen.cost[0] <= e_stored
+            slots = [float(getattr(chosen, name)[0])
+                     for name in ("tau_e", "tau_d", "tau_c", "tau_o", "p_o")]
+        else:
+            a = harvest_only_result(p, float(gd[0])).allocation
+            slots = [a.tau_e, a.tau_d, a.tau_c, a.tau_o, a.p_o]
+        tau_e, tau_d, tau_c, tau_o, p_o = slots
         tee = p.frame_duration
-        parts = alloc.tau_e + alloc.tau_d + alloc.tau_c + alloc.tau_o
-        assert parts == pytest.approx(tee, rel=1e-9)
-        assert -1e-12 <= alloc.tau_e and alloc.tau_d <= tee and alloc.p_o >= 0.0
-        if alloc.strategy is Strategy.LOCAL_COMPUTE:
-            assert local.feasible and brk.cost <= e_stored
-        elif alloc.strategy is Strategy.OFFLOAD:
-            assert offload.feasible and brk.cost <= e_stored
+        assert tau_e + tau_d + tau_c + tau_o == pytest.approx(tee, rel=1e-9)
+        assert -1e-12 <= tau_e and tau_d <= tee and p_o >= 0.0
     _report(8, "feasibility fuzz", True,
             f"{n} random parameter draws without crash; "
             f"{rejected_local} local / {rejected_offload} offload "

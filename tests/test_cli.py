@@ -194,13 +194,13 @@ def test_allocate_overflowing_gain_exits_2_with_message(capsys):
                        "--gain-down", "1e308", "--gain-offload", "1e-6")
     assert code == 2
     assert "error:" in err and "SNR" in err and "overflows" in err
-    # finite gains with a finite SNR whose root argument overflows: the root
-    # solver cannot certify a root, and the CLI reports that instead of a
-    # traceback
+    # finite gains with a finite SNR whose root argument overflows: the
+    # kernel names the gains, before the root solver sees an infinite x
     code, _, err = run(capsys, "allocate",
                        "--gain-down", "1e290", "--gain-offload", "1e100")
     assert code == 2
-    assert "error:" in err and "lambert_w0" in err
+    assert "error:" in err and "root argument" in err
+    assert "eff_gain_down=1e+290" in err and "gain_offload=1e+100" in err
 
 
 def test_allocate_snr_overflow_exits_2_instead_of_a_nan_cost(capsys):
@@ -286,3 +286,49 @@ def test_allocate_stored_energy_defaults_to_unlimited(capsys):
     assert run(capsys, "allocate", *gains, "--e-stored", "inf") == default
     code, out, _ = run(capsys, "allocate", *gains, "--e-stored", "0")
     assert code == 0 and "cheapest cost exceeds stored energy" in out
+
+
+# stdout of allocate as printed when each draw went through the one-frame
+# views one at a time: the last draw in full, then the decision fractions
+_ALLOCATE_PINS = {
+    ("--seed", "11", "--repeat", "1000"): """\
+channel: eff_gain_down=2.69958e-06 gain_offload=4.80454e-07
+local  : cost=7.06758e-07 J  tau_e=0.799446 tau_d=0.000554251 tau_c=0.2 tau_o=0 p_o=0
+    decode=2e-06 compute=1.66355e-09 offload=0 harvest=1.29491e-06
+offload: cost=5.8596e-07 J  tau_e=0.979666 tau_d=0.000554251 tau_c=0 tau_o=0.0197797 p_o=8.73514e-06
+    decode=2e-06 compute=0 offload=1.72778e-07 harvest=1.58682e-06
+decision: offload (i_o=1), cost 5.8596e-07 J
+over 1000 draws: local=0.079 offload=0.921 harvest_only=0.000
+""",
+    ("--seed", "11", "--repeat", "1000", "--e-stored", "0"): """\
+channel: eff_gain_down=2.69958e-06 gain_offload=4.80454e-07
+local  : cost=7.06758e-07 J  tau_e=0.799446 tau_d=0.000554251 tau_c=0.2 tau_o=0 p_o=0
+    decode=2e-06 compute=1.66355e-09 offload=0 harvest=1.29491e-06
+offload: cost=5.8596e-07 J  tau_e=0.979666 tau_d=0.000554251 tau_c=0 tau_o=0.0197797 p_o=8.73514e-06
+    decode=2e-06 compute=0 offload=1.72778e-07 harvest=1.58682e-06
+decision: harvest_only (cheapest cost exceeds stored energy); banked 1.61975e-06 J
+over 1000 draws: local=0.057 offload=0.862 harvest_only=0.081
+""",
+    # nothing is feasible, and the default budget is unlimited (inf)
+    ("--gain-down", "0", "--gain-offload", "0"): """\
+channel: eff_gain_down=0 gain_offload=0
+local  : infeasible
+offload: infeasible
+decision: harvest_only (no feasible strategy); banked 6e-12 J
+""",
+    ("--gain-down", "1e-6", "--gain-offload", "1e-7", "--e-stored", "1e-6",
+     "--repeat", "5"): """\
+channel: eff_gain_down=1e-06 gain_offload=1e-07
+local  : cost=1.52202e-06 J  tau_e=0.799398 tau_d=0.000602059 tau_c=0.2 tau_o=0 p_o=0
+    decode=2e-06 compute=1.66355e-09 offload=0 harvest=4.79644e-07
+offload: cost=2.17081e-06 J  tau_e=0.933843 tau_d=0.000602059 tau_c=0 tau_o=0.0655551 p_o=1.11527e-05
+    decode=2e-06 compute=0 offload=7.31119e-07 harvest=5.60311e-07
+decision: harvest_only (cheapest cost exceeds stored energy); banked 6.00006e-07 J
+over 5 draws: local=0.000 offload=0.000 harvest_only=1.000
+""",
+}
+
+
+def test_allocate_stdout_is_pinned(capsys):
+    for argv, expected in _ALLOCATE_PINS.items():
+        assert run(capsys, "allocate", *argv) == (0, expected, ""), argv

@@ -7,13 +7,14 @@ harvested energy, offload_bits), which evaluates each quantity from its
 definition, and against the first-order optimality condition of the offload
 program; the grid searches and the bisection root oracle check them in
 test_certify_passes_kernel_optima and the acceptance suite.  monte_carlo
-must reproduce a frame-by-frame replay of realize_channels + step_frame on
-the same trial seeds.
+must reproduce a frame-by-frame replay of realize_channels,
+evaluate_strategies and the storage update on the same trial seeds.
 """
 
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from swiptfog import (
     run_trace,
     solve_local,
     solve_offload,
-    step_frame,
     throughput,
 )
 from swiptfog.allocator import StrategyArrays, solve_frames
@@ -203,6 +203,18 @@ def test_solve_frames_rejects_a_downlink_snr_that_overflows(params):
     assert np.isfinite(local.cost).all()
 
 
+def test_solve_frames_rejects_a_root_argument_that_overflows(params):
+    # finite SNR, but eta * |g|^2 * (G + noise_dev) / noise_server is inf
+    for gd, go in ((1e290, 1e100), (1e200, 1e120)):
+        named = re.escape(f"eff_gain_down={gd!r} and gain_offload={go!r}")
+        with pytest.raises(ValueError, match=named + ".*root argument"):
+            solve_frames(params, np.array([1e-6, gd]), np.array([1e-7, go]))
+        with pytest.raises(ValueError, match="root argument"):
+            decide(params, gd, go, math.inf)
+    local, offload = solve_frames(params, np.array([1e290]), np.array([1e-30]))
+    assert np.isfinite(local.cost).all() and np.isfinite(offload.cost).all()
+
+
 def test_draw_gains_match_realize_channels(params):
     gd, go = draw_gains(params, np.random.default_rng(99), 50)
     rng = np.random.default_rng(99)
@@ -213,7 +225,9 @@ def test_draw_gains_match_realize_channels(params):
 
 def _scalar_replay(params, n_frames, n_trials, master_seed):
     """Start-of-frame storage and outage indicators, (trials x frames),
-    from realize_channels + step_frame."""
+    from realize_channels and evaluate_strategies' costs, with the decision
+    written out here: the cheaper mode runs (ties local) if it is feasible
+    and storage covers its cost; otherwise the whole frame harvests."""
     storage = np.empty((n_trials, n_frames))
     outage = np.empty((n_trials, n_frames), dtype=int)
     for t in range(n_trials):
@@ -221,8 +235,14 @@ def _scalar_replay(params, n_frames, n_trials, master_seed):
         level = 0.0
         for f in range(n_frames):
             storage[t, f] = level
-            rec, level = step_frame(params, realize_channels(params, rng), level, f)
-            outage[t, f] = rec.i_s
+            ch = realize_channels(params, rng)
+            local, offload = evaluate_strategies(params, ch.eff_gain_down,
+                                                 ch.gain_offload)
+            chosen = offload if offload.cost < local.cost else local
+            runs = chosen.feasible and chosen.cost <= level
+            outage[t, f] = 0 if runs else 1
+            level = (level - chosen.cost if runs else level + harvested_energy(
+                params, ch.eff_gain_down, params.frame_duration))
     return storage, outage
 
 
@@ -336,21 +356,19 @@ def test_certify_where_the_decode_slot_spans_few_grid_cells(params, gains):
 
 # Two valid configurations, found by running the certify property over
 # _params_strategy with more examples, under which the grid and the
-# closed-form offload costs differ by more than offload_grid_tolerance,
-# whose rounding floor is 1e-12 of (slope x T + transmit energy).  In the
-# first the decode energy, which the floor leaves out, is almost all of the
-# cost, and the two costs differ by 2 ulp of it.  In the second 2**u - 1 is
-# 1.4e-4 for u = bits / (B_g tau_o), so evaluating it as 2**u minus 1 (in the
-# kernel's offload power and in the oracle) leaves a relative error of
-# 2.6e-13 in the transmit energy, and the costs differ by 1.08x the floor.
+# closed-form offload costs differ by more than a rounding floor of 1e-12 of
+# (slope x T + transmit energy) allows.  In the first the decode energy is
+# almost all of the cost, and the two costs differ by 2 ulp of it.  In the
+# second 2**u - 1 is 1.4e-4 for u = bits / (B_g tau_o), so evaluating it as
+# 2**u minus 1 (in the kernel's offload power and in the oracle) leaves a
+# relative error of 2.6e-13 in the transmit energy, and the costs differ by
+# 1.08x that floor.  offload_grid_tolerance's floor covers both: the decode
+# energy, and the transmit energy before the cancellation.
 _COMMON = dict(n_antennas=1, p_transmit=1.0, bw_downlink=100000.0,
                frame_duration=1.0, ops_per_bit=10.0, dev_ops_per_sec=1e7,
                immaturity_factor=100.0, fanout=1.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="offload_grid_tolerance's rounding floor leaves out "
-                   "the decode energy and the cancellation in 2**u - 1")
 @pytest.mark.parametrize("fields,gains", [
     (dict(bw_offload=558642.0, noise_dev=2.687636644032274e-10,
           noise_server=1.4650933521752454e-10, eh_efficiency=0.125,
@@ -363,10 +381,9 @@ _COMMON = dict(n_antennas=1, p_transmit=1.0, bw_downlink=100000.0,
           activity_factor=0.5, thermal_noise_density=3.8272478344698235e-21),
      (10.0 ** -7.75, 10.0 ** -9.21875)),
 ])
-def test_certify_where_the_offload_tolerance_floor_is_too_small(fields, gains):
+def test_certify_where_offload_rounding_needs_the_full_floor(fields, gains):
     params = SystemParams(**_COMMON, **fields)
     gd, go = np.array([gains[0]]), np.array([gains[1]])
     local, offload = solve_frames(params, gd, go)
-    if not (local.feasible[0] and offload.feasible[0]):
-        pytest.fail("both modes must be feasible")
+    assert local.feasible[0] and offload.feasible[0]
     assert certify(params, gd, go, local, offload, grid_pairs=1).failures == 0
