@@ -11,6 +11,12 @@ vector carries total power ``p_transmit``; with the flag off each antenna
 carries ``p_transmit``, i.e. the array radiates ``n_antennas * p_transmit``.
 The flag exists because the phase-only weight definition and a single-number
 power budget cannot both hold for a multi-antenna array; see README.
+
+Random stream, version 2 (``sim.STREAM_VERSION``): a draw of n frames is
+one ``standard_normal((n, n_antennas + 1, 2))`` call, the scatter of every
+link of every frame.  Each amplitude is written in its link's dominant-path
+frame, with no phase draw: the gains use only |h_i|, and |a*e^{j*theta} + z|
+has the law of |a + z| for circularly symmetric scatter z.
 """
 
 import math
@@ -28,6 +34,8 @@ __all__ = [
     "draw_rician",
     "conjugate_beamform",
     "realize_channels",
+    "frame_normals",
+    "gains_from_normals",
     "draw_gains",
 ]
 
@@ -37,8 +45,8 @@ _SQUARE = partial(pow, exp=2)  # x ** 2 on a float: the C library's pow
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    h: np.ndarray          # complex AP->device amplitudes, shape (n_antennas,)
-    g: complex             # device->server amplitude
+    h: np.ndarray          # complex AP->device amplitudes, shape (n_antennas,),
+    g: complex             # and device->server amplitude, in dominant-path frames
     eff_gain_down: float   # received power per unit symbol power, phase-aligned
     gain_offload: float    # |g|^2
 
@@ -55,32 +63,30 @@ def pathloss_db(d: float, f_c_mhz: float, n_coeff: float) -> float:
     return 20.0 * math.log10(f_c_mhz) + n_coeff * math.log10(d) - 28.0
 
 
-def _rician_amplitude(k_linear: float, scale, u, re, im):
+def _rician_amplitude(k_linear: float, scale, u: float, re, im):
     """Complex amplitude of a fixed-power dominant path plus scatter.
 
-    u is a uniform draw in [0, 1) that sets the dominant-path phase 2*pi*u;
-    re and im are standard normals for the scatter.  k_linear is the
+    u in [0, 1) sets the dominant-path phase 2*pi*u (u = 0: the dominant-path
+    frame); re and im are standard normals for the scatter.  k_linear is the
     dominant-to-scattered power ratio (0 = pure scatter, inf = deterministic
-    magnitude); the expected power is scale**2.  Works element-wise on
-    arrays.  The real and imaginary parts are formed as real arrays, with
-    cos and sin from the C library, so every sample equals Python's complex
-    arithmetic on the same draws bit for bit.
+    magnitude); the expected power is scale**2.  Element-wise on arrays of
+    scale, re and im.
     """
     if math.isinf(k_linear):
         los_w, scatter_w = 1.0, 0.0
     else:
         los_w = math.sqrt(k_linear / (k_linear + 1.0))
         scatter_w = math.sqrt(1.0 / (k_linear + 1.0))
-    theta = 2.0 * math.pi * np.asarray(u)
-    real = scale * (los_w * libm(math.cos, theta) + scatter_w * (re / _SQRT2))
-    imag = scale * (los_w * libm(math.sin, theta) + scatter_w * (im / _SQRT2))
+    theta = 2.0 * math.pi * u
+    real = scale * (los_w * math.cos(theta) + scatter_w * (re / _SQRT2))
+    imag = scale * (los_w * math.sin(theta) + scatter_w * (im / _SQRT2))
     return real + 1j * imag
 
 
-def _effective_gain(h, p_bf: float):
-    """Phase-aligned downlink gain p_bf * (sum_i |h_i|)**2, summed over the
-    last axis of h (the antennas); element-wise over any leading axes."""
-    return p_bf * libm(_SQUARE, np.abs(h).sum(axis=-1))
+def _effective_gain(magnitude, p_bf: float):
+    """Phase-aligned downlink gain p_bf * (sum_i |h_i|)**2 from the antenna
+    magnitudes |h_i| on the last axis; element-wise over any leading axes."""
+    return p_bf * libm(_SQUARE, magnitude.sum(axis=-1))
 
 
 def draw_rician(rng: np.random.Generator, k_linear: float, scale: float) -> complex:
@@ -94,9 +100,7 @@ def draw_rician(rng: np.random.Generator, k_linear: float, scale: float) -> comp
         raise ValueError("k_linear must be >= 0")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    u = rng.random()
-    re = rng.standard_normal()
-    im = rng.standard_normal()
+    u, re, im = rng.random(), rng.standard_normal(), rng.standard_normal()
     return complex(_rician_amplitude(k_linear, scale, u, re, im))
 
 
@@ -113,62 +117,56 @@ def conjugate_beamform(h: np.ndarray, p_t: float) -> tuple[np.ndarray, float]:
     if p_t <= 0.0:
         raise ValueError("transmit power must be positive")
     w = math.sqrt(p_t) * np.exp(-1j * np.angle(h))
-    return w, float(_effective_gain(h, p_t))
+    return w, float(_effective_gain(np.abs(h), p_t))
 
 
-def _draw_amplitudes(params: SystemParams, rng: np.random.Generator,
-                     n_frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """Downlink amplitudes, shape (n_frames, n_antennas), and offload
-    amplitudes, shape (n_frames,), for n_frames consecutive frames.
-
-    Per frame and link (antennas 0..N-1, then the offload link) the stream
-    is one uniform and two standard normals, in that order; only these calls
-    run in Python, the amplitudes are formed as arrays.
-    """
-    n = params.n_antennas
-    loss_h = pathloss_db(params.dist_ap_dev, params.carrier_freq_mhz,
-                         params.pathloss_coeff)
-    loss_g = pathloss_db(params.dist_dev_server, params.carrier_freq_mhz,
-                         params.pathloss_coeff)
-    scale = np.array([math.sqrt(10.0 ** (-loss_h / 10.0))] * n
-                     + [math.sqrt(10.0 ** (-loss_g / 10.0))])
-    calls = (rng.random, rng.standard_normal, rng.standard_normal)
-    draws = np.array([draw() for draw in calls * (n_frames * (n + 1))],
-                     dtype=float).reshape(n_frames, n + 1, 3)
-    amp = _rician_amplitude(params.rician_k_linear, scale, draws[..., 0],
-                           draws[..., 1], draws[..., 2])
-    return amp[:, :n], amp[:, n]
+def frame_normals(params: SystemParams, rng: np.random.Generator,
+                  n_frames: int) -> np.ndarray:
+    """The scatter normals of n_frames consecutive frames in one call, shape
+    (n_frames, n_antennas + 1, 2): antennas 0..N-1, then the offload link."""
+    return rng.standard_normal((n_frames, params.n_antennas + 1, 2))
 
 
-def _gains(params: SystemParams, h: np.ndarray,
-           g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Effective downlink gain and offload power gain |g|**2 per frame."""
+def _amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
+    """Complex amplitudes in each link's dominant-path frame, of shape
+    normals.shape[:-1]."""
+    loss = [pathloss_db(d, params.carrier_freq_mhz, params.pathloss_coeff)
+            for d in (params.dist_ap_dev, params.dist_dev_server)]
+    scale_h, scale_g = (math.sqrt(10.0 ** (-db / 10.0)) for db in loss)
+    return _rician_amplitude(params.rician_k_linear,
+                             np.array([scale_h] * params.n_antennas + [scale_g]),
+                             0.0, normals[..., 0], normals[..., 1])
+
+
+def gains_from_normals(params: SystemParams,
+                       normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Effective downlink gains and offload power gains |g|**2 of the frames
+    whose normals are given (last two axes as in frame_normals); element-wise
+    over the leading axes, so stacked trials get their own gains."""
     p_bf = params.p_transmit
     if params.normalize_beamforming:
         p_bf /= params.n_antennas
-    # np.hypot is the C library's hypot, which abs() of a complex uses
-    return _effective_gain(h, p_bf), libm(_SQUARE, np.hypot(g.real, g.imag))
+    amplitude = _amplitudes(params, normals)
+    # np.hypot is the C library's hypot; numpy's abs of a complex array may
+    # take a vectorised loop that depends on the CPU
+    magnitude = np.hypot(amplitude.real, amplitude.imag)
+    n = params.n_antennas
+    return (_effective_gain(magnitude[..., :n], p_bf),
+            libm(_SQUARE, magnitude[..., n]))
 
 
 def draw_gains(params: SystemParams, rng: np.random.Generator,
                n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Effective downlink gains and offload power gains of n_frames
-    consecutive frames, each of shape (n_frames,).
-
-    Consumes the generator exactly as n_frames calls of realize_channels do,
-    and returns the same gains.
-    """
-    return _gains(params, *_draw_amplitudes(params, rng, n_frames))
+    consecutive frames, each of shape (n_frames,).  Consumes the generator
+    as n_frames calls of realize_channels do, and returns the same gains."""
+    return gains_from_normals(params, frame_normals(params, rng, n_frames))
 
 
 def realize_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one frame's channels and the derived effective gains.
-
-    Draw order is fixed (antennas 0..N-1, then the offload link) so a given
-    seed reproduces the identical realization sequence.
-    """
-    h, g = _draw_amplitudes(params, rng, 1)
-    eff_gain, gain_offload = _gains(params, h, g)
-    return ChannelRealization(h=h[0], g=complex(g[0]),
-                              eff_gain_down=float(eff_gain[0]),
-                              gain_offload=float(gain_offload[0]))
+    """One frame's amplitudes and gains: a one-frame draw_gains."""
+    normals = frame_normals(params, rng, 1)
+    amplitude = _amplitudes(params, normals[0])
+    eff_gain, gain_offload = (float(g[0]) for g in gains_from_normals(params, normals))
+    return ChannelRealization(h=amplitude[:-1], g=complex(amplitude[-1]),
+                              eff_gain_down=eff_gain, gain_offload=gain_offload)

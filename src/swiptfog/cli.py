@@ -130,10 +130,11 @@ def _print_strategy(name: str, result) -> None:
 
 def cmd_allocate(args) -> int:
     params = _load_config(args.config)
-    explicit = args.gain_down is not None and args.gain_offload is not None
-    if not explicit and args.seed is None:
-        print("error: --seed is required unless both --gain-down and "
-              "--gain-offload are given", file=sys.stderr)
+    explicit = args.gain_down is not None
+    if (explicit != (args.gain_offload is not None)
+            or not (explicit or args.seed is not None)):
+        print("error: give both --gain-down and --gain-offload, or neither "
+              "and --seed to draw the channels", file=sys.stderr)
         return EXIT_USAGE
     if explicit:
         gd, go = (np.full(args.repeat, g) for g in (args.gain_down,

@@ -8,19 +8,18 @@ banked.  A frame spent harvesting is an outage; the outage probability is the
 mean of the outage indicator.
 
 Execution: frames are simulated as (trials x frames) arrays.  Each trial
-draws its channels frame by frame from its own generator, the one loop that
-runs per frame in Python; both programs are then solved for every frame at
-once (allocator.solve_frames), and the storage recursion, the only
-sequential step, loops over frames with all trials in one array.  Per-frame
-FrameRecord objects are built only by run_trace.
+draws all its channel normals with one call on its own generator; the gains
+and both programs (allocator.solve_frames) are then formed by array calls,
+and the storage recursion, the only sequential step, loops over frames with
+all trials in one array.  Only run_trace builds FrameRecord objects.
 
-Reproducibility: every trial draws from its own generator seeded with
-``master_seed XOR trial_index``, so results do not depend on scheduling or
-the worker count.  With jobs > 1 the channel draws are sharded in chunks of
-TRIAL_CHUNK trials, a fixed size; workers return only the gain arrays, and
-solving, the recursion and aggregation run in the calling process.
-Aggregates use exact summation (math.fsum), so they do not depend on trial
-order either.
+Reproducibility (random stream STREAM_VERSION): trial t of master seed m
+draws from SeedSequence(m).spawn(n)[t] (trial_rng), so results depend on
+neither the worker count nor chunking, more trials extend a shorter run, and
+run_trace(seed) is trial 0 of seed.  With jobs > 1 the draws are sharded in
+chunks of TRIAL_CHUNK trials; workers return only the gain arrays, and the
+rest runs in the calling process.  Aggregates use exact summation
+(math.fsum), so they do not depend on trial order either.
 """
 
 import math
@@ -39,7 +38,7 @@ from .allocator import (
     harvest_only_result,
     solve_frames,
 )
-from .channel import draw_gains
+from .channel import draw_gains, frame_normals, gains_from_normals
 from .energy import harvested_energy
 from .params import SystemParams, with_overrides
 
@@ -55,15 +54,28 @@ __all__ = [
     "StrategyAverages",
     "SweepAxis",
     "SweepRow",
+    "STREAM_VERSION",
     "run_trace",
+    "trial_rng",
     "monte_carlo",
     "sweep",
     "SWEEP_CSV_COLUMNS",
     "FRAME_STATS_CSV_COLUMNS",
 ]
 
+# The channel draw layout (channel module) and trial seeds (trial_rng).
+# Version 1 seeded trial t with master_seed XOR t and drew frame by frame.
+STREAM_VERSION = 2
+
 # Trials per unit of work when monte_carlo shards its channel draws.
 TRIAL_CHUNK = 32
+
+
+def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+    """Trial `trial`'s generator: SeedSequence(master_seed).spawn(n)[trial].
+    Distinct (master_seed, trial) pairs give distinct streams."""
+    return np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=(trial,)))
 
 
 @dataclass(frozen=True)
@@ -85,16 +97,6 @@ class SimTrace:
     mean_cost: float      # over processed frames; NaN if none
     mean_harvest: float   # over all frames
     outage: float         # mean of the harvest-only indicator
-
-    @classmethod
-    def from_records(cls, params: SystemParams, seed: int,
-                     records: list) -> "SimTrace":
-        processed = [r.cost for r in records if r.i_s == 0]
-        mean_cost = math.fsum(processed) / len(processed) if processed else math.nan
-        mean_harvest = math.fsum(r.e_harvest for r in records) / len(records)
-        outage = math.fsum(r.i_s for r in records) / len(records)
-        return cls(params=params, seed=seed, records=tuple(records),
-                   mean_cost=mean_cost, mean_harvest=mean_harvest, outage=outage)
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,16 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
                    processed=processed, storage=storage)
 
 
-def _trace_records(params: SystemParams, eff_gain_down: np.ndarray,
-                   frames: _Frames) -> list:
-    """FrameRecords of the first simulated trial."""
+def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
+    """One storage trajectory: empty start, fresh channel every frame.  Its
+    channels are those of trial 0 of monte_carlo with master seed seed."""
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    gd, go = (g[np.newaxis] for g in
+              draw_gains(params, trial_rng(seed, 0), n_frames))
+    frames = _simulate(params, gd, go)
     records = []
     for i, level in enumerate(frames.storage[0].tolist()):
         if frames.processed[0, i]:
@@ -137,26 +146,19 @@ def _trace_records(params: SystemParams, eff_gain_down: np.ndarray,
             result = _frame_result(frames.offload if i_o else frames.local,
                                    i_o, (0, i))
         else:
-            result = harvest_only_result(params, float(eff_gain_down[0, i]))
+            result = harvest_only_result(params, float(gd[0, i]))
         alloc = result.allocation
         records.append(FrameRecord(
             frame_index=i, e_stored_begin=level,
             i_s=0 if frames.processed[0, i] else 1, strategy=alloc.strategy,
             cost=result.cost, e_harvest=result.breakdown.e_harvest,
             allocation=alloc))
-    return records
-
-
-def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
-    """One storage trajectory: empty start, fresh channel every frame."""
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    gd, go = (g[np.newaxis] for g in
-              draw_gains(params, np.random.default_rng(seed), n_frames))
-    frames = _simulate(params, gd, go)
-    return SimTrace.from_records(params, seed, _trace_records(params, gd, frames))
+    processed = [r.cost for r in records if r.i_s == 0]
+    return SimTrace(
+        params=params, seed=seed, records=tuple(records),
+        mean_cost=math.fsum(processed) / len(processed) if processed else math.nan,
+        mean_harvest=math.fsum(r.e_harvest for r in records) / n_frames,
+        outage=math.fsum(r.i_s for r in records) / n_frames)
 
 
 @dataclass(frozen=True)
@@ -191,12 +193,11 @@ class MonteCarloResult:
 
 
 def _draw_trials(task) -> tuple[np.ndarray, np.ndarray]:
-    """(trials x frames) gain arrays for one chunk of trial seeds."""
-    params, n_frames, seeds = task
-    gains = [draw_gains(params, np.random.default_rng(seed), n_frames)
-             for seed in seeds]
-    return (np.array([gd for gd, _ in gains]),
-            np.array([go for _, go in gains]))
+    """(trials x frames) gain arrays for one chunk of trials."""
+    params, n_frames, master_seed, trials = task
+    return gains_from_normals(params, np.stack([
+        frame_normals(params, trial_rng(master_seed, t), n_frames)
+        for t in trials]))
 
 
 def _ci_halfwidth(values: list[float]) -> float:
@@ -223,16 +224,15 @@ def monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
         raise ValueError("n_frames must be >= 1")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    seeds = [master_seed ^ t for t in range(n_trials)]
-    tasks = [(params, n_frames, seeds[i:i + TRIAL_CHUNK])
+    tasks = [(params, n_frames, master_seed,
+              range(i, min(i + TRIAL_CHUNK, n_trials)))
              for i in range(0, n_trials, TRIAL_CHUNK)]
     if jobs > 1 and len(tasks) > 1:
         with Pool(processes=min(jobs, len(tasks))) as pool:
             chunks = pool.map(_draw_trials, tasks)
     else:
         chunks = [_draw_trials(task) for task in tasks]
-    gd = np.concatenate([c[0] for c in chunks])
-    go = np.concatenate([c[1] for c in chunks])
+    gd, go = (np.concatenate(gains) for gains in zip(*chunks))
     frames = _simulate(params, gd, go)
     local, offload, processed = frames.local, frames.offload, frames.processed
 

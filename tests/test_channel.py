@@ -10,6 +10,8 @@ from swiptfog import (
     pathloss_db,
     realize_channels,
 )
+from swiptfog.channel import draw_gains
+from swiptfog.params import with_overrides
 
 
 def test_pathloss_reference_points():
@@ -144,3 +146,41 @@ def test_seeded_realizations_are_bit_identical(params):
     assert a.g == b.g
     assert a.eff_gain_down == b.eff_gain_down
     assert a.gain_offload == b.gain_offload
+
+
+def _phase_kept_gains(params, rng, n):
+    """Reference gains drawn with a uniform dominant-path phase per link, as
+    random stream 1 drew them.  Test-local and with numpy's own cos, sin and
+    abs: only the moments are compared."""
+    n_ant, k = params.n_antennas, params.rician_k_linear
+    loss = [pathloss_db(d, params.carrier_freq_mhz, params.pathloss_coeff)
+            for d in (params.dist_ap_dev, params.dist_dev_server)]
+    scale = np.array([10.0 ** (-loss[0] / 20.0)] * n_ant
+                     + [10.0 ** (-loss[1] / 20.0)])
+    u = rng.random((n, n_ant + 1))
+    z = rng.standard_normal((n, n_ant + 1, 2))
+    h = scale * (math.sqrt(k / (k + 1.0)) * np.exp(2j * np.pi * u)
+                 + math.sqrt(1.0 / (k + 1.0)) * (z[..., 0] + 1j * z[..., 1])
+                 / math.sqrt(2.0))
+    mag = np.abs(h)
+    return ((params.p_transmit / n_ant) * mag[:, :n_ant].sum(axis=1) ** 2,
+            mag[:, n_ant] ** 2)
+
+
+def test_draw_gains_moments_match_a_phase_kept_reference(params):
+    # the dominant-path frame drops the phase draw; |a e^{j theta} + z| has
+    # the law of |a + z|, so both gains keep their mean and variance
+    p = with_overrides(params, dist_ap_dev=15.0)
+    assert p.normalize_beamforming
+    n = 400_000
+    drawn = draw_gains(p, np.random.default_rng(12), n)
+    reference = _phase_kept_gains(p, np.random.default_rng(13), n)
+
+    def var_stderr(x):
+        c = x - x.mean()
+        return math.sqrt(((c ** 4).mean() - (c ** 2).mean() ** 2) / n)
+
+    for a, b in zip(drawn, reference):
+        assert abs(a.mean() - b.mean()) <= 5.0 * math.sqrt((a.var() + b.var()) / n)
+        assert abs(a.var() - b.var()) <= 5.0 * math.hypot(var_stderr(a),
+                                                          var_stderr(b))

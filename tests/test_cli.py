@@ -171,6 +171,22 @@ def test_verify_csv_bits_are_pinned(capsys, tmp_path):
         "c187aacb52c93a493d8f9877596fc619b65325d85507f20aa29e24d52d20814d")
 
 
+def test_simulate_frames_csv_bits_are_pinned(capsys, tmp_path):
+    """sha256 of frames.csv at seed 256, 50 frames x 40 trials (two trial
+    chunks).  It pins random stream 2 (sim.STREAM_VERSION): the trial seeds,
+    the one-call normal draw per trial and the dominant-path amplitudes.
+
+    The digest pins this platform's C library as well: hypot, pow and the
+    kernel's log2, exp and pow are evaluated through it.
+    """
+    code, out, _ = run(capsys, "simulate", "--seed", "256", "--frames", "50",
+                       "--trials", "40", "--jobs", "1", "--out-dir", str(tmp_path))
+    assert code == 0, out
+    digest = hashlib.sha256((tmp_path / "frames.csv").read_bytes()).hexdigest()
+    assert digest == (
+        "04a40908c9433ca061a219915a0ac2a70fa8a5dac221354d908a92d05377cf86")
+
+
 def test_verify_detects_injected_perturbation(params):
     gd, go = np.array(random_gain_pairs(np.random.default_rng(4), 5, params)).T
     local, offload = solve_frames(params, gd, go)
@@ -288,26 +304,27 @@ def test_allocate_stored_energy_defaults_to_unlimited(capsys):
     assert code == 0 and "cheapest cost exceeds stored energy" in out
 
 
-# stdout of allocate as printed when each draw went through the one-frame
-# views one at a time: the last draw in full, then the decision fractions
+# stdout of allocate on random stream 2: the last draw in full, then the
+# decision fractions
 _ALLOCATE_PINS = {
     ("--seed", "11", "--repeat", "1000"): """\
-channel: eff_gain_down=2.69958e-06 gain_offload=4.80454e-07
-local  : cost=7.06758e-07 J  tau_e=0.799446 tau_d=0.000554251 tau_c=0.2 tau_o=0 p_o=0
-    decode=2e-06 compute=1.66355e-09 offload=0 harvest=1.29491e-06
-offload: cost=5.8596e-07 J  tau_e=0.979666 tau_d=0.000554251 tau_c=0 tau_o=0.0197797 p_o=8.73514e-06
-    decode=2e-06 compute=0 offload=1.72778e-07 harvest=1.58682e-06
-decision: offload (i_o=1), cost 5.8596e-07 J
+channel: eff_gain_down=1.03926e-05 gain_offload=2.14436e-06
+local  : cost=-2.98365e-06 J  tau_e=0.7995 tau_d=0.000500322 tau_c=0.2 tau_o=0 p_o=0
+    decode=2e-06 compute=1.66355e-09 offload=0 harvest=4.98532e-06
+offload: cost=-4.13424e-06 J  tau_e=0.993261 tau_d=0.000500322 tau_c=0 tau_o=0.00623899 p_o=9.50107e-06
+    decode=2e-06 compute=0 offload=5.92771e-08 harvest=6.19352e-06
+decision: offload (i_o=1), cost -4.13424e-06 J
 over 1000 draws: local=0.079 offload=0.921 harvest_only=0.000
 """,
+    # the last draw banks energy (negative cost), so even an empty store runs it
     ("--seed", "11", "--repeat", "1000", "--e-stored", "0"): """\
-channel: eff_gain_down=2.69958e-06 gain_offload=4.80454e-07
-local  : cost=7.06758e-07 J  tau_e=0.799446 tau_d=0.000554251 tau_c=0.2 tau_o=0 p_o=0
-    decode=2e-06 compute=1.66355e-09 offload=0 harvest=1.29491e-06
-offload: cost=5.8596e-07 J  tau_e=0.979666 tau_d=0.000554251 tau_c=0 tau_o=0.0197797 p_o=8.73514e-06
-    decode=2e-06 compute=0 offload=1.72778e-07 harvest=1.58682e-06
-decision: harvest_only (cheapest cost exceeds stored energy); banked 1.61975e-06 J
-over 1000 draws: local=0.057 offload=0.862 harvest_only=0.081
+channel: eff_gain_down=1.03926e-05 gain_offload=2.14436e-06
+local  : cost=-2.98365e-06 J  tau_e=0.7995 tau_d=0.000500322 tau_c=0.2 tau_o=0 p_o=0
+    decode=2e-06 compute=1.66355e-09 offload=0 harvest=4.98532e-06
+offload: cost=-4.13424e-06 J  tau_e=0.993261 tau_d=0.000500322 tau_c=0 tau_o=0.00623899 p_o=9.50107e-06
+    decode=2e-06 compute=0 offload=5.92771e-08 harvest=6.19352e-06
+decision: offload (i_o=1), cost -4.13424e-06 J
+over 1000 draws: local=0.064 offload=0.862 harvest_only=0.074
 """,
     # nothing is feasible, and the default budget is unlimited (inf)
     ("--gain-down", "0", "--gain-offload", "0"): """\
@@ -327,6 +344,15 @@ decision: harvest_only (cheapest cost exceeds stored energy); banked 6.00006e-07
 over 5 draws: local=0.000 offload=0.000 harvest_only=1.000
 """,
 }
+
+
+def test_allocate_one_explicit_gain_is_a_usage_error(capsys):
+    # a lone gain would otherwise be dropped in favour of drawn channels
+    for gain in ("--gain-down", "--gain-offload"):
+        for seed in ((), ("--seed", "1")):
+            code, out, err = run(capsys, "allocate", *seed, gain, "1e-6")
+            assert (code, out) == (1, "")
+            assert "both --gain-down and --gain-offload" in err
 
 
 def test_allocate_stdout_is_pinned(capsys):

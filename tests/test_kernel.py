@@ -43,7 +43,7 @@ from swiptfog.allocator import StrategyArrays, solve_frames
 from swiptfog.channel import draw_gains
 from swiptfog.cli import certify
 from swiptfog.params import with_overrides
-from swiptfog.sim import TRIAL_CHUNK
+from swiptfog.sim import TRIAL_CHUNK, trial_rng
 
 from conftest import FEW_CELL_DECODE
 
@@ -231,7 +231,7 @@ def _scalar_replay(params, n_frames, n_trials, master_seed):
     storage = np.empty((n_trials, n_frames))
     outage = np.empty((n_trials, n_frames), dtype=int)
     for t in range(n_trials):
-        rng = np.random.default_rng(master_seed ^ t)
+        rng = trial_rng(master_seed, t)
         level = 0.0
         for f in range(n_frames):
             storage[t, f] = level

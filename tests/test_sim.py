@@ -10,8 +10,15 @@ from swiptfog import (
     run_trace,
     sweep,
 )
+from swiptfog import sim
 from swiptfog.params import with_overrides
-from swiptfog.sim import SweepAxis, sweep_csv_rows
+from swiptfog.sim import (
+    STREAM_VERSION,
+    TRIAL_CHUNK,
+    SweepAxis,
+    sweep_csv_rows,
+    trial_rng,
+)
 
 
 def _step(params, gd, go, e_stored):
@@ -105,10 +112,53 @@ def test_trace_storage_grows_at_midrange_with_literal_power(params):
 
 
 def test_monte_carlo_single_trial_matches_trace(params):
+    # run_trace(seed) draws the channels of trial 0 of master seed seed
     mc = monte_carlo(params, n_frames=30, n_trials=1, master_seed=77)
-    trace = run_trace(params, 30, seed=77 ^ 0)
+    trace = run_trace(params, 30, seed=77)
     assert mc.outage == trace.outage
     assert mc.mean_storage == tuple(r.e_stored_begin for r in trace.records)
+
+
+def test_stream_version():
+    assert STREAM_VERSION == 2
+
+
+@pytest.mark.parametrize("seeds", [(2, 3), (302, 303)])
+def test_neighbouring_master_seeds_run_different_trials(params, seeds):
+    # stream 1 seeded trial t with master_seed ^ t: with an even trial count,
+    # master seeds 2k and 2k + 1 ran the same trials to the same outage
+    p = with_overrides(params, dist_ap_dev=15.0, ops_per_bit=1e4)
+    a, b = (monte_carlo(p, n_frames=40, n_trials=20, master_seed=s)
+            for s in seeds)
+    assert a.outage != b.outage
+    assert a.mean_storage != b.mean_storage
+
+
+def test_trial_seeds_are_spawned_children_and_do_not_collide():
+    for master in (5, 303):
+        children = np.random.SeedSequence(master).spawn(4)
+        for t, child in enumerate(children):
+            assert (trial_rng(master, t).random(3).tolist()
+                    == np.random.default_rng(child).random(3).tolist())
+    # the list seed [m, t] would map [2**32 + 5, 0] and [5, 1] to one stream
+    firsts = {(m, t): trial_rng(m, t).random()
+              for m in (5, 2**32 + 5) for t in range(3)}
+    assert len(set(firsts.values())) == len(firsts)
+
+
+def test_more_trials_extend_a_shorter_run(params, monkeypatch):
+    # the gain arrays monte_carlo solves, across trial chunks
+    seen = []
+    simulate = sim._simulate
+    monkeypatch.setattr(sim, "_simulate", lambda p, gd, go:
+                        seen.append((gd, go)) or simulate(p, gd, go))
+    k = TRIAL_CHUNK + 3
+    monte_carlo(params, n_frames=10, n_trials=k, master_seed=41)
+    monte_carlo(params, n_frames=10, n_trials=2 * TRIAL_CHUNK + 5,
+                master_seed=41)
+    (gd_k, go_k), (gd_n, go_n) = seen
+    assert np.array_equal(gd_n[:k], gd_k)
+    assert np.array_equal(go_n[:k], go_k)
 
 
 def test_monte_carlo_jobs_do_not_change_results(params):
@@ -122,7 +172,7 @@ def test_monte_carlo_jobs_do_not_change_results(params):
 
 def test_trial_seed_permutation_leaves_means_unchanged(params):
     # aggregates use exact summation, so trial order cannot matter
-    seeds = [11 ^ t for t in range(6)]
+    seeds = list(range(11, 17))
     outage = {s: run_trace(params, 15, s).outage for s in seeds}
     for perm_seed in (0, 1):
         rng = np.random.default_rng(perm_seed)
