@@ -34,8 +34,6 @@ __all__ = [
     "draw_rician",
     "conjugate_beamform",
     "realize_channels",
-    "frame_normals",
-    "gains_from_normals",
     "draw_gains",
 ]
 
@@ -120,16 +118,12 @@ def conjugate_beamform(h: np.ndarray, p_t: float) -> tuple[np.ndarray, float]:
     return w, float(_effective_gain(np.abs(h), p_t))
 
 
-def frame_normals(params: SystemParams, rng: np.random.Generator,
-                  n_frames: int) -> np.ndarray:
-    """The scatter normals of n_frames consecutive frames in one call, shape
-    (n_frames, n_antennas + 1, 2): antennas 0..N-1, then the offload link."""
-    return rng.standard_normal((n_frames, params.n_antennas + 1, 2))
-
-
-def _amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
-    """Complex amplitudes in each link's dominant-path frame, of shape
-    normals.shape[:-1]."""
+def _amplitudes(params: SystemParams, rng: np.random.Generator,
+                n_frames: int) -> np.ndarray:
+    """Complex amplitudes of n_frames consecutive frames, shape
+    (n_frames, n_antennas + 1): antennas 0..N-1, then the offload link, each
+    in its dominant-path frame, from one standard_normal call."""
+    normals = rng.standard_normal((n_frames, params.n_antennas + 1, 2))
     loss = [pathloss_db(d, params.carrier_freq_mhz, params.pathloss_coeff)
             for d in (params.dist_ap_dev, params.dist_dev_server)]
     scale_h, scale_g = (math.sqrt(10.0 ** (-db / 10.0)) for db in loss)
@@ -138,15 +132,12 @@ def _amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
                              0.0, normals[..., 0], normals[..., 1])
 
 
-def gains_from_normals(params: SystemParams,
-                       normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Effective downlink gains and offload power gains |g|**2 of the frames
-    whose normals are given (last two axes as in frame_normals); element-wise
-    over the leading axes, so stacked trials get their own gains."""
+def _gains(params: SystemParams, amplitude: np.ndarray):
+    """Effective downlink gains and offload power gains |g|**2 of the
+    amplitudes (links on the last axis, as _amplitudes lays them out)."""
     p_bf = params.p_transmit
     if params.normalize_beamforming:
         p_bf /= params.n_antennas
-    amplitude = _amplitudes(params, normals)
     # np.hypot is the C library's hypot; numpy's abs of a complex array may
     # take a vectorised loop that depends on the CPU
     magnitude = np.hypot(amplitude.real, amplitude.imag)
@@ -160,13 +151,12 @@ def draw_gains(params: SystemParams, rng: np.random.Generator,
     """Effective downlink gains and offload power gains of n_frames
     consecutive frames, each of shape (n_frames,).  Consumes the generator
     as n_frames calls of realize_channels do, and returns the same gains."""
-    return gains_from_normals(params, frame_normals(params, rng, n_frames))
+    return _gains(params, _amplitudes(params, rng, n_frames))
 
 
 def realize_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
     """One frame's amplitudes and gains: a one-frame draw_gains."""
-    normals = frame_normals(params, rng, 1)
-    amplitude = _amplitudes(params, normals[0])
-    eff_gain, gain_offload = (float(g[0]) for g in gains_from_normals(params, normals))
+    amplitude = _amplitudes(params, rng, 1)[0]
+    eff_gain, gain_offload = (float(g) for g in _gains(params, amplitude))
     return ChannelRealization(h=amplitude[:-1], g=complex(amplitude[-1]),
                               eff_gain_down=eff_gain, gain_offload=gain_offload)

@@ -38,7 +38,7 @@ from .allocator import (
     harvest_only_result,
     solve_frames,
 )
-from .channel import draw_gains, frame_normals, gains_from_normals
+from .channel import draw_gains
 from .energy import harvested_energy
 from .params import SystemParams, with_overrides
 
@@ -195,9 +195,9 @@ class MonteCarloResult:
 def _draw_trials(task) -> tuple[np.ndarray, np.ndarray]:
     """(trials x frames) gain arrays for one chunk of trials."""
     params, n_frames, master_seed, trials = task
-    return gains_from_normals(params, np.stack([
-        frame_normals(params, trial_rng(master_seed, t), n_frames)
-        for t in trials]))
+    gd, go = zip(*(draw_gains(params, trial_rng(master_seed, t), n_frames)
+                   for t in trials))
+    return np.stack(gd), np.stack(go)
 
 
 def _ci_halfwidth(values: list[float]) -> float:

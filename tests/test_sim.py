@@ -13,7 +13,6 @@ from swiptfog import (
 from swiptfog import sim
 from swiptfog.params import with_overrides
 from swiptfog.sim import (
-    STREAM_VERSION,
     TRIAL_CHUNK,
     SweepAxis,
     sweep_csv_rows,
@@ -117,10 +116,6 @@ def test_monte_carlo_single_trial_matches_trace(params):
     trace = run_trace(params, 30, seed=77)
     assert mc.outage == trace.outage
     assert mc.mean_storage == tuple(r.e_stored_begin for r in trace.records)
-
-
-def test_stream_version():
-    assert STREAM_VERSION == 2
 
 
 @pytest.mark.parametrize("seeds", [(2, 3), (302, 303)])

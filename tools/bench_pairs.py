@@ -1,12 +1,13 @@
 """Interleaved benchmark pairs: a parent commit against this checkout.
 
-    python3 tools/bench_pairs.py --out BENCH_8.json --workload mc_outage \
-        --seed 1 --pairs 10 --seconds 56
-    python3 tools/bench_pairs.py --out BENCH_8.json --pool 100x250,200x2000
+    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_8.json \
+        --workload mc_outage --seed 1 --pairs 10 --seconds 56
+    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_8.json \
+        --pool 100x250,200x2000
 
-The parent commit (--parent; the default, HEAD, is the parent while the
-change is still uncommitted) is unpacked with ``git archive``
-into a temporary directory.  Each pair runs ``perfbench/run.py --workload W
+The parent commit (--parent: HEAD~1 once the change is committed, HEAD
+while it is not) is unpacked with ``git archive`` into a temporary
+directory.  Each pair runs ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once in the parent and once in this
 checkout's working tree; the parent goes first on odd pairs, the change on
 even ones.  The record of every run, each side's median and quartiles of
@@ -16,7 +17,7 @@ file are kept, so seeds and workloads can be added by later calls.
 
 With --pool, each side instead times one in-process monte_carlo call per
 FRAMESxTRIALS size (criterion-6 parameters at 10 m) with jobs=1 and jobs=2,
---repeats times, sides and job counts interleaved; the result goes to
+POOL_REPEATS times, sides and job counts interleaved; the result goes to
 results["pool"].
 """
 
@@ -35,6 +36,8 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
+
+POOL_REPEATS = 3
 
 # Times one monte_carlo call; run with the side's src/ first on sys.path.
 _POOL_SNIPPET = """
@@ -169,10 +172,10 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
     return entry
 
 
-def pool_timings(parent_tree, sizes, repeats):
+def pool_timings(parent_tree, sizes):
     times = {}
     trees = {"parent": parent_tree, "change": ROOT}
-    for r in range(repeats):
+    for r in range(POOL_REPEATS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for frames, trials in sizes:
             for side in order:
@@ -196,13 +199,12 @@ def pool_timings(parent_tree, sizes, repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to update")
-    parser.add_argument("--parent", default="HEAD", help="parent revision")
+    parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--workload", help="perfbench workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=56.0)
     parser.add_argument("--pool", help="comma-separated FRAMESxTRIALS sizes")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     if (args.workload is None) == (args.pool is None):
         parser.error("give exactly one of --workload and --pool")
@@ -226,7 +228,7 @@ def main(argv=None):
         started = time.time()
         if args.pool:
             sizes = [tuple(map(int, s.split("x"))) for s in args.pool.split(",")]
-            results["pool"] = pool_timings(parent_tree, sizes, args.repeats)
+            results["pool"] = pool_timings(parent_tree, sizes)
         else:
             results[f"{args.workload}_seed{args.seed}"] = bench_pairs(
                 parent_tree, args.workload, args.seed, args.pairs, args.seconds,
