@@ -27,6 +27,7 @@ grid, including the refinement shrink factor 0.618**refine_iters.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -137,36 +138,64 @@ def _local_cost(params: SystemParams, l2, hr, tau_d, tau_c, rate,
     return out
 
 
+def _local_cells(params: SystemParams, l2, rate_per_l2, step: float,
+                 rate=None, tau_c=None) -> tuple:
+    """(rate, tau_c) at the decode cells where B_h (tau_d / T) is rate_per_l2,
+    for gains with l2 = log2(1 + SNR): tau_c is the least grid compute slot
+    meeting the op count.  Written into rate and tau_c if given."""
+    rate = np.multiply(rate_per_l2, l2, out=rate)
+    tau_c = np.multiply(params.ops_per_bit, rate, out=tau_c)
+    tau_c *= params.frame_duration
+    tau_c /= params.dev_ops_per_sec
+    tau_c /= step
+    tau_c -= 1e-12
+    np.ceil(tau_c, out=tau_c)
+    tau_c *= step
+    return rate, tau_c
+
+
+def _local_runs(params: SystemParams, l2, rate_per_l2, tau_d, step: float):
+    """Each gain's feasible run [lo, hi) of decode cells: from the first cell
+    whose rate is not below the floor to the first whose tau_d + tau_c
+    exceeds the frame.  Both rows rise along the axis (every step is monotone
+    and correctly rounded), so a binary search of all gains in lockstep
+    finds the same bounds as np.searchsorted over the full rows."""
+    n = tau_d.size
+    a, b = np.zeros((2, l2.size), dtype=int), np.full((2, l2.size), n)
+    while (a < b).any():
+        mid = (a + b) // 2
+        at = np.minimum(mid, n - 1)  # finished searches probe a valid cell
+        rate, tau_c = _local_cells(params, l2, rate_per_l2[at], step)
+        right = ~np.stack((rate[0] < params.rate_min,
+                           tau_d[at[1]] + tau_c[1] <= params.frame_duration))
+        a, b = np.where((a < b) & ~right, mid + 1, a), np.where(right, mid, b)
+    return a
+
+
 def _local_grid(params: SystemParams, l2, hr, step: float) -> tuple:
     """Best grid cell (tau_d, tau_c, cost) of the local program for each
     gain, given its l2 = log2(1 + SNR) and harvest rate hr; NaN, NaN and inf
-    where no cell is feasible."""
+    where no cell is feasible.  The cost is evaluated on each gain's
+    feasible run only, into buffers reused from gain to gain."""
     tee = params.frame_duration
     n = int(math.floor(tee / step))
     tau_d = step * np.arange(1, n + 1)
     rate_per_l2 = params.bw_downlink * (tau_d / tee)
-    rate, tau_c, cost, tmp = (np.empty(n) for _ in range(4))
+    lo, hi = _local_runs(params, l2, rate_per_l2, tau_d, step)
+    width = int(np.max(hi - lo, initial=0))
+    rate, tau_c, cost, tmp = (np.empty(width) for _ in range(4))
     best_d, best_c = np.full(l2.size, math.nan), np.full(l2.size, math.nan)
     best = np.full(l2.size, math.inf)
-    for k, (l2k, hrk) in enumerate(zip(l2.tolist(), hr.tolist())):
-        np.multiply(rate_per_l2, l2k, out=rate)
-        np.multiply(params.ops_per_bit, rate, out=tau_c)  # K R T / f ops
-        tau_c *= tee
-        tau_c /= params.dev_ops_per_sec
-        tau_c /= step  # rounded up to the grid
-        tau_c -= 1e-12
-        np.ceil(tau_c, out=tau_c)
-        tau_c *= step
-        # rate and tau_d + tau_c rise along the axis, so the cells meeting
-        # the rate floor and fitting the frame are the run [lo, hi)
-        lo = int(rate.searchsorted(params.rate_min))
-        hi = int(np.add(tau_d, tau_c, out=tmp).searchsorted(tee, side="right"))
-        if lo >= hi:
+    runs = zip(lo.tolist(), hi.tolist(), l2.tolist(), hr.tolist())
+    for k, (a, b, l2k, hrk) in enumerate(runs):
+        if a >= b:
             continue
-        c = _local_cost(params, l2k, hrk, tau_d[lo:hi], tau_c[lo:hi], rate[lo:hi],
-                        cost[lo:hi], tmp[lo:hi])
-        i = lo + int(c.argmin())
-        best_d[k], best_c[k], best[k] = tau_d[i], tau_c[i], cost[i]
+        m, td = b - a, tau_d[a:b]
+        r, tc = _local_cells(params, l2k, rate_per_l2[a:b], step, rate[:m],
+                             tau_c[:m])
+        c = _local_cost(params, l2k, hrk, td, tc, r, cost[:m], tmp[:m])
+        i = int(c.argmin())
+        best_d[k], best_c[k], best[k] = td[i], tc[i], c[i]
     return best_d, best_c, best
 
 
@@ -174,13 +203,15 @@ def brute_local(params: SystemParams, eff_gain_down, spec: GridSpec) -> tuple:
     """Grid minimum of the local program; returns (tau_d, tau_c, cost), as
     floats for a number and as arrays of its shape for an array of gains.
 
-    For each gain in turn, sweeps the decode axis at the grid resolution with
-    the cheapest grid-aligned compute slot per the reduction lemma, into
-    buffers reused from gain to gain.  Then (optionally) golden-sections the
-    surviving 1-D problem, with the compute slot continuous, for all gains in
-    lockstep inside the best cell, clipped to the decode slots that meet both
-    constraints, [rate_min T / (B_h l2), T / (1 + K B_h l2 / f)]; a gain
-    without a feasible grid cell is refined over all of that interval.
+    Finds each gain's feasible run of decode cells at the grid resolution,
+    with the cheapest grid-aligned compute slot per the reduction lemma, by
+    a binary search of all gains in lockstep; then sweeps each gain's run in
+    turn, into buffers reused from gain to gain.  Then (optionally)
+    golden-sections the surviving 1-D problem, with the compute slot
+    continuous, for all gains in lockstep inside the best cell, clipped to
+    the decode slots that meet both constraints,
+    [rate_min T / (B_h l2), T / (1 + K B_h l2 / f)]; a gain without a
+    feasible grid cell is refined over all of that interval.
     """
     gd = np.asarray(eff_gain_down, dtype=float)
     shape, gd = gd.shape, gd.ravel()
@@ -215,9 +246,9 @@ def brute_local(params: SystemParams, eff_gain_down, spec: GridSpec) -> tuple:
     return _shaped(shape, best_d, best_c, best)
 
 
-def local_grid_tolerance(params: SystemParams, eff_gain_down: float,
-                         spec: GridSpec) -> float:
-    """Upper bound on (grid minimum - true minimum) for the local program."""
+def local_grid_tolerance(params: SystemParams, eff_gain_down, spec: GridSpec):
+    """Upper bound on (grid minimum - true minimum) for the local program;
+    element-wise, a float for a number."""
     l2 = _log2_snr(params, eff_gain_down)
     hr = _harvest_rate(params, eff_gain_down)
     lip_d = (params.bw_downlink * l2
@@ -311,17 +342,17 @@ def brute_offload(params: SystemParams, eff_gain_down, gain_offload,
     return _shaped(shape, best_o, p_o, best)
 
 
-def offload_grid_tolerance(params: SystemParams, eff_gain_down: float,
-                           gain_offload: float, spec: GridSpec,
-                           tau_o_at: float) -> float:
+def offload_grid_tolerance(params: SystemParams, eff_gain_down, gain_offload,
+                           spec: GridSpec, tau_o_at):
     """Upper bound on (grid minimum - true minimum) for the offload program,
-    using the local Lipschitz constant of the cost curve near tau_o_at."""
+    using the local Lipschitz constant of the cost curve near tau_o_at;
+    element-wise, a float for numbers."""
     bits = params.bits_per_frame
-    a = params.noise_server / gain_offload
-    u = bits / (params.bw_offload * tau_o_at)
-    if u > _EXP2_CAP:
-        return math.inf
-    lam_slope = a * abs((2.0 ** u - 1.0) - u * math.log(2.0) * 2.0 ** u)
+    a = params.noise_server / np.asarray(gain_offload, dtype=float)
+    u = bits / (params.bw_offload * np.asarray(tau_o_at, dtype=float))
+    over = u > _EXP2_CAP
+    p2 = libm(partial(pow, 2.0), np.where(over, 0.0, u))
+    lam_slope = a * np.abs((p2 - 1.0) - u * math.log(2.0) * p2)
     lip = lam_slope + _harvest_rate(params, eff_gain_down)
     if spec.refine_iters > 0:
         delta = 2.0 * spec.resolution * _GOLDEN ** spec.refine_iters + 1e-15
@@ -330,33 +361,38 @@ def offload_grid_tolerance(params: SystemParams, eff_gain_down: float,
     # rounding floor: 1e-12 of every term's magnitude.  lip * T covers the
     # harvested energy; the transmit energy is taken before the cancellation
     # in 2**u - 1, and the decode energy is paid in full.
-    base = (lip * params.frame_duration + a * 2.0 ** u * tau_o_at
+    base = (lip * params.frame_duration + a * p2 * tau_o_at
             + params.decode_energy_per_bit * bits)
-    return lip * delta + 1e-12 * max(base, 1e-30)
+    tol = np.where(over, math.inf, lip * delta + 1e-12 * np.maximum(base, 1e-30))
+    return tol if tol.ndim else float(tol)
 
 
 # ---------------------------------------------------------------------------
 # independent root check
 # ---------------------------------------------------------------------------
 
-def bisect_lambert(x: float) -> float:
-    """Bisection solution of w * exp(w) = x on the principal branch.
+def bisect_lambert(x):
+    """Bisection solution of w * exp(w) = x on the principal branch,
+    element-wise: a float for a number, an array of its shape for an array.
 
     Brackets [-1, max(1, ln(1+x)+1)] and halves until the interval is below
-    1e-14; independent of the Halley-based implementation it certifies.
+    1e-14, all elements in lockstep; independent of the Halley-based
+    implementation it certifies.
     """
-    if math.isnan(x) or x < -_INV_E - 1e-15:
-        raise ValueError(f"bisect_lambert domain is x >= -1/e, got {x!r}")
-    if x <= -_INV_E + 1e-16:
-        return -1.0  # at the branch point the root is exact
-    lo = -1.0
-    hi = max(1.0, math.log1p(max(x, 0.0)) + 1.0)
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    bad = flat[np.isnan(flat) | (flat < -_INV_E - 1e-15)].tolist()
+    if bad:
+        raise ValueError(f"bisect_lambert domain is x >= -1/e, got {bad[0]!r}")
+    lo = np.full(flat.size, -1.0)
+    hi = np.maximum(1.0, libm(math.log1p, np.maximum(flat, 0.0)) + 1.0)
+    hi[flat <= -_INV_E + 1e-16] = -1.0  # at the branch point the root is exact
     for _ in range(200):
-        if hi - lo <= 1e-14:
+        act = np.flatnonzero(~(hi - lo <= 1e-14))
+        if not act.size:
             break
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) - x > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[act] + hi[act])
+        up = mid * libm(math.exp, mid) - flat[act] > 0.0
+        hi[act[up]] = mid[up]
+        lo[act[~up]] = mid[~up]
+    return _shaped(x.shape, 0.5 * (lo + hi))[0]

@@ -232,50 +232,44 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
     worst = dict(
         root_residual=float(np.max(np.abs(w * libm(math.exp, w) - xs)
                                    / np.maximum(1.0, np.abs(xs)))),
-        root_gap=max(abs(wx - bruteforce.bisect_lambert(x))
-                     for x, wx in zip(xs.tolist(), w.tolist())),
-        local=0.0, offload=0.0, rate=0.0)
+        root_gap=float(np.max(np.abs(w - bruteforce.bisect_lambert(xs)))))
     ok = worst["root_residual"] <= 1e-12 and worst["root_gap"] <= 1e-11
     failures = 0 if ok else 1
     lines = [f"root solver: residual {worst['root_residual']:.2e}, vs "
              f"bisection {worst['root_gap']:.2e} -> {'ok' if ok else 'FAIL'}"]
 
     spec = bruteforce.GridSpec.for_frame(params.frame_duration)
-    rows = []
     grid = slice(grid_pairs)
-    gains = eff_gain_down[grid], gain_offload[grid]
-    claims = zip(*(g.tolist() for g in gains),
-                 local.cost[grid].tolist(), offload.cost[grid].tolist(),
-                 offload.tau_o[grid].tolist(), offload.p_o[grid].tolist(),
-                 bruteforce.brute_local(params, gains[0], spec)[2].tolist(),
-                 bruteforce.brute_offload(params, *gains, spec)[2].tolist())
-    for idx, (gd, go, cost_l, cost_o, tau_o, p_o, cost_grid,
-              cost_grid_o) in enumerate(claims):
-        tol_l = bruteforce.local_grid_tolerance(params, gd, spec)
-        dev_l = abs(cost_l - cost_grid)
-        ok_l = dev_l <= tol_l and cost_grid >= cost_l - tol_l
-
-        tol_o = bruteforce.offload_grid_tolerance(params, gd, go, spec, tau_o)
-        dev_o = abs(cost_o - cost_grid_o)
-        ok_o = dev_o <= tol_o and cost_grid_o >= cost_o - tol_o
-
-        delivered = offload_bits(params, go, p_o, tau_o)
-        rate_dev = abs(delivered - params.bits_per_frame) / params.bits_per_frame
-        ok_r = rate_dev <= 1e-9
-
-        worst["local"] = max(worst["local"], dev_l / max(tol_l, 1e-300))
-        worst["offload"] = max(worst["offload"], dev_o / max(tol_o, 1e-300))
-        worst["rate"] = max(worst["rate"], rate_dev)
-        ok = ok_l and ok_o and ok_r
-        if not ok:
-            failures += 1
-            lines.append(f"instance {idx}: gd={gd!r} go={go!r} "
-                         f"dev_local={dev_l!r} (tol {tol_l!r}) "
-                         f"dev_offload={dev_o!r} (tol {tol_o!r}) "
-                         f"rate_dev={rate_dev!r}")
-        rows.append([str(idx), repr(gd), repr(go), repr(cost_l),
-                     repr(cost_grid), repr(cost_o), repr(cost_grid_o),
-                     repr(rate_dev), "pass" if ok else "fail"])
+    gd, go = eff_gain_down[grid], gain_offload[grid]
+    cost_l, cost_o = local.cost[grid], offload.cost[grid]
+    tau_o, p_o = offload.tau_o[grid], offload.p_o[grid]
+    cost_grid = bruteforce.brute_local(params, gd, spec)[2]
+    cost_grid_o = bruteforce.brute_offload(params, gd, go, spec)[2]
+    tol_l = bruteforce.local_grid_tolerance(params, gd, spec)
+    dev_l = np.abs(cost_l - cost_grid)
+    tol_o = bruteforce.offload_grid_tolerance(params, gd, go, spec, tau_o)
+    dev_o = np.abs(cost_o - cost_grid_o)
+    delivered = np.array([offload_bits(params, *claim) for claim in
+                          zip(go.tolist(), p_o.tolist(), tau_o.tolist())])
+    rate_dev = np.abs(delivered - params.bits_per_frame) / params.bits_per_frame
+    passed = ((dev_l <= tol_l) & (cost_grid >= cost_l - tol_l)
+              & (dev_o <= tol_o) & (cost_grid_o >= cost_o - tol_o)
+              & (rate_dev <= 1e-9))
+    # fmax skips NaN ratios, as a running max() starting from 0.0 does
+    for kind, ratio in (("local", dev_l / np.maximum(tol_l, 1e-300)),
+                        ("offload", dev_o / np.maximum(tol_o, 1e-300)),
+                        ("rate", rate_dev)):
+        worst[kind] = float(np.fmax.reduce(ratio, initial=0.0))
+    failures += int(np.count_nonzero(~passed))
+    for i in np.flatnonzero(~passed).tolist():
+        lines.append("instance {}: gd={!r} go={!r} dev_local={!r} (tol {!r}) "
+                     "dev_offload={!r} (tol {!r}) rate_dev={!r}".format(
+                         i, *(c.item(i) for c in (gd, go, dev_l, tol_l, dev_o,
+                                                  tol_o, rate_dev))))
+    cells = zip(*(c.tolist() for c in (gd, go, cost_l, cost_grid, cost_o,
+                                       cost_grid_o, rate_dev)))
+    rows = [[str(i), *map(repr, row), "pass" if ok else "fail"]
+            for i, (row, ok) in enumerate(zip(cells, passed.tolist()))]
     lines.append(f"grid check: {len(rows)} instances, worst local dev "
                  f"{worst['local']:.3f}x tol, worst offload dev "
                  f"{worst['offload']:.3f}x tol, worst rate dev "

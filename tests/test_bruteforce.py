@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from swiptfog import (
     bisect_lambert,
     brute_local,
     brute_offload,
+    bruteforce,
+    load_params,
     local_grid_tolerance,
     offload_grid_tolerance,
     solve_local,
     solve_offload,
 )
 from swiptfog.bruteforce import _local_cost
+from swiptfog.params import with_overrides
 
 from swiptfog.allocator import solve_frames
 
@@ -259,3 +264,207 @@ def test_oracle_objective_matches_energy_composition(params):
                   - harvested_energy(params, gd,
                                      params.frame_duration - tau_d - tau_c))
         assert via_grid == pytest.approx(direct, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep run search against full-row sweeps
+# ---------------------------------------------------------------------------
+
+def _local_rows(params, l2k, step):
+    """Full decode-axis rows for one gain, each operation in the oracle's
+    order: (tau_d, rate, tau_c)."""
+    tee = params.frame_duration
+    tau_d = step * np.arange(1, int(math.floor(tee / step)) + 1)
+    rate = params.bw_downlink * (tau_d / tee) * l2k
+    tau_c = params.ops_per_bit * rate
+    tau_c *= tee
+    tau_c /= params.dev_ops_per_sec
+    tau_c /= step
+    tau_c -= 1e-12
+    tau_c = np.ceil(tau_c) * step
+    return tau_d, rate, tau_c
+
+
+def _full_row_local_grid(params, l2, hr, step):
+    """The full-row grid pass: every decode cell of every gain, then the
+    first minimum of the run that searchsorted finds."""
+    tee = params.frame_duration
+    best_d, best_c = np.full(l2.size, math.nan), np.full(l2.size, math.nan)
+    best = np.full(l2.size, math.inf)
+    for k, (l2k, hrk) in enumerate(zip(l2.tolist(), hr.tolist())):
+        tau_d, rate, tau_c = _local_rows(params, l2k, step)
+        lo = int(rate.searchsorted(params.rate_min))
+        hi = int((tau_d + tau_c).searchsorted(tee, side="right"))
+        if lo >= hi:
+            continue
+        c = _local_cost(params, l2k, hrk, tau_d[lo:hi], tau_c[lo:hi], rate[lo:hi])
+        i = int(c.argmin())
+        best_d[k], best_c[k], best[k] = tau_d[lo + i], tau_c[lo + i], c[i]
+    return best_d, best_c, best
+
+
+def _local_bit_cases():
+    """(params, gains): the defaults, ops_per_bit 10 and 100 (runs of
+    thousands of cells), and both few-cell configurations."""
+    rng = np.random.default_rng(21)
+    base = load_params("", env={})
+    for k in (None, 10.0, 100.0):
+        p = base if k is None else with_overrides(base, ops_per_bit=k)
+        yield p, _feasible_pairs(p, rng, 150)[0]
+    for p, pair in FEW_CELL_DECODE:
+        yield p, _feasible_pairs(p, rng, 40, extra=[pair])[0]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_local_grid_bits_equal_full_row_sweep(case, monkeypatch):
+    # the grid pass visits only each gain's feasible run; its best cells and
+    # the refined minima are the bits of sweeping every cell of every row
+    p, gd = list(_local_bit_cases())[case]
+    step = GridSpec.for_frame(p.frame_duration).resolution
+    l2, hr = bruteforce._log2_snr(p, gd), bruteforce._harvest_rate(p, gd)
+    cells = bruteforce._local_grid(p, l2, hr, step)
+    for got, want in zip(cells, _full_row_local_grid(p, l2, hr, step)):
+        assert got.tobytes() == want.tobytes()
+    assert np.isinf(cells[2]).any() == (case >= 3)  # gains without a cell
+    for refine_iters in (0, 60):
+        spec = GridSpec.for_frame(p.frame_duration, refine_iters)
+        results = []
+        for grid in (bruteforce._local_grid, _full_row_local_grid):
+            monkeypatch.setattr(bruteforce, "_local_grid", grid)
+            try:
+                results.append(brute_local(p, gd, spec))
+            except ValueError as err:
+                results.append(str(err))
+        got, want = results
+        if refine_iters == 0 and case >= 3:
+            assert got == want == "empty feasible grid for the local program"
+            continue
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_local_runs_equal_searchsorted_over_full_rows(params):
+    # l2 from far below the rate floor's reach (lo = n, an empty run) through
+    # runs that start at the first cell (lo = 0) to compute slots too long
+    # for any cell (hi = 0, empty); with a light compute load and a low rate
+    # floor, runs also reach the last cell (hi = n)
+    light = with_overrides(params, rate_min=1.0, ops_per_bit=1e-9)
+    step = GridSpec.for_frame(params.frame_duration).resolution
+    l2 = np.geomspace(1e-20, 1e4, 600)
+    seen = set()
+    for p in (params, light):
+        tau_d, _, _ = _local_rows(p, 1.0, step)
+        n, rate_per_l2 = tau_d.size, p.bw_downlink * (tau_d / p.frame_duration)
+        lo, hi = bruteforce._local_runs(p, l2, rate_per_l2, tau_d, step)
+        for l2k, a, b in zip(l2.tolist(), lo.tolist(), hi.tolist()):
+            tau_d, rate, tau_c = _local_rows(p, l2k, step)
+            assert a == rate.searchsorted(p.rate_min)
+            assert b == (tau_d + tau_c).searchsorted(p.frame_duration,
+                                                     side="right")
+            seen |= {("lo=0", a == 0), ("lo=n", a == n), ("hi=0", b == 0),
+                     ("run to hi=n", a < b == n), ("inner run", 0 < a < b < n)}
+    assert {(name, True) for name, _ in seen} <= seen
+
+
+def test_local_grid_memory_stays_bounded(params):
+    # the grid pass holds buffers of one run, not rows of every cell: under
+    # 2 MiB over 2000 gains, also where runs span thousands of cells
+    rng = np.random.default_rng(23)
+    for p in (params, with_overrides(params, ops_per_bit=10.0)):
+        gd = _feasible_pairs(p, rng, 2000)[0]
+        assert gd.size == 2000
+        spec = GridSpec.for_frame(p.frame_duration)
+        tracemalloc.start()
+        try:
+            brute_local(p, gd, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, f"ops_per_bit {p.ops_per_bit}: {peak} B"
+
+
+# ---------------------------------------------------------------------------
+# root oracle and offload tolerance on arrays
+# ---------------------------------------------------------------------------
+
+def _scalar_bisect_lambert(x):
+    """One element of bisect_lambert, written as a scalar loop."""
+    if x <= -math.exp(-1.0) + 1e-16:
+        return -1.0
+    lo, hi = -1.0, max(1.0, math.log1p(max(x, 0.0)) + 1.0)
+    for _ in range(200):
+        if hi - lo <= 1e-14:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid * math.exp(mid) - x > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_lambert_arrays_equal_scalar_loop():
+    rng = np.random.default_rng(31)
+    branch = -1.0 / math.e
+    xs = np.concatenate([
+        branch + 10.0 ** rng.uniform(-17.0, math.log10(-branch), 150),
+        10.0 ** rng.uniform(-12.0, 6.0, 150),
+        [branch, branch + 1e-16, -0.0, 0.0, 1.0, math.e, 1e6, 1e300],
+    ])
+    want = np.array([_scalar_bisect_lambert(x) for x in xs.tolist()])
+    assert bisect_lambert(xs).tobytes() == want.tobytes()
+    order = rng.permutation(xs.size)
+    got = bisect_lambert(xs[order].reshape(2, -1, 2))
+    assert got.shape == (2, xs.size // 4, 2)
+    assert got.ravel().tobytes() == want[order].tobytes()
+    for x in xs[::37].tolist():
+        w = bisect_lambert(x)
+        assert type(w) is float and w == _scalar_bisect_lambert(x)
+    assert bisect_lambert(branch) == -1.0
+    assert bisect_lambert(np.array(2.5)).__class__ is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, -1.0 / math.e - 1e-9])
+def test_bisect_lambert_names_the_bad_element(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        bisect_lambert(np.array([0.5, bad, 2.0]))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        bisect_lambert(bad)
+
+
+def _scalar_offload_tolerance(params, gd, go, spec, tau_o):
+    """One element of offload_grid_tolerance, written as a scalar formula."""
+    bits = params.bits_per_frame
+    a = params.noise_server / go
+    u = bits / (params.bw_offload * tau_o)
+    if u > 900.0:
+        return math.inf
+    lip = (a * abs((2.0 ** u - 1.0) - u * math.log(2.0) * 2.0 ** u)
+           + params.eh_efficiency * (gd + params.noise_dev))
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    if spec.refine_iters > 0:
+        delta = 2.0 * spec.resolution * golden ** spec.refine_iters + 1e-15
+    else:
+        delta = spec.resolution
+    base = (lip * params.frame_duration + a * 2.0 ** u * tau_o
+            + params.decode_energy_per_bit * bits)
+    return lip * delta + 1e-12 * max(base, 1e-30)
+
+
+@pytest.mark.parametrize("refine_iters", [0, 60])
+def test_offload_tolerance_arrays_equal_scalar_formula(params, refine_iters):
+    rng = np.random.default_rng(37)
+    spec = GridSpec.for_frame(params.frame_duration, refine_iters)
+    gd, go = _feasible_pairs(params, rng, 60)
+    tau_o = np.concatenate([
+        solve_frames(params, gd, go)[1].tau_o[:-3],
+        # u just below and above the 900 cap, and far above it
+        params.bits_per_frame / (params.bw_offload * np.array([899.0, 901.0, 1e6]))])
+    got = offload_grid_tolerance(params, gd, go, spec, tau_o)
+    want = [_scalar_offload_tolerance(params, *e, spec=spec, tau_o=t)
+            for *e, t in zip(gd.tolist(), go.tolist(), tau_o.tolist())]
+    assert got.tolist() == want
+    assert np.isinf(got[-2:]).all() and np.isfinite(got[:-2]).all()
+    for g, h, t, w in zip(gd.tolist(), go.tolist(), tau_o.tolist(), want):
+        one = offload_grid_tolerance(params, g, h, spec, t)
+        assert type(one) is float and one == w
