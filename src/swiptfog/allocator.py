@@ -32,7 +32,6 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -72,6 +71,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _INV_E = math.exp(-1.0)
+_PASSES = 50  # Halley passes lambert_w0 allows an element
+_CUBE = (3.0).__rpow__  # x ** 3 on a float: the C library's pow
 
 
 class Strategy(Enum):
@@ -151,8 +152,13 @@ def lambert_w0(x):
     from ln(1+x) for x > 0 and from the square-root series around the branch
     point for x < 0.  Each element iterates until its step is at rounding
     level (at most 50 passes) and must leave a residual |w e^w - x| within
-    1e-12 * max(1, |x|).  A number gives a float, an array an array of its
-    shape.  No external special-function dependency.
+    1e-12 * max(1, |x|).  Near the branch point the step's rounding noise
+    can stay above that rule while w flips between two adjacent floats; a
+    pass depends on (w, x) alone, so an element whose w returns to its
+    value of two passes back is retired at once with the float the 50th
+    pass would leave (same bits, a few passes instead of 50).  A number
+    gives a float, an array an array of its shape.  No external
+    special-function dependency.
     """
     x = np.asarray(x, dtype=float)
     shape, x = x.shape, x.ravel()
@@ -168,12 +174,13 @@ def lambert_w0(x):
     neg = (x < 0.0) & ~below
     w[pos] = libm(math.log1p, x[pos])
     p = np.sqrt(2.0 * (math.e * x[neg] + 1.0))
-    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * libm(partial(pow, exp=3), p) / 72.0
+    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * libm(_CUBE, p) / 72.0
     w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)  # stay on the negative side
     iterated = np.flatnonzero(pos | neg)
     active = iterated
+    back = np.full(active.size, math.nan)  # w two passes back
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(50):
+        for k in range(1, _PASSES + 1):
             if active.size == 0:
                 break
             wa, xa = w[active], x[active]
@@ -185,9 +192,15 @@ def lambert_w0(x):
             step = f / denom
             w_next = wa - step
             w_next[w_next < -1.0] = -1.0 + 1e-16
-            w[active] = np.where(halt, wa, w_next)
             done = halt | (np.abs(step) <= 2e-16 * (1.0 + np.abs(w_next)))
-            active = active[~done]
+            # A pass is a function of (w, x), so an element back at its w of
+            # two passes ago flips between two floats until the last pass:
+            # retire it with the member that pass _PASSES would leave.
+            cycle = ~done & (w_next == back)
+            odd = (_PASSES - k) % 2 == 1
+            w[active] = np.where(halt | (cycle & odd), wa, w_next)
+            keep = ~(done | cycle)
+            active, back = active[keep], wa[keep]
         wi, xi = w[iterated], x[iterated]
         certified = (np.abs(wi * libm(math.exp, wi) - xi)
                      <= 1e-12 * np.maximum(1.0, np.abs(xi)))

@@ -21,7 +21,6 @@ has the law of |a + z| for circularly symmetric scatter z.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQUARE = partial(pow, exp=2)  # x ** 2 on a float: the C library's pow
+_SQUARE = (2.0).__rpow__  # x ** 2 on a float: the C library's pow
 
 
 @dataclass(frozen=True)
@@ -118,18 +117,24 @@ def conjugate_beamform(h: np.ndarray, p_t: float) -> tuple[np.ndarray, float]:
     return w, float(_effective_gain(np.abs(h), p_t))
 
 
-def _amplitudes(params: SystemParams, rng: np.random.Generator,
-                n_frames: int) -> np.ndarray:
-    """Complex amplitudes of n_frames consecutive frames, shape
-    (n_frames, n_antennas + 1): antennas 0..N-1, then the offload link, each
-    in its dominant-path frame, from one standard_normal call."""
-    normals = rng.standard_normal((n_frames, params.n_antennas + 1, 2))
+def _amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
+    """Complex amplitudes from scatter normals of shape (..., n_antennas + 1,
+    2): antennas 0..N-1, then the offload link, each in its dominant-path
+    frame."""
     loss = [pathloss_db(d, params.carrier_freq_mhz, params.pathloss_coeff)
             for d in (params.dist_ap_dev, params.dist_dev_server)]
     scale_h, scale_g = (math.sqrt(10.0 ** (-db / 10.0)) for db in loss)
     return _rician_amplitude(params.rician_k_linear,
                              np.array([scale_h] * params.n_antennas + [scale_g]),
                              0.0, normals[..., 0], normals[..., 1])
+
+
+def _normals(params: SystemParams, rngs, n_frames: int) -> np.ndarray:
+    """Scatter normals of n_frames consecutive frames from each generator,
+    shape (len(rngs), n_frames, n_antennas + 1, 2): one standard_normal
+    call per generator."""
+    shape = (n_frames, params.n_antennas + 1, 2)
+    return np.stack([rng.standard_normal(shape) for rng in rngs])
 
 
 def _gains(params: SystemParams, amplitude: np.ndarray):
@@ -146,17 +151,25 @@ def _gains(params: SystemParams, amplitude: np.ndarray):
             libm(_SQUARE, magnitude[..., n]))
 
 
+def _draw_gains(params: SystemParams, rngs, n_frames: int):
+    """Gains of n_frames consecutive frames from each generator, as
+    draw_gains gives them, stacked: two arrays of shape (len(rngs),
+    n_frames), formed by one call of each array step for all generators."""
+    return _gains(params, _amplitudes(params, _normals(params, rngs, n_frames)))
+
+
 def draw_gains(params: SystemParams, rng: np.random.Generator,
                n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Effective downlink gains and offload power gains of n_frames
     consecutive frames, each of shape (n_frames,).  Consumes the generator
     as n_frames calls of realize_channels do, and returns the same gains."""
-    return _gains(params, _amplitudes(params, rng, n_frames))
+    gd, go = _draw_gains(params, [rng], n_frames)
+    return gd[0], go[0]
 
 
 def realize_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
     """One frame's amplitudes and gains: a one-frame draw_gains."""
-    amplitude = _amplitudes(params, rng, 1)[0]
+    amplitude = _amplitudes(params, _normals(params, [rng], 1))[0, 0]
     eff_gain, gain_offload = (float(g) for g in _gains(params, amplitude))
     return ChannelRealization(h=amplitude[:-1], g=complex(amplitude[-1]),
                               eff_gain_down=eff_gain, gain_offload=gain_offload)

@@ -38,7 +38,7 @@ from .allocator import (
     harvest_only_result,
     solve_frames,
 )
-from .channel import draw_gains
+from .channel import _draw_gains, draw_gains
 from .energy import harvested_energy
 from .params import SystemParams, with_overrides
 
@@ -195,9 +195,8 @@ class MonteCarloResult:
 def _draw_trials(task) -> tuple[np.ndarray, np.ndarray]:
     """(trials x frames) gain arrays for one chunk of trials."""
     params, n_frames, master_seed, trials = task
-    gd, go = zip(*(draw_gains(params, trial_rng(master_seed, t), n_frames)
-                   for t in trials))
-    return np.stack(gd), np.stack(go)
+    return _draw_gains(params, [trial_rng(master_seed, t) for t in trials],
+                       n_frames)
 
 
 def _ci_halfwidth(values: list[float]) -> float:

@@ -1,6 +1,7 @@
 import logging
 import math
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,12 +15,16 @@ from swiptfog import (
     evaluate_strategies,
     harvested_energy,
     lambert_w0,
+    load_params,
     local_feasible,
     offload_feasible,
     solve_local,
     solve_offload,
+    monte_carlo,
     throughput,
 )
+from swiptfog import allocator
+from swiptfog._libm import libm
 from swiptfog.allocator import choose_modes, harvest_only_result, solve_frames
 from swiptfog.bruteforce import bisect_lambert
 from swiptfog.params import with_overrides
@@ -168,6 +173,104 @@ def test_root_solver_agrees_with_bisection():
     ])
     for x in xs:
         assert abs(lambert_w0(float(x)) - bisect_lambert(float(x))) <= 1e-11
+
+
+def _halley_all_passes(x):
+    """lambert_w0 without cycle retirement: every element runs until its
+    step is at rounding level or 50 passes are spent, from the same start
+    values and with the same pass.  Returns w, the passes each element ran
+    and the first pass k whose w equals the element's w of pass k - 2 while
+    the element iterates on (0 where none does)."""
+    x = np.asarray(x, dtype=float)
+    w = np.zeros(x.shape)
+    pos, neg = x > 0.0, x < 0.0
+    w[pos] = libm(math.log1p, x[pos])
+    p = np.sqrt(2.0 * (math.e * x[neg] + 1.0))
+    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * libm(partial(pow, exp=3), p) / 72.0
+    w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)
+    passes = np.zeros(x.shape, dtype=int)
+    cycle_pass = np.zeros(x.shape, dtype=int)
+    back = np.full(x.shape, math.nan)
+    active = np.flatnonzero(pos | neg)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, 51):
+            if active.size == 0:
+                break
+            wa, xa = w[active], x[active]
+            ew = libm(math.exp, wa)
+            f = wa * ew - xa
+            wp1 = wa + 1.0
+            halt = (f == 0.0) | (wp1 == 0.0)
+            denom = ew * wp1 - (wa + 2.0) * f / (2.0 * wp1)
+            step = f / denom
+            w_next = wa - step
+            w_next[w_next < -1.0] = -1.0 + 1e-16
+            w[active] = np.where(halt, wa, w_next)
+            done = halt | (np.abs(step) <= 2e-16 * (1.0 + np.abs(w_next)))
+            passes[active] = k
+            first = active[~done & (w_next == back[active])
+                           & (cycle_pass[active] == 0)]
+            cycle_pass[first] = k
+            back[active] = wa
+            active = active[~done]
+    return w, passes, cycle_pass
+
+
+def _near_branch(n, seed):
+    """n inputs in (-1/e, -1/e + 0.05), uniform, and n more log-spaced from
+    the branch point."""
+    rng = np.random.default_rng(seed)
+    return -1.0 / math.e + np.concatenate([
+        rng.uniform(0.0, 0.05, n), 10.0 ** rng.uniform(-17.0, -1.3, n)])
+
+
+def _mc_outage_roots(monkeypatch):
+    """Every lambert_w0 argument of monte_carlo on the benchmark's outage
+    problem (ops_per_bit 1e4) at 6, 10 and 15 m, 100 frames x 60 trials."""
+    seen = []
+    solver = allocator.lambert_w0
+    base = with_overrides(load_params("", env={}), ops_per_bit=1e4)
+    with monkeypatch.context() as m:
+        m.setattr(allocator, "lambert_w0",
+                  lambda x: seen.append(np.array(x)) or solver(x))
+        for dist in (6.0, 10.0, 15.0):
+            monte_carlo(with_overrides(base, dist_ap_dev=dist), 100, 60, 256)
+    return np.concatenate(seen)
+
+
+def test_root_solver_bits_equal_the_all_passes_loop(monkeypatch):
+    rng = np.random.default_rng(17)
+    near = _near_branch(50_000, 3)
+    xs = np.concatenate([
+        near, 10.0 ** rng.uniform(-300.0, 300.0, 20_000),
+        -10.0 ** rng.uniform(-300.0, math.log10(1.0 / math.e), 20_000),
+        _mc_outage_roots(monkeypatch)])
+    want, passes, cycle_pass = _halley_all_passes(xs)
+    # the inputs hold elements retired at both parities of the pass count,
+    # and every element that runs out of passes is caught in a cycle
+    assert {1, 0} <= set((cycle_pass[cycle_pass > 0] % 2).tolist())
+    assert (cycle_pass[passes == 50] > 0).all()
+    for order in (np.arange(xs.size), rng.permutation(xs.size)):
+        got = lambert_w0(xs[order])
+        assert np.array_equal(got.view(np.int64), want[order].view(np.int64))
+
+
+def test_root_solver_retires_cycling_elements_within_a_few_passes(monkeypatch):
+    xs = _near_branch(20_000, 5)
+    _, passes, _ = _halley_all_passes(xs)
+    stuck = xs[passes == 50]  # each costs 51 exp calls without retirement
+    assert stuck.size > 1_000
+    counted = []
+
+    def counting_libm(fn, x):
+        if fn is math.exp:
+            counted.append(np.size(x))
+        return libm(fn, x)
+
+    monkeypatch.setattr(allocator, "libm", counting_libm)
+    lambert_w0(stuck)
+    # passes to the cycle, plus the residual check
+    assert sum(counted) <= 8 * stuck.size
 
 
 # --- offload closed form ---------------------------------------------------

@@ -43,7 +43,7 @@ from swiptfog.allocator import StrategyArrays, solve_frames
 from swiptfog.channel import draw_gains
 from swiptfog.cli import certify
 from swiptfog.params import with_overrides
-from swiptfog.sim import TRIAL_CHUNK, trial_rng
+from swiptfog.sim import TRIAL_CHUNK, _draw_trials, trial_rng
 
 from conftest import FEW_CELL_DECODE
 
@@ -221,6 +221,24 @@ def test_draw_gains_match_realize_channels(params):
     for g_d, g_o in zip(gd.tolist(), go.tolist()):
         ch = realize_channels(params, rng)
         assert (ch.eff_gain_down, ch.gain_offload) == (g_d, g_o)
+
+
+@pytest.mark.parametrize("n_antennas", [1, 8])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_chunk_gains_equal_stacked_draw_gains(params, n_antennas, normalize):
+    p = with_overrides(params, n_antennas=n_antennas,
+                       normalize_beamforming=normalize)
+    n_trials = 2 * TRIAL_CHUNK + 3
+    # a one-trial chunk, a full one and the final partial one
+    for trials in (range(5, 6), range(TRIAL_CHUNK, 2 * TRIAL_CHUNK),
+                   range(2 * TRIAL_CHUNK, n_trials)):
+        gd, go = _draw_trials((p, 40, 77, trials))
+        per_trial = [draw_gains(p, trial_rng(77, t), 40) for t in trials]
+        for got, want in ((gd, [g for g, _ in per_trial]),
+                          (go, [g for _, g in per_trial])):
+            assert got.shape == (len(trials), 40)
+            assert np.array_equal(got.view(np.int64),
+                                  np.stack(want).view(np.int64))
 
 
 def _scalar_replay(params, n_frames, n_trials, master_seed):
