@@ -8,10 +8,12 @@ banked.  A frame spent harvesting is an outage; the outage probability is the
 mean of the outage indicator.
 
 Execution: frames are simulated as (trials x frames) arrays.  Each trial
-draws all its channel normals with one call on its own generator; the gains
-and both programs (allocator.solve_frames) are then formed by array calls,
-and the storage recursion, the only sequential step, loops over frames with
-all trials in one array.  Only run_trace builds FrameRecord objects.
+draws all its channel normals with one call on its own generator.  The
+gains of a chunk of TRIAL_CHUNK trials are formed by one set of array calls,
+with the bits of per-trial draws; both programs (allocator.solve_frames) are
+solved by array calls, and the storage recursion, the only sequential step,
+loops over frames with all trials in one array.  Only run_trace builds
+FrameRecord objects.
 
 Reproducibility (random stream STREAM_VERSION): trial t of master seed m
 draws from SeedSequence(m).spawn(n)[t] (trial_rng), so results depend on
@@ -38,7 +40,7 @@ from .allocator import (
     harvest_only_result,
     solve_frames,
 )
-from .channel import _draw_gains, draw_gains
+from .channel import _draw_gains
 from .energy import harvested_energy
 from .params import SystemParams, with_overrides
 
@@ -136,8 +138,7 @@ def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
         raise ValueError("n_frames must be >= 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    gd, go = (g[np.newaxis] for g in
-              draw_gains(params, trial_rng(seed, 0), n_frames))
+    gd, go = _draw_gains(params, [trial_rng(seed, 0)], n_frames)
     frames = _simulate(params, gd, go)
     records = []
     for i, level in enumerate(frames.storage[0].tolist()):
