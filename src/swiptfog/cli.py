@@ -10,9 +10,9 @@ simulate   multi-frame storage statistics, written as CSV
 verify     certify the closed-form optima against the grid searches and the
            root solver against bisection
 
-Every run is reproducible: all randomness flows from --seed, CSV floats are
-written with repr so files are byte-identical across runs, and --jobs only
-changes wall time, never results.
+Every run is reproducible: all randomness flows from --seed, and CSV floats
+are written with repr so files are byte-identical across runs.  Runs are
+single-process.
 
 Exit codes: 0 success, 1 usage error, 2 invalid configuration,
 3 verification failure.
@@ -173,7 +173,7 @@ def cmd_sweep(args) -> int:
     params = _load_config(args.config)
     axis = _AXES[args.axis]
     rows = sweep(params, axis, args.values, n_frames=args.frames,
-                 n_trials=args.trials, master_seed=args.seed, jobs=args.jobs)
+                 n_trials=args.trials, master_seed=args.seed)
     path = _write_csv(args.out_dir, f"sweep_{axis.value}.csv",
                       SWEEP_CSV_COLUMNS, sweep_csv_rows(rows))
     for row in rows:
@@ -189,7 +189,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     params = _load_config(args.config)
     result = monte_carlo(params, n_frames=args.frames, n_trials=args.trials,
-                         master_seed=args.seed, jobs=args.jobs)
+                         master_seed=args.seed)
     rows = [[str(f), repr(storage), repr(outage)] for f, (storage, outage)
             in enumerate(zip(result.mean_storage, result.outage_per_frame))]
     path = _write_csv(args.out_dir, "frames.csv", FRAME_STATS_CSV_COLUMNS, rows)
@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key=value parameter file")
         p.add_argument("--seed", type=_seed, required=True,
                        help="master seed; all randomness derives from it")
-        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                       help="worker processes (results are jobs-independent)")
+        # accepted and ignored: the benchmark workloads still pass --jobs 1
+        p.add_argument("--jobs", type=_positive_int, help=argparse.SUPPRESS)
         p.add_argument("--out-dir", default=".", help="directory for CSV output")
 
     p = sub.add_parser("allocate", help="solve and report a single frame")

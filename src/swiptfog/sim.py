@@ -7,27 +7,24 @@ energy); otherwise the whole frame harvests and the full-frame harvest is
 banked.  A frame spent harvesting is an outage; the outage probability is the
 mean of the outage indicator.
 
-Execution: frames are simulated as (trials x frames) arrays.  Each trial
-draws all its channel normals with one call on its own generator.  The
-gains of a chunk of TRIAL_CHUNK trials are formed by one set of array calls,
-with the bits of per-trial draws; both programs (allocator.solve_frames) are
-solved by array calls, and the storage recursion, the only sequential step,
-loops over frames with all trials in one array.  Only run_trace builds
-FrameRecord objects.
+Execution: frames are simulated in one process as (trials x frames) arrays.
+Each trial draws all its channel normals with one call on its own generator.
+The gains of a chunk of TRIAL_CHUNK trials are formed by one set of array
+calls, with the bits of per-trial draws; both programs
+(allocator.solve_frames) are solved by array calls, and the storage
+recursion, the only sequential step, loops over frames with all trials in
+one array.  Only run_trace builds FrameRecord objects.
 
 Reproducibility (random stream STREAM_VERSION): trial t of master seed m
-draws from SeedSequence(m).spawn(n)[t] (trial_rng), so results depend on
-neither the worker count nor chunking, more trials extend a shorter run, and
-run_trace(seed) is trial 0 of seed.  With jobs > 1 the draws are sharded in
-chunks of TRIAL_CHUNK trials; workers return only the gain arrays, and the
-rest runs in the calling process.  Aggregates use exact summation
-(math.fsum), so they do not depend on trial order either.
+draws from SeedSequence(m).spawn(n)[t] (trial_rng), so results do not
+depend on chunking, more trials extend a shorter run, and run_trace(seed) is
+trial 0 of seed.  Aggregates use exact summation (math.fsum), so they do not
+depend on trial order either.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -69,7 +66,7 @@ __all__ = [
 # Version 1 seeded trial t with master_seed XOR t and drew frame by frame.
 STREAM_VERSION = 2
 
-# Trials per unit of work when monte_carlo shards its channel draws.
+# Trials per stacked normal draw in monte_carlo; it bounds that array's size.
 TRIAL_CHUNK = 32
 
 
@@ -163,22 +160,6 @@ def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
 
 
 @dataclass(frozen=True)
-class StrategyAverages:
-    mean_cost_local: float
-    mean_cost_offload: float
-    mean_e_decode: float
-    mean_e_compute: float
-    mean_e_offload: float
-    mean_e_harvest_local: float
-    mean_e_harvest_offload: float
-    frac_local: float
-    frac_offload: float
-    frac_harvest_only: float
-    n_local_feasible: int
-    n_offload_feasible: int
-
-
-@dataclass(frozen=True)
 class MonteCarloResult:
     params: SystemParams
     n_frames: int
@@ -189,15 +170,6 @@ class MonteCarloResult:
     outage: float
     outage_ci: float          # 1.96 * stderr over trials (normal approx.)
     mean_processed_cost: float
-    mean_processed_cost_ci: float
-    averages: StrategyAverages
-
-
-def _draw_trials(task) -> tuple[np.ndarray, np.ndarray]:
-    """(trials x frames) gain arrays for one chunk of trials."""
-    params, n_frames, master_seed, trials = task
-    return _draw_gains(params, [trial_rng(master_seed, t) for t in trials],
-                       n_frames)
 
 
 def _ci_halfwidth(values: list[float]) -> float:
@@ -215,40 +187,63 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
     return math.fsum(values[mask].tolist()) / count if count else math.nan
 
 
-def monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
-                master_seed: int, jobs: int = 1) -> MonteCarloResult:
-    """Average n_trials independent traces; identical results for any jobs."""
+def _monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
+                 master_seed: int) -> tuple[MonteCarloResult, _Frames]:
+    """monte_carlo's result and the simulated frames it aggregates."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    tasks = [(params, n_frames, master_seed,
-              range(i, min(i + TRIAL_CHUNK, n_trials)))
-             for i in range(0, n_trials, TRIAL_CHUNK)]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            chunks = pool.map(_draw_trials, tasks)
-    else:
-        chunks = [_draw_trials(task) for task in tasks]
+    chunks = [_draw_gains(params, [trial_rng(master_seed, t) for t in
+                                   range(i, min(i + TRIAL_CHUNK, n_trials))],
+                          n_frames)
+              for i in range(0, n_trials, TRIAL_CHUNK)]
     gd, go = (np.concatenate(gains) for gains in zip(*chunks))
     frames = _simulate(params, gd, go)
-    local, offload, processed = frames.local, frames.offload, frames.processed
 
     mean_storage = tuple(math.fsum(column) / n_trials
                          for column in frames.storage.T.tolist())
-    harvested = ~processed
+    harvested = ~frames.processed
     outage_per_frame = tuple(n / n_trials for n in harvested.sum(axis=0).tolist())
     per_trial_outage = [n / n_frames for n in harvested.sum(axis=1).tolist()]
-    outage = math.fsum(per_trial_outage) / n_trials
+    return MonteCarloResult(
+        params=params, n_frames=n_frames, n_trials=n_trials,
+        master_seed=master_seed, mean_storage=mean_storage,
+        outage_per_frame=outage_per_frame,
+        outage=math.fsum(per_trial_outage) / n_trials,
+        outage_ci=_ci_halfwidth(per_trial_outage),
+        mean_processed_cost=_masked_mean(frames.cost, frames.processed)), frames
 
-    per_trial_cost = [math.fsum(c[m].tolist()) / np.count_nonzero(m)
-                      for c, m in zip(frames.cost, processed) if m.any()]
-    n_all = n_frames * n_trials
+
+def monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
+                master_seed: int) -> MonteCarloResult:
+    """Average n_trials independent traces."""
+    return _monte_carlo(params, n_frames, n_trials, master_seed)[0]
+
+
+@dataclass(frozen=True)
+class StrategyAverages:
+    mean_cost_local: float
+    mean_cost_offload: float
+    mean_e_decode: float
+    mean_e_compute: float
+    mean_e_offload: float
+    mean_e_harvest_local: float
+    mean_e_harvest_offload: float
+    frac_local: float
+    frac_offload: float
+    frac_harvest_only: float
+
+
+def _strategy_averages(frames: _Frames) -> StrategyAverages:
+    """Per-mode means over the frames where the mode is feasible; mode shares."""
+    local, offload, processed = frames.local, frames.offload, frames.processed
+    n_all = processed.size
     n_offloaded = int(np.count_nonzero(processed & frames.offloads))
     n_processed = int(np.count_nonzero(processed))
-    averages = StrategyAverages(
+    return StrategyAverages(
         mean_cost_local=_masked_mean(local.cost, local.feasible),
         mean_cost_offload=_masked_mean(offload.cost, offload.feasible),
         mean_e_decode=_masked_mean(np.where(local.feasible, local.e_decode,
@@ -260,18 +255,7 @@ def monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
         mean_e_harvest_offload=_masked_mean(offload.e_harvest, offload.feasible),
         frac_local=(n_processed - n_offloaded) / n_all,
         frac_offload=n_offloaded / n_all,
-        frac_harvest_only=(n_all - n_processed) / n_all,
-        n_local_feasible=int(np.count_nonzero(local.feasible)),
-        n_offload_feasible=int(np.count_nonzero(offload.feasible)),
-    )
-    return MonteCarloResult(
-        params=params, n_frames=n_frames, n_trials=n_trials,
-        master_seed=master_seed, mean_storage=mean_storage,
-        outage_per_frame=outage_per_frame, outage=outage,
-        outage_ci=_ci_halfwidth(per_trial_outage),
-        mean_processed_cost=_masked_mean(frames.cost, processed),
-        mean_processed_cost_ci=_ci_halfwidth(per_trial_cost),
-        averages=averages)
+        frac_harvest_only=(n_all - n_processed) / n_all)
 
 
 class SweepAxis(Enum):
@@ -290,17 +274,18 @@ class SweepRow:
 
 
 def sweep(params: SystemParams, axis: SweepAxis, values, n_frames: int,
-          n_trials: int, master_seed: int, jobs: int = 1) -> list[SweepRow]:
-    """Monte-Carlo aggregates at each axis value (same seeds per value, so
-    columns are comparable across the sweep)."""
+          n_trials: int, master_seed: int) -> list[SweepRow]:
+    """Outage and per-strategy means at each axis value (same seeds per
+    value, so columns are comparable across the sweep)."""
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
     rows = []
     for value in values:
         p = with_overrides(params, **{axis.value: value})
-        mc = monte_carlo(p, n_frames, n_trials, master_seed, jobs=jobs)
-        rows.append(SweepRow(axis=axis, value=value, averages=mc.averages,
+        mc, frames = _monte_carlo(p, n_frames, n_trials, master_seed)
+        rows.append(SweepRow(axis=axis, value=value,
+                             averages=_strategy_averages(frames),
                              outage=mc.outage, outage_ci=mc.outage_ci))
     return rows
 

@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from conftest import random_gain_pairs
 
+import swiptfog
 from swiptfog.allocator import solve_frames
 from swiptfog.cli import certify, main
 from swiptfog.energy import offload_power
@@ -185,6 +190,36 @@ def test_simulate_frames_csv_bits_are_pinned(capsys, tmp_path):
     digest = hashlib.sha256((tmp_path / "frames.csv").read_bytes()).hexdigest()
     assert digest == (
         "04a40908c9433ca061a219915a0ac2a70fa8a5dac221354d908a92d05377cf86")
+
+
+@pytest.mark.parametrize("axis,values,digest", [
+    ("ops-per-bit", "1e3,1e4,2e4",
+     "40d21e288cd174ee14f8a541ed083872e7a0be79bc98e66f4df26b43c33ae968"),
+    ("dist-ap-dev", "3,9,15",
+     "6697b87b04acef464659188e56e55a55cf7b100d3020874cfe264253b66b768f"),
+])
+def test_sweep_csv_bits_are_pinned(capsys, tmp_path, axis, values, digest):
+    """sha256 of the sweep CSV at seed 256, 30 frames x 40 trials (two trial
+    chunks) per value.  It pins the per-strategy means, the decision
+    fractions and the outage columns, on top of random stream 2; the C
+    library caveat of the frames.csv digest holds here too."""
+    code, out, _ = run(capsys, "sweep", "--seed", "256", "--axis", axis,
+                       "--values", values, "--frames", "30", "--trials", "40",
+                       "--out-dir", str(tmp_path))
+    assert code == 0, out
+    name = f"sweep_{axis.replace('-', '_')}.csv"
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """The CLI is single-process; importing it must not pull in
+    multiprocessing (and with it socket and selectors)."""
+    probe = "import sys, swiptfog.cli; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(swiptfog.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_detects_injected_perturbation(params):

@@ -40,10 +40,10 @@ from swiptfog import (
     throughput,
 )
 from swiptfog.allocator import StrategyArrays, solve_frames
-from swiptfog.channel import draw_gains
+from swiptfog.channel import _draw_gains, draw_gains
 from swiptfog.cli import certify
 from swiptfog.params import with_overrides
-from swiptfog.sim import TRIAL_CHUNK, _draw_trials, trial_rng
+from swiptfog.sim import TRIAL_CHUNK, trial_rng
 
 from conftest import FEW_CELL_DECODE
 
@@ -232,7 +232,7 @@ def test_chunk_gains_equal_stacked_draw_gains(params, n_antennas, normalize):
     # a one-trial chunk, a full one and the final partial one
     for trials in (range(5, 6), range(TRIAL_CHUNK, 2 * TRIAL_CHUNK),
                    range(2 * TRIAL_CHUNK, n_trials)):
-        gd, go = _draw_trials((p, 40, 77, trials))
+        gd, go = _draw_gains(p, [trial_rng(77, t) for t in trials], 40)
         per_trial = [draw_gains(p, trial_rng(77, t), 40) for t in trials]
         for got, want in ((gd, [g for g, _ in per_trial]),
                           (go, [g for _, g in per_trial])):
@@ -279,13 +279,6 @@ def test_monte_carlo_matches_scalar_replay(params, dist):
     # the trace takes the same decisions, frame by frame
     trace = run_trace(p, n_frames, seed)
     assert [r.i_s for r in trace.records] == outage[0].tolist()
-
-
-def test_monte_carlo_chunks_are_jobs_independent(params):
-    n_trials = 2 * TRIAL_CHUNK + 3  # three chunks, so jobs=2 starts a pool
-    a = monte_carlo(params, n_frames=10, n_trials=n_trials, master_seed=8, jobs=1)
-    b = monte_carlo(params, n_frames=10, n_trials=n_trials, master_seed=8, jobs=2)
-    assert a == b
 
 
 _params_strategy = st.builds(

@@ -156,13 +156,23 @@ def test_more_trials_extend_a_shorter_run(params, monkeypatch):
     assert np.array_equal(go_n[:k], go_k)
 
 
-def test_monte_carlo_jobs_do_not_change_results(params):
-    a = monte_carlo(params, n_frames=20, n_trials=8, master_seed=3, jobs=1)
-    b = monte_carlo(params, n_frames=20, n_trials=8, master_seed=3, jobs=2)
-    assert a.mean_storage == b.mean_storage
-    assert a.outage_per_frame == b.outage_per_frame
-    assert a.outage == b.outage and a.outage_ci == b.outage_ci
-    assert a.averages == b.averages
+def _chunked_results(params):
+    n_trials = 2 * TRIAL_CHUNK + 3
+    mc = monte_carlo(params, n_frames=12, n_trials=n_trials, master_seed=8)
+    rows = [sweep(params, axis, values, n_frames=12, n_trials=n_trials,
+                  master_seed=8)
+            for axis, values in ((SweepAxis.DIST_AP_DEV, [4.0, 10.0, 15.0]),
+                                 (SweepAxis.DIST_DEV_SERVER, [5.0, 20.0]))]
+    return mc, rows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32])
+def test_results_do_not_depend_on_trial_chunk(params, monkeypatch, chunk):
+    # the stacked draw of a chunk has the bits of per-trial draws, so the
+    # chunk size changes nothing that monte_carlo or sweep returns
+    want = _chunked_results(params)
+    monkeypatch.setattr(sim, "TRIAL_CHUNK", chunk)
+    assert _chunked_results(params) == want
 
 
 def test_trial_seed_permutation_leaves_means_unchanged(params):

@@ -2,8 +2,6 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_8.json \
         --workload mc_outage --seed 1 --pairs 10 --seconds 56
-    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_8.json \
-        --pool 100x250,200x2000
 
 The parent commit (--parent: HEAD~1 once the change is committed, HEAD
 while it is not) is unpacked with ``git archive`` into a temporary
@@ -14,11 +12,6 @@ even ones.  The record of every run, each side's median and quartiles of
 every end-to-end metric of BENCHMARK.json, and the pairs the change wins
 are written to results["<W>_seed<S>"] of --out; other keys of an existing
 file are kept, so seeds and workloads can be added by later calls.
-
-With --pool, each side instead times one in-process monte_carlo call per
-FRAMESxTRIALS size (criterion-6 parameters at 10 m) with jobs=1 and jobs=2,
-POOL_REPEATS times, sides and job counts interleaved; the result goes to
-results["pool"].
 """
 
 import argparse
@@ -36,21 +29,6 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
-
-POOL_REPEATS = 3
-
-# Times one monte_carlo call; run with the side's src/ first on sys.path.
-_POOL_SNIPPET = """
-import json, sys, time
-sys.path.insert(0, sys.argv[1])
-from swiptfog import load_params, monte_carlo
-from swiptfog.params import with_overrides
-p = with_overrides(load_params("", env={}), ops_per_bit=1e4, dist_ap_dev=10.0)
-frames, trials, jobs = map(int, sys.argv[2:5])
-start = time.perf_counter()
-mc = monte_carlo(p, frames, trials, master_seed=256, jobs=jobs)
-print(json.dumps({"s": time.perf_counter() - start, "outage": mc.outage}))
-"""
 
 
 def _clean_env():
@@ -172,42 +150,15 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
     return entry
 
 
-def pool_timings(parent_tree, sizes):
-    times = {}
-    trees = {"parent": parent_tree, "change": ROOT}
-    for r in range(POOL_REPEATS):
-        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-        for frames, trials in sizes:
-            for side in order:
-                for jobs in ((1, 2) if r % 2 == 0 else (2, 1)):
-                    proc = subprocess.run(
-                        [sys.executable, "-c", _POOL_SNIPPET,
-                         str(trees[side] / "src"), str(frames), str(trials),
-                         str(jobs)],
-                        env=_clean_env(), capture_output=True, text=True,
-                        check=True, timeout=600)
-                    key = f"{side} {frames}x{trials} jobs={jobs}"
-                    times.setdefault(key, []).append(json.loads(proc.stdout))
-                    print(key, times[key][-1], flush=True)
-    return {key: {"s_runs": [t["s"] for t in ts],
-                  "s_min": min(t["s"] for t in ts),
-                  "s_median": statistics.median(t["s"] for t in ts),
-                  "outage": ts[0]["outage"]}
-            for key, ts in times.items()}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to update")
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--workload", help="perfbench workload")
+    parser.add_argument("--workload", required=True, help="perfbench workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=56.0)
-    parser.add_argument("--pool", help="comma-separated FRAMESxTRIALS sizes")
     args = parser.parse_args(argv)
-    if (args.workload is None) == (args.pool is None):
-        parser.error("give exactly one of --workload and --pool")
 
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
@@ -226,13 +177,9 @@ def main(argv=None):
         })
         results = record.setdefault("results", {})
         started = time.time()
-        if args.pool:
-            sizes = [tuple(map(int, s.split("x"))) for s in args.pool.split(",")]
-            results["pool"] = pool_timings(parent_tree, sizes)
-        else:
-            results[f"{args.workload}_seed{args.seed}"] = bench_pairs(
-                parent_tree, args.workload, args.seed, args.pairs, args.seconds,
-                bench["end_to_end"])
+        results[f"{args.workload}_seed{args.seed}"] = bench_pairs(
+            parent_tree, args.workload, args.seed, args.pairs, args.seconds,
+            bench["end_to_end"])
         print(f"done in {time.time() - started:.0f} s", flush=True)
     out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
