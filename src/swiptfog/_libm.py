@@ -1,16 +1,15 @@
-"""C-library evaluation of math functions over arrays.
+"""C-library evaluation of math functions over arrays, for the oracle.
 
-numpy's own loops for exp, log and power may round differently from the C
-library in the last bit; on AVX-512 builds they do, for a few percent of
-inputs.  The array code evaluates these functions through the math module,
-so that its bits do not depend on how numpy was built.
+The grid oracle (bruteforce), verify's root-residual check (cli.certify)
+and verify's gain draw evaluate exp, log2, log1p and pow through the math
+module, one element at a time.  The kernel does not: its exp, log2 and
+2**u - 1 come from _ieee.  So the oracle checks the kernel against an
+independent implementation of every transcendental it uses.
 
-A power with a fixed exponent is mapped as a bound float method,
-``(2.0).__rpow__`` for x ** 2: the same C pow call as ``partial(pow,
-exp=2)`` at about a third of the cost per element, since a keyword partial
-builds a keyword call for every element.  ``np.square`` is no substitute:
-it multiplies, and a product can differ from the C library's pow(x, 2) in
-the last bit.
+A power with a fixed base is mapped as a bound callable such as
+``partial(pow, 10.0)``.  The oracle's offload grid sweep is the exception:
+it evaluates 2**u with numpy's exp2, whose last bit may depend on the numpy
+build.
 """
 
 import numpy as np

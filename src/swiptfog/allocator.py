@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._libm import libm
+from . import _ieee
 from .energy import (
     EnergyBreakdown,
     compute_energy,
@@ -70,9 +70,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_INV_E = math.exp(-1.0)
+_INV_E = 1.0 / math.e  # the bits of exp(-1), without a C-library call
 _PASSES = 50  # Halley passes lambert_w0 allows an element
-_CUBE = (3.0).__rpow__  # x ** 3 on a float: the C library's pow
 
 
 class Strategy(Enum):
@@ -115,7 +114,7 @@ def _check_gains(**gains) -> None:
 
 def _log2_capacity(params: SystemParams, eff_gain_down):
     """log2(1 + SNR) of the downlink, element-wise."""
-    return libm(math.log2, 1.0 + eff_gain_down / params.noise_dev)
+    return _ieee.log2(1.0 + eff_gain_down / params.noise_dev)
 
 
 def _local_fits(params: SystemParams, l2):
@@ -145,20 +144,64 @@ def offload_feasible(params: SystemParams, eff_gain_down: float) -> bool:
     return bool(_offload_fits(params, _log2_capacity(params, eff_gain_down)))
 
 
+def _halley_pass(k, w, x, active, back2, back3):
+    """Pass k of lambert_w0's Halley iteration on the elements active of w,
+    which it updates; back2 and back3 are their w of passes k-2 and k-3.
+    Returns the elements that iterate on, with their w of passes k-1 and
+    k-2.  Its temporaries are freed before the next pass starts."""
+    wa, xa = w[active], x[active]
+    ew = _ieee.exp(wa)
+    # in place, in the order of
+    #   f = w e^w - x,  step = f / (e^w (w+1) - (w+2) f / (2 (w+1)))
+    f = wa * ew
+    f -= xa
+    wp1 = wa + 1.0
+    halt = (f == 0.0) | (wp1 == 0.0)
+    denom = wa + 2.0
+    denom *= f
+    denom /= 2.0 * wp1
+    ew *= wp1
+    np.subtract(ew, denom, out=denom)
+    step = np.divide(f, denom, out=f)
+    w_next = np.subtract(wa, step, out=denom)
+    w_next[w_next < -1.0] = -1.0 + 1e-16
+    # |step| <= 2e-16 (1 + |w_next|)
+    tol = np.abs(w_next, out=ew)
+    tol += 1.0
+    tol *= 2e-16
+    done = np.abs(step, out=step) <= tol
+    done |= halt
+    # A pass is a function of (w, x), so an element back at its w of n = 2
+    # or 3 passes ago cycles through n floats until the last pass: retire
+    # it with the member that pass _PASSES would leave, the w of pass
+    # k - ((k - _PASSES) mod n).
+    recent = (w_next, wa, back2, back3)  # w of passes k, k-1, ...
+    w_new = np.where(halt, wa, w_next)
+    cycle = np.zeros(active.size, dtype=bool)
+    for n in (2, 3):
+        caught = ~(done | cycle) & (w_next == recent[n])
+        if caught.any():
+            w_new = np.where(caught, recent[(k - _PASSES) % n], w_new)
+            cycle |= caught
+    w[active] = w_new
+    keep = ~(done | cycle)
+    return active[keep], wa[keep], back2[keep]
+
+
 def lambert_w0(x):
     """Principal branch of w * exp(w) = x for x >= -1/e, element-wise.
 
     Halley iteration (Corless et al., "On the Lambert W function", 1996)
-    from ln(1+x) for x > 0 and from the square-root series around the branch
-    point for x < 0.  Each element iterates until its step is at rounding
-    level (at most 50 passes) and must leave a residual |w e^w - x| within
-    1e-12 * max(1, |x|).  Near the branch point the step's rounding noise
-    can stay above that rule while w flips between two adjacent floats; a
-    pass depends on (w, x) alone, so an element whose w returns to its
-    value of two passes back is retired at once with the float the 50th
-    pass would leave (same bits, a few passes instead of 50).  A number
-    gives a float, an array an array of its shape.  No external
-    special-function dependency.
+    from log2(1+x) ln 2 for x > 0 and from the square-root series around
+    the branch point for x < 0; exp and log2 come from _ieee.  Each element
+    iterates until its step is at rounding level (at most 50 passes) and
+    must leave a residual |w e^w - x| within 1e-12 * max(1, |x|).  Near the
+    branch point the step's rounding noise can stay above that rule while w
+    cycles through two or three adjacent floats; a pass depends on (w, x)
+    alone, so an element whose w returns to its value of two or three
+    passes back is retired at once with the float the 50th pass would leave
+    (same bits, a few passes instead of 50).  A number gives a float, an
+    array an array of its shape.  No external special-function dependency.
     """
     x = np.asarray(x, dtype=float)
     shape, x = x.shape, x.ravel()
@@ -172,37 +215,20 @@ def lambert_w0(x):
     w = np.where(below, -1.0, 0.0)
     pos = x > 0.0
     neg = (x < 0.0) & ~below
-    w[pos] = libm(math.log1p, x[pos])
+    w[pos] = _ieee.log2(1.0 + x[pos]) * _ieee.LN2
     p = np.sqrt(2.0 * (math.e * x[neg] + 1.0))
-    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * libm(_CUBE, p) / 72.0
+    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
     w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)  # stay on the negative side
     iterated = np.flatnonzero(pos | neg)
     active = iterated
-    back = np.full(active.size, math.nan)  # w two passes back
+    back2 = back3 = np.full(active.size, math.nan)  # w 2 and 3 passes back
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, _PASSES + 1):
             if active.size == 0:
                 break
-            wa, xa = w[active], x[active]
-            ew = libm(math.exp, wa)
-            f = wa * ew - xa
-            wp1 = wa + 1.0
-            halt = (f == 0.0) | (wp1 == 0.0)
-            denom = ew * wp1 - (wa + 2.0) * f / (2.0 * wp1)
-            step = f / denom
-            w_next = wa - step
-            w_next[w_next < -1.0] = -1.0 + 1e-16
-            done = halt | (np.abs(step) <= 2e-16 * (1.0 + np.abs(w_next)))
-            # A pass is a function of (w, x), so an element back at its w of
-            # two passes ago flips between two floats until the last pass:
-            # retire it with the member that pass _PASSES would leave.
-            cycle = ~done & (w_next == back)
-            odd = (_PASSES - k) % 2 == 1
-            w[active] = np.where(halt | (cycle & odd), wa, w_next)
-            keep = ~(done | cycle)
-            active, back = active[keep], wa[keep]
+            active, back2, back3 = _halley_pass(k, w, x, active, back2, back3)
         wi, xi = w[iterated], x[iterated]
-        certified = (np.abs(wi * libm(math.exp, wi) - xi)
+        certified = (np.abs(wi * _ieee.exp(wi) - xi)
                      <= 1e-12 * np.maximum(1.0, np.abs(xi)))
     if not certified.all():
         raise ArithmeticError(
@@ -261,8 +287,8 @@ def solve_frames(params: SystemParams, eff_gain_down,
     path) and allocations exceeding the frame are infeasible.  Gains must be
     finite and non-negative, with a finite downlink SNR G / noise_dev and a
     finite root argument.
-    log2, exp and pow come from the C library, so results do not depend on
-    numpy's vector loops.
+    log2, exp and 2**u - 1 come from _ieee, so results do not depend on
+    the C library or on numpy's vector loops.
     """
     gd = np.asarray(eff_gain_down, dtype=float)
     go = np.asarray(gain_offload, dtype=float)
@@ -300,7 +326,7 @@ def solve_frames(params: SystemParams, eff_gain_down,
         ok = _offload_fits(params, l2) & (x > 0.0)
         w = np.full(gd.shape, math.nan)
         w[ok] = lambert_w0((x[ok] - 1.0) * _INV_E)
-        tau_o = (bits * math.log(2.0) / params.bw_offload) / (1.0 + w)
+        tau_o = (bits * _ieee.LN2 / params.bw_offload) / (1.0 + w)
         tau_e = tee - tau_d - tau_o
         ok &= (w > -1.0 + 1e-12) & (tau_e >= 0.0)
         p_o = np.full(gd.shape, math.nan)

@@ -12,9 +12,9 @@ carries ``p_transmit``, i.e. the array radiates ``n_antennas * p_transmit``.
 The flag exists because the phase-only weight definition and a single-number
 power budget cannot both hold for a multi-antenna array; see README.
 
-Random stream, version 2 (``sim.STREAM_VERSION``): a draw of n frames is
-one ``standard_normal((n, n_antennas + 1, 2))`` call, the scatter of every
-link of every frame.  Each amplitude is written in its link's dominant-path
+Random stream, since version 2 (``sim.STREAM_VERSION``): a draw of n
+frames is one ``standard_normal((n, n_antennas + 1, 2))`` call, the scatter
+of every link of every frame.  Each amplitude is written in its link's dominant-path
 frame, with no phase draw: the gains use only |h_i|, and |a*e^{j*theta} + z|
 has the law of |a + z| for circularly symmetric scatter z.
 """
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._libm import libm
 from .params import SystemParams
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQUARE = (2.0).__rpow__  # x ** 2 on a float: the C library's pow
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,8 @@ def _rician_amplitude(k_linear: float, scale, u: float, re, im):
 def _effective_gain(magnitude, p_bf: float):
     """Phase-aligned downlink gain p_bf * (sum_i |h_i|)**2 from the antenna
     magnitudes |h_i| on the last axis; element-wise over any leading axes."""
-    return p_bf * libm(_SQUARE, magnitude.sum(axis=-1))
+    total = magnitude.sum(axis=-1)
+    return p_bf * (total * total)
 
 
 def draw_rician(rng: np.random.Generator, k_linear: float, scale: float) -> complex:
@@ -113,8 +112,11 @@ def conjugate_beamform(h: np.ndarray, p_t: float) -> tuple[np.ndarray, float]:
         raise ValueError("channel vector must be a nonzero 1-D complex vector")
     if p_t <= 0.0:
         raise ValueError("transmit power must be positive")
-    w = math.sqrt(p_t) * np.exp(-1j * np.angle(h))
-    return w, float(_effective_gain(np.abs(h), p_t))
+    magnitude = np.sqrt(h.real * h.real + h.imag * h.imag)
+    # e^{-j angle(h)}, which is 1 where h is 0
+    phase = np.divide(h.conj(), magnitude, out=np.ones(h.shape, dtype=complex),
+                      where=magnitude > 0.0)
+    return math.sqrt(p_t) * phase, float(_effective_gain(magnitude, p_t))
 
 
 def _amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
@@ -139,16 +141,17 @@ def _normals(params: SystemParams, rngs, n_frames: int) -> np.ndarray:
 
 def _gains(params: SystemParams, amplitude: np.ndarray):
     """Effective downlink gains and offload power gains |g|**2 of the
-    amplitudes (links on the last axis, as _amplitudes lays them out)."""
+    amplitudes (links on the last axis, as _amplitudes lays them out).
+    Only products, sums and np.sqrt, which IEEE 754 rounds correctly: no
+    C-library hypot, and no vectorised complex abs whose last bit may
+    depend on the CPU."""
     p_bf = params.p_transmit
     if params.normalize_beamforming:
         p_bf /= params.n_antennas
-    # np.hypot is the C library's hypot; numpy's abs of a complex array may
-    # take a vectorised loop that depends on the CPU
-    magnitude = np.hypot(amplitude.real, amplitude.imag)
+    re, im = amplitude.real, amplitude.imag
+    power = re * re + im * im
     n = params.n_antennas
-    return (_effective_gain(magnitude[..., :n], p_bf),
-            libm(_SQUARE, magnitude[..., n]))
+    return _effective_gain(np.sqrt(power[..., :n]), p_bf), power[..., n]
 
 
 def _draw_gains(params: SystemParams, rngs, n_frames: int):

@@ -16,9 +16,8 @@ the surplus can be banked.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
-from ._libm import libm
+from . import _ieee
 from .params import SystemParams
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "energy_per_op",
     "frame_cost",
 ]
-
-_EXP2 = partial(pow, 2.0)  # 2.0 ** x on a float: the C library's pow
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -73,7 +70,7 @@ def decode_energy(params: SystemParams, eff_gain_down: float, tau_d: float) -> f
 def energy_per_op(params: SystemParams) -> float:
     """Switching energy of one logic operation, F0 * alpha * Mc * N0 * ln2."""
     return (params.fanout * params.activity_factor * params.immaturity_factor
-            * params.thermal_noise_density * math.log(2.0))
+            * params.thermal_noise_density * _ieee.LN2)
 
 
 def compute_energy(params: SystemParams, rate: float) -> float:
@@ -97,10 +94,11 @@ def offload_bits(params: SystemParams, gain_offload: float, p_o: float,
 
 def offload_power(params: SystemParams, gain_offload, tau_o):
     """Transmit power that delivers a frame's bits to the server in tau_o
-    seconds, the inverse of offload_bits.  Works element-wise on arrays."""
+    seconds, the inverse of offload_bits.  Element-wise on arrays; 2**u - 1
+    is evaluated without cancellation for small u."""
     bits = params.bits_per_frame
-    return (params.noise_server / gain_offload) * (
-        libm(_EXP2, bits / (params.bw_offload * tau_o)) - 1.0)
+    return (params.noise_server / gain_offload) * _ieee.exp2m1(
+        bits / (params.bw_offload * tau_o))
 
 
 def frame_cost(e_decode: float, e_compute: float, e_offload: float,

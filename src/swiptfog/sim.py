@@ -15,11 +15,14 @@ calls, with the bits of per-trial draws; both programs
 recursion, the only sequential step, loops over frames with all trials in
 one array.  Only run_trace builds FrameRecord objects.
 
-Reproducibility (random stream STREAM_VERSION): trial t of master seed m
+Reproducibility (output version STREAM_VERSION): trial t of master seed m
 draws from SeedSequence(m).spawn(n)[t] (trial_rng), so results do not
 depend on chunking, more trials extend a shorter run, and run_trace(seed) is
 trial 0 of seed.  Aggregates use exact summation (math.fsum), so they do not
-depend on trial order either.
+depend on trial order either.  Version 3 keeps version 2's trial seeds and
+normals and changes only the kernel's arithmetic: gains are formed with
+products and np.sqrt, and the kernel's exp, log2 and 2**u - 1 come from
+_ieee, built from IEEE-754 basic operations, instead of the C library.
 """
 
 import math
@@ -62,9 +65,11 @@ __all__ = [
     "FRAME_STATS_CSV_COLUMNS",
 ]
 
-# The channel draw layout (channel module) and trial seeds (trial_rng).
-# Version 1 seeded trial t with master_seed XOR t and drew frame by frame.
-STREAM_VERSION = 2
+# The channel draw layout (channel module), the trial seeds (trial_rng)
+# and the kernel's arithmetic.  Version 1 seeded trial t with master_seed
+# XOR t and drew frame by frame; version 2 evaluated the kernel's
+# transcendentals through the C library.
+STREAM_VERSION = 3
 
 # Trials per stacked normal draw in monte_carlo; it bounds that array's size.
 TRIAL_CHUNK = 32
@@ -177,7 +182,7 @@ def _ci_halfwidth(values: list[float]) -> float:
     if n < 2:
         return math.nan
     mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    var = math.fsum((v - mean) * (v - mean) for v in values) / (n - 1)
     return 1.96 * math.sqrt(var / n)
 
 

@@ -1,7 +1,6 @@
 import logging
 import math
 from dataclasses import fields, replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -23,8 +22,7 @@ from swiptfog import (
     monte_carlo,
     throughput,
 )
-from swiptfog import allocator
-from swiptfog._libm import libm
+from swiptfog import _ieee, allocator
 from swiptfog.allocator import choose_modes, harvest_only_result, solve_frames
 from swiptfog.bruteforce import bisect_lambert
 from swiptfog.params import with_overrides
@@ -178,26 +176,29 @@ def test_root_solver_agrees_with_bisection():
 def _halley_all_passes(x):
     """lambert_w0 without cycle retirement: every element runs until its
     step is at rounding level or 50 passes are spent, from the same start
-    values and with the same pass.  Returns w, the passes each element ran
-    and the first pass k whose w equals the element's w of pass k - 2 while
-    the element iterates on (0 where none does)."""
+    values and with the same pass.  Returns w, the passes each element ran,
+    the first pass k whose w equals the element's w of pass k - 2 or k - 3
+    while the element iterates on (0 where none does), and that cycle's
+    length, 2 or 3 (the shorter where both match)."""
     x = np.asarray(x, dtype=float)
     w = np.zeros(x.shape)
     pos, neg = x > 0.0, x < 0.0
-    w[pos] = libm(math.log1p, x[pos])
+    w[pos] = _ieee.log2(1.0 + x[pos]) * _ieee.LN2
     p = np.sqrt(2.0 * (math.e * x[neg] + 1.0))
-    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * libm(partial(pow, exp=3), p) / 72.0
+    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
     w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)
     passes = np.zeros(x.shape, dtype=int)
     cycle_pass = np.zeros(x.shape, dtype=int)
-    back = np.full(x.shape, math.nan)
+    cycle_len = np.zeros(x.shape, dtype=int)
+    back2 = np.full(x.shape, math.nan)
+    back3 = np.full(x.shape, math.nan)
     active = np.flatnonzero(pos | neg)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, 51):
             if active.size == 0:
                 break
             wa, xa = w[active], x[active]
-            ew = libm(math.exp, wa)
+            ew = _ieee.exp(wa)
             f = wa * ew - xa
             wp1 = wa + 1.0
             halt = (f == 0.0) | (wp1 == 0.0)
@@ -208,12 +209,15 @@ def _halley_all_passes(x):
             w[active] = np.where(halt, wa, w_next)
             done = halt | (np.abs(step) <= 2e-16 * (1.0 + np.abs(w_next)))
             passes[active] = k
-            first = active[~done & (w_next == back[active])
-                           & (cycle_pass[active] == 0)]
-            cycle_pass[first] = k
-            back[active] = wa
+            for n, back in ((2, back2), (3, back3)):
+                first = active[~done & (w_next == back[active])
+                               & (cycle_pass[active] == 0)]
+                cycle_pass[first] = k
+                cycle_len[first] = n
+            back3[active] = back2[active]
+            back2[active] = wa
             active = active[~done]
-    return w, passes, cycle_pass
+    return w, passes, cycle_pass, cycle_len
 
 
 def _near_branch(n, seed):
@@ -245,10 +249,13 @@ def test_root_solver_bits_equal_the_all_passes_loop(monkeypatch):
         near, 10.0 ** rng.uniform(-300.0, 300.0, 20_000),
         -10.0 ** rng.uniform(-300.0, math.log10(1.0 / math.e), 20_000),
         _mc_outage_roots(monkeypatch)])
-    want, passes, cycle_pass = _halley_all_passes(xs)
-    # the inputs hold elements retired at both parities of the pass count,
-    # and every element that runs out of passes is caught in a cycle
-    assert {1, 0} <= set((cycle_pass[cycle_pass > 0] % 2).tolist())
+    want, passes, cycle_pass, cycle_len = _halley_all_passes(xs)
+    # the inputs hold elements retired from cycles of both lengths, at every
+    # residue of the pass count modulo the length, and every element that
+    # runs out of passes is caught in a cycle
+    for n in (2, 3):
+        residues = cycle_pass[cycle_len == n] % n
+        assert set(residues.tolist()) == set(range(n)), n
     assert (cycle_pass[passes == 50] > 0).all()
     for order in (np.arange(xs.size), rng.permutation(xs.size)):
         got = lambert_w0(xs[order])
@@ -257,20 +264,22 @@ def test_root_solver_bits_equal_the_all_passes_loop(monkeypatch):
 
 def test_root_solver_retires_cycling_elements_within_a_few_passes(monkeypatch):
     xs = _near_branch(20_000, 5)
-    _, passes, _ = _halley_all_passes(xs)
-    stuck = xs[passes == 50]  # each costs 51 exp calls without retirement
-    assert stuck.size > 1_000
-    counted = []
+    _, passes, _, cycle_len = _halley_all_passes(xs)
+    exp = _ieee.exp
+    for n, least in ((2, 1_000), (3, 20)):
+        # each costs 51 exp evaluations without retirement
+        stuck = xs[(passes == 50) & (cycle_len == n)]
+        assert stuck.size >= least
+        counted = []
 
-    def counting_libm(fn, x):
-        if fn is math.exp:
+        def counting_exp(x):
             counted.append(np.size(x))
-        return libm(fn, x)
+            return exp(x)
 
-    monkeypatch.setattr(allocator, "libm", counting_libm)
-    lambert_w0(stuck)
-    # passes to the cycle, plus the residual check
-    assert sum(counted) <= 8 * stuck.size
+        monkeypatch.setattr(_ieee, "exp", counting_exp)
+        lambert_w0(stuck)
+        # passes to the cycle, plus the residual check
+        assert 2 * stuck.size <= sum(counted) <= 8 * stuck.size, n
 
 
 # --- offload closed form ---------------------------------------------------

@@ -10,8 +10,7 @@ from swiptfog import (
     pathloss_db,
     realize_channels,
 )
-from swiptfog.allocator import _CUBE
-from swiptfog.channel import _SQUARE, draw_gains
+from swiptfog.channel import draw_gains
 from swiptfog.params import with_overrides
 
 
@@ -185,15 +184,3 @@ def test_draw_gains_moments_match_a_phase_kept_reference(params):
         assert abs(a.mean() - b.mean()) <= 5.0 * math.sqrt((a.var() + b.var()) / n)
         assert abs(a.var() - b.var()) <= 5.0 * math.hypot(var_stderr(a),
                                                           var_stderr(b))
-
-
-def test_square_and_cube_callables_are_the_c_library_pow():
-    rng = np.random.default_rng(23)
-    x = np.concatenate([
-        rng.standard_normal(50_000),
-        rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-120.0, 100.0, 50_000),
-        [0.0, -0.0, 5e-324, math.inf, -math.inf]]).tolist()
-    for fn, exponent in ((_SQUARE, 2), (_CUBE, 3)):
-        got = np.array([fn(v) for v in x])
-        want = np.array([pow(v, exponent) for v in x])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))

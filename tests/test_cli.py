@@ -163,46 +163,49 @@ def test_verify_csv_bits_are_pinned(capsys, tmp_path):
     grid oracle's bits: a change to its operation order, its grid or its
     refine bracket moves the grid-cost columns.
 
-    The digest pins this platform's C library and numpy: the kernel
-    evaluates log2, exp and pow through the math module, and the oracle
-    evaluates 2**u with numpy's exp2, so another libm or another numpy
-    build may round them differently in the last bit.
+    The digest pins this platform's C library and numpy through the oracle
+    and the gain draw: they evaluate log2, exp and pow through the math
+    module and 2**u with numpy's exp2, and another libm or another numpy
+    build may round them differently in the last bit.  The kernel's claims
+    (output version 3) depend on neither.
     """
     code, out, _ = run(capsys, "verify", "--seed", "256", "--instances", "200",
                        "--jobs", "1", "--out-dir", str(tmp_path))
     assert code == 0, out
     digest = hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest()
     assert digest == (
-        "c187aacb52c93a493d8f9877596fc619b65325d85507f20aa29e24d52d20814d")
+        "f2a3139d5ae3fa53f576ac694883d7334f337c873f0327b88834c22fd7214ca8")
 
 
 def test_simulate_frames_csv_bits_are_pinned(capsys, tmp_path):
     """sha256 of frames.csv at seed 256, 50 frames x 40 trials (two trial
-    chunks).  It pins random stream 2 (sim.STREAM_VERSION): the trial seeds,
-    the one-call normal draw per trial and the dominant-path amplitudes.
+    chunks).  It pins output version 3 (sim.STREAM_VERSION): the trial
+    seeds, the one-call normal draw per trial, the dominant-path amplitudes
+    and the kernel's arithmetic.
 
-    The digest pins this platform's C library as well: hypot, pow and the
-    kernel's log2, exp and pow are evaluated through it.
+    Of the C library, only the per-configuration path-loss scale enters
+    (log10 and a power of 10); the gains and the kernel use IEEE-754 basic
+    operations alone.
     """
     code, out, _ = run(capsys, "simulate", "--seed", "256", "--frames", "50",
                        "--trials", "40", "--jobs", "1", "--out-dir", str(tmp_path))
     assert code == 0, out
     digest = hashlib.sha256((tmp_path / "frames.csv").read_bytes()).hexdigest()
     assert digest == (
-        "04a40908c9433ca061a219915a0ac2a70fa8a5dac221354d908a92d05377cf86")
+        "7aa433b991d19bc4ab6c3f5c00195e1f05091c50cafeebf75d368cc3c54395de")
 
 
 @pytest.mark.parametrize("axis,values,digest", [
     ("ops-per-bit", "1e3,1e4,2e4",
      "40d21e288cd174ee14f8a541ed083872e7a0be79bc98e66f4df26b43c33ae968"),
     ("dist-ap-dev", "3,9,15",
-     "6697b87b04acef464659188e56e55a55cf7b100d3020874cfe264253b66b768f"),
+     "e769db258965094ff5bc7ca4268249a69f0bc70ab458b7b2c4528c2d149ccf06"),
 ])
 def test_sweep_csv_bits_are_pinned(capsys, tmp_path, axis, values, digest):
     """sha256 of the sweep CSV at seed 256, 30 frames x 40 trials (two trial
     chunks) per value.  It pins the per-strategy means, the decision
-    fractions and the outage columns, on top of random stream 2; the C
-    library caveat of the frames.csv digest holds here too."""
+    fractions and the outage columns, on top of output version 3; what the
+    frames.csv digest says of the C library holds here too."""
     code, out, _ = run(capsys, "sweep", "--seed", "256", "--axis", axis,
                        "--values", values, "--frames", "30", "--trials", "40",
                        "--out-dir", str(tmp_path))

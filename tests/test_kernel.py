@@ -136,12 +136,11 @@ def test_solve_frames_matches_the_energy_ledger(params):
 
 def test_solve_frames_bits_are_pinned(params):
     """sha256 of solve_frames' feasibility, cost, tau_o and p_o arrays, both
-    modes, over the wide-range pairs, as computed when the scalar solvers
-    were a separate implementation that equalled the kernel bit for bit.
+    modes, over the wide-range pairs (output version 3).
 
-    The digest pins this platform's C library: log2, log1p, exp and pow are
-    evaluated through the math module, and another libm may round them
-    differently in the last bit.
+    The kernel's log2, exp and 2**u - 1 are built from IEEE-754 basic
+    operations (swiptfog._ieee), so the digest does not depend on the C
+    library or the numpy build.
     """
     h = hashlib.sha256()
     for arrays in solve_frames(params, *_wide_range_pairs()):
@@ -149,7 +148,7 @@ def test_solve_frames_bits_are_pinned(params):
         for name in ("cost", "tau_o", "p_o"):
             h.update(getattr(arrays, name).astype("<f8").tobytes())
     assert h.hexdigest() == (
-        "af3da3a78d2ee9827597c51e7d2b545a39d4c3185d583bbdda86a94be745279e")
+        "eac1de8d3f887f96feff71424aa9fd7a980aa3ed1fab5dc447915c3b2d4a73ed")
 
 
 def test_solve_frames_when_local_is_never_feasible(params):
