@@ -259,18 +259,18 @@ class StrategyArrays:
 
 def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
                      **fields) -> StrategyArrays:
-    """Mask the infeasible elements, apply the energy module's guards (slots
-    inside the frame, energies non-negative) to the feasible ones and
+    """Apply the energy module's guards (slots inside the frame, energies
+    non-negative) to the feasible elements, mask the infeasible ones and
     assemble the cost as frame_cost does for mode i_o."""
-    out = {name: np.where(feasible, value, math.nan)
-           for name, value in fields.items()}
     for name in ("tau_e", "tau_d", "tau_c", "tau_o"):
-        slot = out[name][feasible]
-        if ((slot < 0.0) | (slot > params.frame_duration)).any():
+        slot = fields[name]
+        if (((slot < 0.0) | (slot > params.frame_duration)) & feasible).any():
             raise ValueError(f"{name} must lie in [0, {params.frame_duration}]")
     for name in ("e_decode", "e_compute", "e_offload", "e_harvest"):
-        if (out[name][feasible] < 0.0).any():
+        if ((fields[name] < 0.0) & feasible).any():
             raise ValueError(f"{name} must be non-negative")
+    out = {name: np.where(feasible, value, math.nan)
+           for name, value in fields.items()}
     paid = out["e_offload"] if i_o else out["e_compute"]
     cost = np.where(feasible, paid + out["e_decode"] - out["e_harvest"], math.inf)
     return StrategyArrays(feasible=feasible, cost=cost, **out)

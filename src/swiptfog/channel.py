@@ -14,9 +14,14 @@ power budget cannot both hold for a multi-antenna array; see README.
 
 Random stream, since version 2 (``sim.STREAM_VERSION``): a draw of n
 frames is one ``standard_normal((n, n_antennas + 1, 2))`` call, the scatter
-of every link of every frame.  Each amplitude is written in its link's dominant-path
-frame, with no phase draw: the gains use only |h_i|, and |a*e^{j*theta} + z|
-has the law of |a + z| for circularly symmetric scatter z.
+of every link of every frame.  Each amplitude is written in its link's
+dominant-path frame, with no phase draw: the gains use only |h_i|, and
+|a*e^{j*theta} + z| has the law of |a + z| for circularly symmetric scatter
+z.  The draw is turned into gains with real arithmetic in place (the
+dominant path is real, so its cos is 1 and its sin 0): the normals are
+scaled into the amplitudes' real and imaginary parts and squared, so
+monte_carlo reuses one normals buffer for every chunk of trials and forms
+no complex array.
 """
 
 import math
@@ -58,24 +63,13 @@ def pathloss_db(d: float, f_c_mhz: float, n_coeff: float) -> float:
     return 20.0 * math.log10(f_c_mhz) + n_coeff * math.log10(d) - 28.0
 
 
-def _rician_amplitude(k_linear: float, scale, u: float, re, im):
-    """Complex amplitude of a fixed-power dominant path plus scatter.
-
-    u in [0, 1) sets the dominant-path phase 2*pi*u (u = 0: the dominant-path
-    frame); re and im are standard normals for the scatter.  k_linear is the
-    dominant-to-scattered power ratio (0 = pure scatter, inf = deterministic
-    magnitude); the expected power is scale**2.  Element-wise on arrays of
-    scale, re and im.
-    """
+def _rician_weights(k_linear: float) -> tuple[float, float]:
+    """Amplitude weights (los_w, scatter_w) of the dominant path and of the
+    scatter for the dominant-to-scattered power ratio k_linear (0 = pure
+    scatter, inf = deterministic magnitude); los_w**2 + scatter_w**2 = 1."""
     if math.isinf(k_linear):
-        los_w, scatter_w = 1.0, 0.0
-    else:
-        los_w = math.sqrt(k_linear / (k_linear + 1.0))
-        scatter_w = math.sqrt(1.0 / (k_linear + 1.0))
-    theta = 2.0 * math.pi * u
-    real = scale * (los_w * math.cos(theta) + scatter_w * (re / _SQRT2))
-    imag = scale * (los_w * math.sin(theta) + scatter_w * (im / _SQRT2))
-    return real + 1j * imag
+        return 1.0, 0.0
+    return math.sqrt(k_linear / (k_linear + 1.0)), math.sqrt(1.0 / (k_linear + 1.0))
 
 
 def _effective_gain(magnitude, p_bf: float):
@@ -97,7 +91,10 @@ def draw_rician(rng: np.random.Generator, k_linear: float, scale: float) -> comp
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     u, re, im = rng.random(), rng.standard_normal(), rng.standard_normal()
-    return complex(_rician_amplitude(k_linear, scale, u, re, im))
+    los_w, scatter_w = _rician_weights(k_linear)
+    theta = 2.0 * math.pi * u
+    return complex(scale * (los_w * math.cos(theta) + scatter_w * (re / _SQRT2)),
+                   scale * (los_w * math.sin(theta) + scatter_w * (im / _SQRT2)))
 
 
 def conjugate_beamform(h: np.ndarray, p_t: float) -> tuple[np.ndarray, float]:
@@ -119,60 +116,61 @@ def conjugate_beamform(h: np.ndarray, p_t: float) -> tuple[np.ndarray, float]:
     return math.sqrt(p_t) * phase, float(_effective_gain(magnitude, p_t))
 
 
-def _amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
-    """Complex amplitudes from scatter normals of shape (..., n_antennas + 1,
-    2): antennas 0..N-1, then the offload link, each in its dominant-path
-    frame."""
+def _to_amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
+    """Scale scatter normals of shape (..., n_antennas + 1, 2) in place into
+    the links' amplitudes, (real, imaginary) on the last axis: antennas
+    0..N-1, then the offload link, each in its dominant-path frame, so the
+    dominant path is real.  The operation order is that of
+    scale * (los_w + scatter_w * (re / sqrt(2))) and
+    scale * (scatter_w * (im / sqrt(2))).  Returns normals."""
     loss = [pathloss_db(d, params.carrier_freq_mhz, params.pathloss_coeff)
             for d in (params.dist_ap_dev, params.dist_dev_server)]
     scale_h, scale_g = (math.sqrt(10.0 ** (-db / 10.0)) for db in loss)
-    return _rician_amplitude(params.rician_k_linear,
-                             np.array([scale_h] * params.n_antennas + [scale_g]),
-                             0.0, normals[..., 0], normals[..., 1])
+    los_w, scatter_w = _rician_weights(params.rician_k_linear)
+    normals /= _SQRT2
+    normals *= scatter_w
+    normals[..., 0] += los_w
+    normals *= np.array([[scale_h]] * params.n_antennas + [[scale_g]])
+    return normals
 
 
-def _normals(params: SystemParams, rngs, n_frames: int) -> np.ndarray:
-    """Scatter normals of n_frames consecutive frames from each generator,
-    shape (len(rngs), n_frames, n_antennas + 1, 2): one standard_normal
-    call per generator."""
-    shape = (n_frames, params.n_antennas + 1, 2)
-    return np.stack([rng.standard_normal(shape) for rng in rngs])
-
-
-def _gains(params: SystemParams, amplitude: np.ndarray):
-    """Effective downlink gains and offload power gains |g|**2 of the
-    amplitudes (links on the last axis, as _amplitudes lays them out).
-    Only products, sums and np.sqrt, which IEEE 754 rounds correctly: no
-    C-library hypot, and no vectorised complex abs whose last bit may
-    depend on the CPU."""
+def _to_gains(params: SystemParams, amplitudes: np.ndarray, gd: np.ndarray,
+              go: np.ndarray) -> None:
+    """Square the amplitudes of _to_amplitudes in place and write the
+    effective downlink gains into gd and the offload power gains |g|**2 into
+    go, both of shape amplitudes.shape[:-2].  Only products, sums and
+    np.sqrt, which IEEE 754 rounds correctly: no C-library hypot, and no
+    vectorised complex abs whose last bit may depend on the CPU."""
     p_bf = params.p_transmit
     if params.normalize_beamforming:
         p_bf /= params.n_antennas
-    re, im = amplitude.real, amplitude.imag
-    power = re * re + im * im
     n = params.n_antennas
-    return _effective_gain(np.sqrt(power[..., :n]), p_bf), power[..., n]
-
-
-def _draw_gains(params: SystemParams, rngs, n_frames: int):
-    """Gains of n_frames consecutive frames from each generator, as
-    draw_gains gives them, stacked: two arrays of shape (len(rngs),
-    n_frames), formed by one call of each array step for all generators."""
-    return _gains(params, _amplitudes(params, _normals(params, rngs, n_frames)))
+    amplitudes *= amplitudes
+    power = np.add(amplitudes[..., 0], amplitudes[..., 1],
+                   out=amplitudes[..., 0])
+    go[...] = power[..., n]
+    gd[...] = _effective_gain(np.sqrt(power[..., :n], out=power[..., :n]), p_bf)
 
 
 def draw_gains(params: SystemParams, rng: np.random.Generator,
                n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Effective downlink gains and offload power gains of n_frames
-    consecutive frames, each of shape (n_frames,).  Consumes the generator
-    as n_frames calls of realize_channels do, and returns the same gains."""
-    gd, go = _draw_gains(params, [rng], n_frames)
-    return gd[0], go[0]
+    consecutive frames, each of shape (n_frames,), from one
+    standard_normal((n_frames, n_antennas + 1, 2)) call.  Consumes the
+    generator as n_frames calls of realize_channels do, and returns the
+    same gains."""
+    normals = rng.standard_normal((n_frames, params.n_antennas + 1, 2))
+    gd, go = np.empty(n_frames), np.empty(n_frames)
+    _to_gains(params, _to_amplitudes(params, normals), gd, go)
+    return gd, go
 
 
 def realize_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
     """One frame's amplitudes and gains: a one-frame draw_gains."""
-    amplitude = _amplitudes(params, _normals(params, [rng], 1))[0, 0]
-    eff_gain, gain_offload = (float(g) for g in _gains(params, amplitude))
-    return ChannelRealization(h=amplitude[:-1], g=complex(amplitude[-1]),
-                              eff_gain_down=eff_gain, gain_offload=gain_offload)
+    amplitude = _to_amplitudes(
+        params, rng.standard_normal((params.n_antennas + 1, 2)))
+    h = amplitude[:, 0] + 1j * amplitude[:, 1]
+    gd, go = np.empty(()), np.empty(())
+    _to_gains(params, amplitude, gd, go)
+    return ChannelRealization(h=h[:-1], g=complex(h[-1]),
+                              eff_gain_down=float(gd), gain_offload=float(go))

@@ -8,15 +8,18 @@ banked.  A frame spent harvesting is an outage; the outage probability is the
 mean of the outage indicator.
 
 Execution: frames are simulated in one process as (trials x frames) arrays.
-Each trial draws all its channel normals with one call on its own generator.
-The gains of a chunk of TRIAL_CHUNK trials are formed by one set of array
-calls, with the bits of per-trial draws; both programs
+The trial seeds come from one array pass over all trials (_trial_states);
+one generator, whose state is set for each trial in turn, draws each
+trial's channel normals with one call into its row of one buffer of
+TRIAL_CHUNK rows, and real arithmetic in place turns the buffer into the
+chunk's gains, with the bits of per-trial draws.  Both programs
 (allocator.solve_frames) are solved by array calls, and the storage
 recursion, the only sequential step, loops over frames with all trials in
 one array.  Only run_trace builds FrameRecord objects.
 
 Reproducibility (output version STREAM_VERSION): trial t of master seed m
-draws from SeedSequence(m).spawn(n)[t] (trial_rng), so results do not
+draws from SeedSequence(m).spawn(n)[t] (trial_rng; _trial_states computes
+its PCG64 state without numpy's SeedSequence), so results do not
 depend on chunking, more trials extend a shorter run, and run_trace(seed) is
 trial 0 of seed.  Aggregates use exact summation (math.fsum), so they do not
 depend on trial order either.  Version 3 keeps version 2's trial seeds and
@@ -26,6 +29,7 @@ _ieee, built from IEEE-754 basic operations, instead of the C library.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,7 +44,7 @@ from .allocator import (
     harvest_only_result,
     solve_frames,
 )
-from .channel import _draw_gains
+from .channel import _to_amplitudes, _to_gains
 from .energy import harvested_energy
 from .params import SystemParams, with_overrides
 
@@ -71,15 +75,122 @@ __all__ = [
 # transcendentals through the C library.
 STREAM_VERSION = 3
 
-# Trials per stacked normal draw in monte_carlo; it bounds that array's size.
+# Trials per normals buffer in monte_carlo; it bounds that buffer's size.
 TRIAL_CHUNK = 32
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# default 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    """value as SeedSequence takes an integer: 32-bit words, least
+    significant first, at least one."""
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_words(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """SeedSequence(...).generate_state(n_words) of the assembled entropy
+    words, element-wise over uint32 arrays (one element per sequence)."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    const = _INIT_B
+    words = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        words.append(value ^ (value >> np.uint32(16)))
+    return words
+
+
+def _trial_states(master_seed: int, n_trials: int, first: int = 0) -> list[dict]:
+    """PCG64 states of trials first .. first + n_trials - 1 of master seed
+    master_seed, each PCG64(SeedSequence(master_seed, spawn_key=(t,))).state:
+    SeedSequence's hash on arrays over all trials at once, then PCG64's
+    seeding of (state, inc) as 128-bit integers.  Trial indices are below
+    2**32, one spawn-key word each."""
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
+    if first < 0 or first + n_trials > 1 << 32:
+        raise ValueError("trial indices must lie in [0, 2**32)")
+    run = _uint32_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.full(1, w, dtype=np.uint32) for w in run]
+    entropy.append(np.arange(first, first + n_trials, dtype=np.uint32))
+    words = _seed_words(entropy, 8)
+    # generate_state(4, np.uint64): little-endian pairs of 32-bit words
+    w64 = [(words[2 * k].astype(np.uint64)
+            | words[2 * k + 1].astype(np.uint64) << np.uint64(32)).tolist()
+           for k in range(4)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*w64):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Trial `trial`'s generator: SeedSequence(master_seed).spawn(n)[trial].
     Distinct (master_seed, trial) pairs give distinct streams."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(trial,)))
+    bitgen = np.random.PCG64()
+    bitgen.state = _trial_states(master_seed, 1, trial)[0]
+    return np.random.Generator(bitgen)
+
+
+def _trial_gains(params: SystemParams, master_seed: int, n_trials: int,
+                 n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """Effective downlink and offload power gains of trials 0 .. n_trials - 1
+    of master_seed, each of shape (n_trials, n_frames).  One generator, set
+    to each trial's state in turn, fills the trial's row of one normals
+    buffer of TRIAL_CHUNK rows, as draw_gains(params, trial_rng(master_seed,
+    t), n_frames) draws it; the buffer is turned into gains in place."""
+    states = _trial_states(master_seed, n_trials)
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    normals = np.empty((min(TRIAL_CHUNK, n_trials), n_frames,
+                        params.n_antennas + 1, 2))
+    gd, go = np.empty((n_trials, n_frames)), np.empty((n_trials, n_frames))
+    for start in range(0, n_trials, TRIAL_CHUNK):
+        stop = min(start + TRIAL_CHUNK, n_trials)
+        rows = normals[:stop - start]
+        for row, state in zip(rows, states[start:stop]):
+            bitgen.state = state
+            rng.standard_normal(out=row)
+        _to_gains(params, _to_amplitudes(params, rows), gd[start:stop],
+                  go[start:stop])
+    return gd, go
 
 
 @dataclass(frozen=True)
@@ -140,7 +251,7 @@ def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
         raise ValueError("n_frames must be >= 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    gd, go = _draw_gains(params, [trial_rng(seed, 0)], n_frames)
+    gd, go = _trial_gains(params, seed, 1, n_frames)
     frames = _simulate(params, gd, go)
     records = []
     for i, level in enumerate(frames.storage[0].tolist()):
@@ -199,14 +310,8 @@ def _monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
         raise ValueError("n_trials must be >= 1")
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
-    chunks = [_draw_gains(params, [trial_rng(master_seed, t) for t in
-                                   range(i, min(i + TRIAL_CHUNK, n_trials))],
-                          n_frames)
-              for i in range(0, n_trials, TRIAL_CHUNK)]
-    gd, go = (np.concatenate(gains) for gains in zip(*chunks))
-    frames = _simulate(params, gd, go)
+    frames = _simulate(params, *_trial_gains(params, master_seed, n_trials,
+                                             n_frames))
 
     mean_storage = tuple(math.fsum(column) / n_trials
                          for column in frames.storage.T.tolist())

@@ -446,6 +446,32 @@ def test_decision_rule_requires_both_feasible(params):
         decision_inequality(params, 1e-6, 0.0)
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("tau_e", -1e-9), ("tau_d", 1.5), ("tau_c", -1.0), ("tau_o", 2.0),
+    ("e_decode", -1e-12), ("e_compute", -1.0), ("e_offload", -1e-30),
+    ("e_harvest", -1e-12)])
+def test_strategy_arrays_guards_only_feasible_elements(params, name, bad):
+    # slots in [0, T] (T = 1 s here), energies >= 0: a bad value on a
+    # feasible element raises; on an infeasible one, or NaN, it does not
+    slots = ("tau_e", "tau_d", "tau_c", "tau_o")
+    good = dict.fromkeys(slots, 0.25) | dict.fromkeys(
+        ("p_o", "e_decode", "e_compute", "e_offload", "e_harvest"), 1e-6)
+    p = with_overrides(params, frame_duration=1.0)
+    feasible = np.array([True, False, True])
+
+    def arrays(values):
+        return allocator._strategy_arrays(
+            p, feasible, 1, **(good | {name: np.array(values)}))
+
+    message = (r"must lie in \[0, 1.0\]" if name in slots
+               else "must be non-negative")
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        arrays([good[name], good[name], bad])
+    out = arrays([math.nan, bad, good[name]])
+    assert np.isnan(getattr(out, name)[:2]).all()
+    assert out.feasible.tolist() == [True, False, True]
+
+
 def test_tie_and_scale_invariance(params):
     rng = np.random.default_rng(7)
     draws = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),

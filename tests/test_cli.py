@@ -200,7 +200,7 @@ def test_simulate_frames_csv_bits_are_pinned(capsys, tmp_path):
      "40d21e288cd174ee14f8a541ed083872e7a0be79bc98e66f4df26b43c33ae968"),
     ("dist-ap-dev", "3,9,15",
      "e769db258965094ff5bc7ca4268249a69f0bc70ab458b7b2c4528c2d149ccf06"),
-])
+], ids=["ops-per-bit", "dist-ap-dev"])
 def test_sweep_csv_bits_are_pinned(capsys, tmp_path, axis, values, digest):
     """sha256 of the sweep CSV at seed 256, 30 frames x 40 trials (two trial
     chunks) per value.  It pins the per-strategy means, the decision

@@ -40,10 +40,10 @@ from swiptfog import (
     throughput,
 )
 from swiptfog.allocator import StrategyArrays, solve_frames
-from swiptfog.channel import _draw_gains, draw_gains
+from swiptfog.channel import draw_gains
 from swiptfog.cli import certify
 from swiptfog.params import with_overrides
-from swiptfog.sim import TRIAL_CHUNK, trial_rng
+from swiptfog.sim import TRIAL_CHUNK, _trial_gains, trial_rng
 
 from conftest import FEW_CELL_DECODE
 
@@ -225,19 +225,16 @@ def test_draw_gains_match_realize_channels(params):
 @pytest.mark.parametrize("n_antennas", [1, 8])
 @pytest.mark.parametrize("normalize", [True, False])
 def test_chunk_gains_equal_stacked_draw_gains(params, n_antennas, normalize):
+    # two full normals buffers and a partial one
     p = with_overrides(params, n_antennas=n_antennas,
                        normalize_beamforming=normalize)
     n_trials = 2 * TRIAL_CHUNK + 3
-    # a one-trial chunk, a full one and the final partial one
-    for trials in (range(5, 6), range(TRIAL_CHUNK, 2 * TRIAL_CHUNK),
-                   range(2 * TRIAL_CHUNK, n_trials)):
-        gd, go = _draw_gains(p, [trial_rng(77, t) for t in trials], 40)
-        per_trial = [draw_gains(p, trial_rng(77, t), 40) for t in trials]
-        for got, want in ((gd, [g for g, _ in per_trial]),
-                          (go, [g for _, g in per_trial])):
-            assert got.shape == (len(trials), 40)
-            assert np.array_equal(got.view(np.int64),
-                                  np.stack(want).view(np.int64))
+    gd, go = _trial_gains(p, 77, n_trials, 40)
+    assert gd.shape == go.shape == (n_trials, 40)
+    for t in range(n_trials):
+        want_gd, want_go = draw_gains(p, trial_rng(77, t), 40)
+        assert np.array_equal(gd[t].view(np.int64), want_gd.view(np.int64))
+        assert np.array_equal(go[t].view(np.int64), want_go.view(np.int64))
 
 
 def _scalar_replay(params, n_frames, n_trials, master_seed):

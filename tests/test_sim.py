@@ -15,6 +15,7 @@ from swiptfog.params import with_overrides
 from swiptfog.sim import (
     TRIAL_CHUNK,
     SweepAxis,
+    _trial_states,
     sweep_csv_rows,
     trial_rng,
 )
@@ -141,6 +142,33 @@ def test_trial_seeds_are_spawned_children_and_do_not_collide():
     assert len(set(firsts.values())) == len(firsts)
 
 
+@pytest.mark.parametrize("master", [0, 5, 256, 303, 1792, 2**32 - 1,
+                                    2**32 + 5, 2**70 + 11])
+def test_trial_states_equal_numpy_seeding(master):
+    # one- to three-word master seeds; trials inside and at the edges of
+    # the first TRIAL_CHUNK-sized chunks
+    states = _trial_states(master, 250)
+    assert len(states) == 250
+    for t in (0, 1, 31, 32, 33, 249):
+        want = np.random.PCG64(np.random.SeedSequence(master, spawn_key=(t,))).state
+        assert states[t] == want, t
+        assert _trial_states(master, 1, t) == [want]
+        assert trial_rng(master, t).bit_generator.state == want
+
+
+def test_trial_states_reject_indices_past_one_seed_word():
+    last = 2**32 - 1
+    assert _trial_states(9, 1, last)[0] == np.random.PCG64(
+        np.random.SeedSequence(9, spawn_key=(last,))).state
+    for first, n in ((last, 2), (2**32, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="trial indices"):
+            _trial_states(9, n, first)
+    with pytest.raises(ValueError, match="trial indices"):
+        trial_rng(9, 2**32)
+    with pytest.raises(ValueError, match="master_seed"):
+        trial_rng(-1, 0)
+
+
 def test_more_trials_extend_a_shorter_run(params, monkeypatch):
     # the gain arrays monte_carlo solves, across trial chunks
     seen = []
@@ -168,7 +196,7 @@ def _chunked_results(params):
 
 @pytest.mark.parametrize("chunk", [1, 7, 32])
 def test_results_do_not_depend_on_trial_chunk(params, monkeypatch, chunk):
-    # the stacked draw of a chunk has the bits of per-trial draws, so the
+    # a chunk's normals buffer has the bits of per-trial draws, so the
     # chunk size changes nothing that monte_carlo or sweep returns
     want = _chunked_results(params)
     monkeypatch.setattr(sim, "TRIAL_CHUNK", chunk)
