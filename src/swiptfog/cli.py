@@ -12,7 +12,10 @@ verify     certify the closed-form optima against the grid searches and the
 
 Every run is reproducible: all randomness flows from --seed, and CSV floats
 are written with repr so files are byte-identical across runs.  Runs are
-single-process.
+single-process.  The first main call in a process builds the parser, which
+later calls reuse, and where the C library is glibc raises its mmap and trim
+thresholds to 4 MiB and 32 MiB, so repeated runs reuse the heap; importing
+the module or calling the library changes nothing.
 
 Exit codes: 0 success, 1 usage error, 2 invalid configuration,
 3 verification failure.
@@ -31,12 +34,11 @@ import numpy as np
 from . import bruteforce
 from ._libm import libm
 from .allocator import (
-    Strategy,
     StrategyArrays,
     _affordable,
+    _frame_result,
     choose_modes,
-    decide,
-    evaluate_strategies,
+    harvest_only_result,
     lambert_w0,
     mode_rule_sides,
     solve_frames,
@@ -53,8 +55,8 @@ from .sim import (
     sweep_csv_rows,
 )
 
-# The traced benchmark run (perfbench/spans.py) wraps this module-level name.
-from .allocator import decision_inequality  # noqa: F401
+# The traced benchmark run (perfbench/spans.py) wraps these module-level names.
+from .allocator import decision_inequality, evaluate_strategies  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,20 +147,20 @@ def cmd_allocate(args) -> int:
     offloads = choose_modes(params, gd, local, offload)
     runs = _affordable(local, offload, offloads, args.e_stored)
     # the last draw is reported in full
-    gd, go = float(gd[-1]), float(go[-1])
-    local, offload = evaluate_strategies(params, gd, go)
-    alloc, brk = decide(params, gd, go, args.e_stored)
-    print(f"channel: eff_gain_down={_fmt(gd)} gain_offload={_fmt(go)}")
-    _print_strategy("local  ", local)
-    _print_strategy("offload", offload)
-    if alloc.strategy is Strategy.HARVEST_ONLY:
-        reason = ("no feasible strategy" if not (local.feasible or offload.feasible)
-                  else "cheapest cost exceeds stored energy")
-        print(f"decision: harvest_only ({reason}); "
-              f"banked {_fmt(brk.e_harvest)} J")
+    print(f"channel: eff_gain_down={_fmt(gd[-1])} gain_offload={_fmt(go[-1])}")
+    _print_strategy("local  ", _frame_result(local, 0, -1))
+    _print_strategy("offload", _frame_result(offload, 1, -1))
+    if runs[-1]:
+        i_o = int(offloads[-1])
+        chosen = _frame_result(offload if i_o else local, i_o, -1)
+        print(f"decision: {chosen.allocation.strategy.value} (i_o={i_o}), "
+              f"cost {_fmt(chosen.cost)} J")
     else:
-        print(f"decision: {alloc.strategy.value} (i_o={alloc.i_o}), "
-              f"cost {_fmt(brk.cost)} J")
+        reason = ("no feasible strategy"
+                  if not (local.feasible[-1] or offload.feasible[-1])
+                  else "cheapest cost exceeds stored energy")
+        banked = harvest_only_result(params, float(gd[-1])).breakdown.e_harvest
+        print(f"decision: harvest_only ({reason}); banked {_fmt(banked)} J")
     if args.repeat > 1:
         total = args.repeat
         n_offload = np.count_nonzero(runs & offloads)
@@ -372,10 +374,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _tune_heap() -> None:
+    """Keep the kernel's temporaries on the heap, where the C library exports
+    mallopt (glibc): blocks under 4 MiB are not mmapped, and up to 32 MiB of
+    free heap top is kept, so the next call reuses those pages instead of
+    faulting them in again.  Larger arrays are still mmapped, so large runs
+    do not grow their peak RSS.  The trim threshold is raised only once the mmap
+    threshold is accepted: without it, the kept heap would not be reused."""
+    import ctypes
     try:
-        args = parser.parse_args(argv)
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 4 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
+# Built by the first main call in a process, which also sets the heap
+# thresholds; a library caller never runs either.
+_parser = None
+
+
+def main(argv=None) -> int:
+    global _parser
+    if _parser is None:
+        _tune_heap()
+        _parser = build_parser()
+    try:
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

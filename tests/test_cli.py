@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +11,7 @@ import pytest
 from conftest import random_gain_pairs
 
 import swiptfog
+from swiptfog import cli
 from swiptfog.allocator import solve_frames
 from swiptfog.cli import certify, main
 from swiptfog.energy import offload_power
@@ -214,15 +217,102 @@ def test_sweep_csv_bits_are_pinned(capsys, tmp_path, axis, values, digest):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+def _src_env():
+    src = os.path.dirname(os.path.dirname(swiptfog.__file__))
+    return {**os.environ, "PYTHONPATH": src}
+
+
 def test_cli_import_leaves_multiprocessing_out():
     """The CLI is single-process; importing it must not pull in
     multiprocessing (and with it socket and selectors)."""
     probe = "import sys, swiptfog.cli; print('multiprocessing' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(swiptfog.__file__))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
+                         text=True, check=True, env=_src_env()).stdout
     assert out.strip() == "False"
+
+
+def test_only_main_sets_the_heap_thresholds():
+    """Importing the package or the CLI, or calling a library function,
+    leaves the C library's allocator alone; the first main call opens it
+    once to set the heap thresholds, and builds the parser."""
+    probe = """if True:
+        import ctypes
+        opened, real = [], ctypes.CDLL
+        ctypes.CDLL = lambda *a, **k: (opened.append(a), real(*a, **k))[1]
+        import swiptfog, swiptfog.cli
+        from swiptfog import load_params, monte_carlo
+        monte_carlo(load_params("", env={}), n_frames=3, n_trials=2,
+                    master_seed=1)
+        print(opened, swiptfog.cli._parser is None)
+        for _ in range(2):
+            swiptfog.cli.main(["allocate", "--gain-down", "1e-6",
+                               "--gain-offload", "1e-7"])
+        print(opened, swiptfog.cli._parser is None)
+    """
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=_src_env()).stdout
+    lines = out.splitlines()
+    assert lines[0] == "[] True"
+    assert lines[-1] == "[(None,)] False"
+
+
+def test_warm_simulate_makes_few_page_faults(capsys, tmp_path):
+    """Each 100 x 250 kernel temporary is 200 KB, above glibc's initial
+    128 KiB mmap threshold, and the freed heap top was given back after
+    every call: the third simulate in one process made about 3.3k minor
+    page faults.  With the thresholds main sets, it reuses the heap."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library exports no mallopt")
+    argv = ("simulate", "--seed", "256", "--frames", "100", "--trials", "250",
+            "--out-dir", str(tmp_path))
+    for _ in range(2):
+        assert run(capsys, *argv)[0] == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = main(list(argv))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    capsys.readouterr()
+    assert code == 0
+    assert faults < 300
+
+
+def test_main_reuses_its_parser(capsys, tmp_path, monkeypatch):
+    """One process runs a sequence of main calls on one parser; each gives
+    the stdout, stderr, exit code and CSV bytes it gives in a fresh
+    process."""
+    calls = [
+        ("simulate", "--seed", "3", "--frames", "20", "--trials", "40"),
+        ("sweep", "--seed", "1", "--axis", "ops-per-bit", "--values", "abc"),
+        ("sweep", "--seed", "5", "--axis", "dist-ap-dev", "--values", "3,9",
+         "--frames", "10", "--trials", "5"),
+        ("verify", "--seed", "4", "--instances", "20"),
+        ("simulate", "--seed", "3", "--frames", "20", "--trials", "40"),
+    ]
+
+    def outputs(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+    probe = "import sys, swiptfog.cli; sys.exit(swiptfog.cli.main(sys.argv[1:]))"
+    fresh = []
+    for i, argv in enumerate(calls):
+        out_dir = tmp_path / str(i)
+        proc = subprocess.run([sys.executable, "-c", probe, *argv,
+                               "--out-dir", str(out_dir)],
+                              capture_output=True, text=True, env=_src_env())
+        fresh.append((proc.returncode, proc.stdout, proc.stderr,
+                      outputs(out_dir)))
+        shutil.rmtree(out_dir, ignore_errors=True)
+
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: built.append(1) or build())
+    for i, (argv, expected) in enumerate(zip(calls, fresh)):
+        out_dir = tmp_path / str(i)
+        code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        assert (code, out, err, outputs(out_dir)) == expected, argv
+    assert [code for code, *_ in fresh] == [0, 1, 0, 0, 0]
+    assert built == [1]
 
 
 def test_verify_detects_injected_perturbation(params):

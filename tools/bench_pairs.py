@@ -33,9 +33,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _clean_env():
     """The environment without anything that could point either side at
-    the other's sources."""
+    the other's sources, or tune the C library's allocator for one side."""
     return {k: v for k, v in os.environ.items()
-            if k != "PYTHONPATH" and not k.startswith("SWIPTFOG_")}
+            if k not in ("PYTHONPATH", "GLIBC_TUNABLES")
+            and not k.startswith(("SWIPTFOG_", "MALLOC_"))}
 
 
 def cpu_model():
