@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._libm import libm
 from .params import SystemParams
@@ -172,30 +173,69 @@ def _local_runs(params: SystemParams, l2, rate_per_l2, tau_d, step: float):
     return a
 
 
+# The local grid pass sweeps runs narrower than _BLOCK_WIDTH cells in blocks
+# of at most _BLOCK_CELLS cells, and wider runs one at a time: blocks paid
+# for runs of tens to hundreds of cells, and lost to the loop over runs of
+# thousands, which amortise each numpy call's overhead by themselves.
+_BLOCK_CELLS = 1 << 14
+_BLOCK_WIDTH = 1024
+
+
 def _local_grid(params: SystemParams, l2, hr, step: float) -> tuple:
     """Best grid cell (tau_d, tau_c, cost) of the local program for each
     gain, given its l2 = log2(1 + SNR) and harvest rate hr; NaN, NaN and inf
     where no cell is feasible.  The cost is evaluated on each gain's
-    feasible run only, into buffers reused from gain to gain."""
+    feasible run only.  The runs are taken in order of width: each run
+    narrower than _BLOCK_WIDTH shares a block of k runs x m cells (m its
+    block's widest run) with runs of like width, evaluated in one pass with
+    the cells past each run set to inf, and each wider run is swept on its
+    own.  Every cell gets the operations, and so the bits, of a sweep of
+    that run alone, and each run keeps its first minimum."""
     tee = params.frame_duration
     n = int(math.floor(tee / step))
-    tau_d = step * np.arange(1, n + 1)
+    # the axis reaches _BLOCK_WIDTH cells past the frame, so that a block's
+    # window of m < _BLOCK_WIDTH cells fits from every run's first cell
+    tau_d = step * np.arange(1, n + _BLOCK_WIDTH + 1)
     rate_per_l2 = params.bw_downlink * (tau_d / tee)
-    lo, hi = _local_runs(params, l2, rate_per_l2, tau_d, step)
-    width = int(np.max(hi - lo, initial=0))
-    rate, tau_c, cost, tmp = (np.empty(width) for _ in range(4))
+    lo, hi = _local_runs(params, l2, rate_per_l2[:n], tau_d[:n], step)
+    width = hi - lo
+    order = np.argsort(width)
+    order = order[width[order] > 0]  # the gains with a feasible run
+    lo, width = lo[order], width[order]
+    narrow, blocks, i = int(width.searchsorted(_BLOCK_WIDTH)), [], 0
+    while i < narrow:
+        # the most runs whose block, as wide as its last run, fits the budget
+        sizes = np.arange(1, narrow - i + 1) * width[i:narrow]
+        k = int(sizes.searchsorted(_BLOCK_CELLS, side="right"))
+        blocks.append((i, k, int(width[i + k - 1])))
+        i += k
+    # buffers for the largest block or run
+    size = max([k * m for _, k, m in blocks] + width[-1:].tolist(), default=0)
+    rate, tau_c, cost, tmp = (np.empty(size) for _ in range(4))
     best_d, best_c = np.full(l2.size, math.nan), np.full(l2.size, math.nan)
     best = np.full(l2.size, math.inf)
-    runs = zip(lo.tolist(), hi.tolist(), l2.tolist(), hr.tolist())
-    for k, (a, b, l2k, hrk) in enumerate(runs):
-        if a >= b:
-            continue
-        m, td = b - a, tau_d[a:b]
-        r, tc = _local_cells(params, l2k, rate_per_l2[a:b], step, rate[:m],
+    for i, k, m in blocks:
+        rows, starts = order[i:i + k], lo[i:i + k]
+        bufs = [b[:k * m].reshape(k, m) for b in (rate, tau_c, cost, tmp)]
+        td = sliding_window_view(tau_d, m)[starts]
+        r, tc = _local_cells(params, l2[rows, None],
+                             sliding_window_view(rate_per_l2, m)[starts],
+                             step, *bufs[:2])
+        c = _local_cost(params, l2[rows, None], hr[rows, None], td, tc, r,
+                        *bufs[2:])
+        c[np.arange(m) >= width[i:i + k, None]] = math.inf
+        at = (np.arange(k), c.argmin(axis=1))
+        best_d[rows], best_c[rows], best[rows] = td[at], tc[at], c[at]
+    wide = order[narrow:]
+    runs = (x.tolist() for x in (wide, lo[narrow:], width[narrow:], l2[wide],
+                                 hr[wide]))
+    for k, a, m, l2k, hrk in zip(*runs):
+        td = tau_d[a:a + m]
+        r, tc = _local_cells(params, l2k, rate_per_l2[a:a + m], step, rate[:m],
                              tau_c[:m])
         c = _local_cost(params, l2k, hrk, td, tc, r, cost[:m], tmp[:m])
-        i = int(c.argmin())
-        best_d[k], best_c[k], best[k] = td[i], tc[i], c[i]
+        j = int(c.argmin())
+        best_d[k], best_c[k], best[k] = td[j], tc[j], c[j]
     return best_d, best_c, best
 
 
@@ -205,8 +245,9 @@ def brute_local(params: SystemParams, eff_gain_down, spec: GridSpec) -> tuple:
 
     Finds each gain's feasible run of decode cells at the grid resolution,
     with the cheapest grid-aligned compute slot per the reduction lemma, by
-    a binary search of all gains in lockstep; then sweeps each gain's run in
-    turn, into buffers reused from gain to gain.  Then (optionally)
+    a binary search of all gains in lockstep; then sweeps the runs in order
+    of width, narrow ones in blocks of like width and wide ones one at a
+    time, into reused buffers (see _local_grid).  Then (optionally)
     golden-sections the surviving 1-D problem, with the compute slot
     continuous, for all gains in lockstep inside the best cell, clipped to
     the decode slots that meet both constraints,

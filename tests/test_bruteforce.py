@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -366,11 +367,45 @@ def test_local_runs_equal_searchsorted_over_full_rows(params):
     assert {(name, True) for name, _ in seen} <= seen
 
 
+def _falling_cost(*args, **kwargs):
+    """-_local_cost: its minimum lies at the last cell of every run, so a
+    block that let a run's minimum stray past the run would show."""
+    out = _local_cost(*args, **kwargs)
+    return np.negative(out, out=out)
+
+
+@pytest.mark.parametrize("ops_per_bit", [300.0, 1000.0])
+def test_local_grid_blocks_equal_one_run_sweeps(ops_per_bit, monkeypatch):
+    # runs of hundreds of cells, and both few-cell configurations, whose
+    # empty runs no block holds: blocks of every size give the bits of
+    # sweeping each run on its own, for the cost and for a cost that falls
+    # along each run
+    rng = np.random.default_rng(22)
+    p = with_overrides(load_params("", env={}), ops_per_bit=ops_per_bit)
+    cases = [(p, _feasible_pairs(p, rng, 300)[0])]
+    for few, pair in FEW_CELL_DECODE:
+        cases.append((few, _feasible_pairs(few, rng, 40, extra=[pair])[0]))
+    for (p, gd), cost in itertools.product(cases, (_local_cost, _falling_cost)):
+        monkeypatch.setattr(bruteforce, "_local_cost", cost)
+        step = GridSpec.for_frame(p.frame_duration).resolution
+        l2, hr = bruteforce._log2_snr(p, gd), bruteforce._harvest_rate(p, gd)
+        monkeypatch.setattr(bruteforce, "_BLOCK_WIDTH", 1)
+        want = bruteforce._local_grid(p, l2, hr, step)
+        monkeypatch.setattr(bruteforce, "_BLOCK_WIDTH", 2048)
+        for cells in (2048, 1 << 14, 1 << 20):
+            monkeypatch.setattr(bruteforce, "_BLOCK_CELLS", cells)
+            got = bruteforce._local_grid(p, l2, hr, step)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+
 def test_local_grid_memory_stays_bounded(params):
-    # the grid pass holds buffers of one run, not rows of every cell: under
-    # 2 MiB over 2000 gains, also where runs span thousands of cells
+    # the grid pass holds buffers of one block or one run, not rows of every
+    # cell: under 2 MiB over 2000 gains, with runs of tens of cells (the
+    # defaults), hundreds (ops_per_bit 1000) and thousands (100 and 10)
     rng = np.random.default_rng(23)
-    for p in (params, with_overrides(params, ops_per_bit=10.0)):
+    for p in (params, *(with_overrides(params, ops_per_bit=k)
+                        for k in (1000.0, 100.0, 10.0))):
         gd = _feasible_pairs(p, rng, 2000)[0]
         assert gd.size == 2000
         spec = GridSpec.for_frame(p.frame_duration)

@@ -1,6 +1,9 @@
+import csv
 import ctypes
 import hashlib
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +17,7 @@ import swiptfog
 from swiptfog import cli
 from swiptfog.allocator import solve_frames
 from swiptfog.cli import certify, main
-from swiptfog.energy import offload_power
+from swiptfog.energy import offload_bits, offload_power
 
 
 def run(capsys, *argv):
@@ -161,10 +164,18 @@ def test_verify_passes_and_writes_report(capsys, tmp_path):
     assert report[0].startswith("instance,")
 
 
-def test_verify_csv_bits_are_pinned(capsys, tmp_path):
+@pytest.mark.parametrize("ops_per_bit,digest", [
+    (None, "f2a3139d5ae3fa53f576ac694883d7334f337c873f0327b88834c22fd7214ca8"),
+    (100.0, "147477aca93b4c575e081a4360227a0597218421599e73183189c82ac0ebbb1d"),
+    (300.0, "94742ffc0f715af3b1bb36ca6fbf9bd84f51ee5b0680c197f97927482991fe82"),
+], ids=["defaults", "ops-per-bit-100", "ops-per-bit-300"])
+def test_verify_csv_bits_are_pinned(capsys, tmp_path, ops_per_bit, digest):
     """sha256 of verify.csv at seed 256 with 200 instances.  It holds the
     grid oracle's bits: a change to its operation order, its grid or its
-    refine bracket moves the grid-cost columns.
+    refine bracket moves the grid-cost columns.  The local grid pass sweeps
+    runs of tens of decode cells at the defaults, of about 600 to 1400 at
+    ops_per_bit 300 (blocks of several runs, and single runs) and of
+    thousands at ops_per_bit 100 (single runs).
 
     The digest pins this platform's C library and numpy through the oracle
     and the gain draw: they evaluate log2, exp and pow through the math
@@ -172,12 +183,38 @@ def test_verify_csv_bits_are_pinned(capsys, tmp_path):
     build may round them differently in the last bit.  The kernel's claims
     (output version 3) depend on neither.
     """
+    config = []
+    if ops_per_bit is not None:
+        (tmp_path / "params.cfg").write_text(f"ops_per_bit = {ops_per_bit!r}\n")
+        config = ["--config", str(tmp_path / "params.cfg")]
     code, out, _ = run(capsys, "verify", "--seed", "256", "--instances", "200",
-                       "--jobs", "1", "--out-dir", str(tmp_path))
+                       "--jobs", "1", *config, "--out-dir", str(tmp_path))
     assert code == 0, out
-    digest = hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest()
-    assert digest == (
-        "f2a3139d5ae3fa53f576ac694883d7334f337c873f0327b88834c22fd7214ca8")
+    got = hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest()
+    assert got == digest
+
+
+def test_write_csv_bytes_equal_csv_writer(tmp_path):
+    header = ("instance", "value", "status")
+    rows = [[str(i), repr(x), status] for i, (x, status) in enumerate(
+        [(math.nan, "pass"), (math.inf, "fail"), (-math.inf, "pass"),
+         (-0.0, "pass"), (5e-324, "fail"), (1e+300, "pass"),
+         (2 ** 70, "pass"), (-(10 ** 30), "fail"), (0.1, "pass")])]
+    path = cli._write_csv(str(tmp_path / "new"), "out.csv", header, rows)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert open(path, "rb").read() == (tmp_path / "want.csv").read_bytes()
+    for cell in ("1,5", 'say "x"', "a\nb", "a\rb", "a\r\nb"):
+        with pytest.raises(ValueError, match="a cell holds"):
+            cli._write_csv(str(tmp_path), "bad.csv", header,
+                           [*rows, ["9", cell, "pass"]])
+        with pytest.raises(ValueError, match="a cell holds"):
+            cli._write_csv(str(tmp_path), "bad.csv", ("instance", cell), [])
+    with pytest.raises(ValueError, match="a line is empty"):
+        cli._write_csv(str(tmp_path), "bad.csv", header, [*rows, [""]])
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_simulate_frames_csv_bits_are_pinned(capsys, tmp_path):
@@ -330,6 +367,26 @@ def test_verify_detects_injected_perturbation(params):
     assert report.failures > 0
     assert [row[-1] for row in report.rows].count("fail") == report.failures
     assert report.worst["offload"] > 1.0
+
+
+def test_delivered_bits_equal_offload_bits_per_claim(params):
+    gd, go = np.array(random_gain_pairs(np.random.default_rng(9), 500, params)).T
+    offload = solve_frames(params, gd, go)[1]
+    claims = (go, offload.p_o, offload.tau_o)
+    got = cli._delivered_bits(params, *claims)
+    want = [offload_bits(params, *claim)
+            for claim in zip(*(c.tolist() for c in claims))]
+    assert got.tobytes() == np.array(want).tobytes()
+    # each bad claim raises the message offload_bits raises for it
+    tee = params.frame_duration
+    for i, bad in ((0, -1e-7), (1, -1e-30), (2, -1e-9), (2, tee * 1.0001),
+                   (2, math.nan)):
+        claim = [c.copy() for c in claims]
+        claim[i][3] = bad
+        with pytest.raises(ValueError) as raised:
+            offload_bits(params, *(c.item(3) for c in claim))
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            cli._delivered_bits(params, *claim)
 
 
 def test_allocate_overflowing_gain_exits_2_with_message(capsys):

@@ -9,9 +9,11 @@ directory.  Each pair runs ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once in the parent and once in this
 checkout's working tree; the parent goes first on odd pairs, the change on
 even ones.  The record of every run, each side's median and quartiles of
-every end-to-end metric of BENCHMARK.json, and the pairs the change wins
-are written to results["<W>_seed<S>"] of --out; other keys of an existing
-file are kept, so seeds and workloads can be added by later calls.
+every end-to-end metric of BENCHMARK.json, the pairs the change wins, and
+whether every run of both sides wrote the same CSV digests
+(csv_sha256_same_as_parent) are written to results["<W>_seed<S>"] of --out;
+other keys of an existing file are kept, so seeds and workloads can be added
+by later calls.
 """
 
 import argparse
@@ -145,6 +147,14 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
         "first_in_pair": "parent on odd pairs, change on even pairs",
         **{side: summarize(runs, names) for side, runs in sides.items()},
     }
+    parent, change = entry["parent"], entry["change"]
+    entry["csv_sha256_same_as_parent"] = (
+        parent["csv_sha256"] is not None
+        and parent["csv_sha256"] == change["csv_sha256"]
+        and parent["csv_sha256_same_in_every_run"]
+        and change["csv_sha256_same_in_every_run"])
+    print(f"csv_sha256_same_as_parent: {entry['csv_sha256_same_as_parent']}",
+          flush=True)
     if all("metrics" in r for runs in sides.values() for r in runs):
         entry["comparison"] = compare(sides["parent"], sides["change"],
                                       pairs, metrics)
