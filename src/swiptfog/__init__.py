@@ -11,8 +11,6 @@ from .allocator import (
     decision_inequality,
     evaluate_strategies,
     lambert_w0,
-    local_feasible,
-    offload_feasible,
     solve_local,
     solve_offload,
 )
@@ -61,8 +59,8 @@ __all__ = [
     "brute_offload", "compute_energy", "conjugate_beamform", "db_to_linear",
     "decide", "decision_inequality", "decode_energy", "draw_rician",
     "dumps_params", "evaluate_strategies", "frame_cost", "harvested_energy",
-    "lambert_w0", "load_params", "local_feasible", "local_grid_tolerance",
-    "monte_carlo", "offload_bits", "offload_feasible",
-    "offload_grid_tolerance", "pathloss_db", "realize_channels", "run_trace",
-    "solve_local", "solve_offload", "sweep", "throughput",
+    "lambert_w0", "load_params", "local_grid_tolerance", "monte_carlo",
+    "offload_bits", "offload_grid_tolerance", "pathloss_db",
+    "realize_channels", "run_trace", "solve_local", "solve_offload", "sweep",
+    "throughput",
 ]

@@ -53,8 +53,6 @@ __all__ = [
     "Strategy",
     "Allocation",
     "StrategyResult",
-    "local_feasible",
-    "offload_feasible",
     "solve_local",
     "solve_offload",
     "lambert_w0",
@@ -110,38 +108,6 @@ def _check_gains(**gains) -> None:
     for name, gain in gains.items():
         if not np.all((0.0 <= gain) & (gain < math.inf)):
             raise ValueError(f"{name} must be finite and non-negative")
-
-
-def _log2_capacity(params: SystemParams, eff_gain_down):
-    """log2(1 + SNR) of the downlink, element-wise."""
-    return _ieee.log2(1.0 + eff_gain_down / params.noise_dev)
-
-
-def _local_fits(params: SystemParams, l2):
-    """Seconds per bit spent decoding, 1/(B_h * log2(1+SNR)), plus seconds
-    per bit computing, K/f_op, fit into 1/rate_min.  Element-wise."""
-    return (1.0 / (params.bw_downlink * l2)
-            + params.ops_per_bit / params.dev_ops_per_sec
-            <= 1.0 / params.rate_min)
-
-
-def _offload_fits(params: SystemParams, l2):
-    """The rate floor lies strictly below the full-frame link capacity."""
-    return params.rate_min < params.bw_downlink * l2
-
-
-def local_feasible(params: SystemParams, eff_gain_down: float) -> bool:
-    """Can the rate floor and the compute budget share one frame?"""
-    _check_gains(eff_gain_down=eff_gain_down)
-    l2 = np.float64(_log2_capacity(params, eff_gain_down))  # 1/0 gives inf
-    with np.errstate(divide="ignore"):
-        return bool(_local_fits(params, l2))
-
-
-def offload_feasible(params: SystemParams, eff_gain_down: float) -> bool:
-    """The rate floor must be strictly below the full-frame link capacity."""
-    _check_gains(eff_gain_down=eff_gain_down)
-    return bool(_offload_fits(params, _log2_capacity(params, eff_gain_down)))
 
 
 def _halley_pass(k, w, x, active, back2, back3):
@@ -309,21 +275,25 @@ def solve_frames(params: SystemParams, eff_gain_down,
     tee = params.frame_duration
     bits = params.bits_per_frame
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        l2 = _log2_capacity(params, gd)
+        l2 = _ieee.log2(1.0 + gd / params.noise_dev)  # log2(1 + SNR)
         tau_d = bits / (params.bw_downlink * l2)
         e_dec = params.decode_energy_per_bit * (params.bw_downlink * l2 * tau_d)
         harvest_rate = params.eh_efficiency * (gd + params.noise_dev)
 
         tau_c = params.ops_per_bit * bits / params.dev_ops_per_sec
         tau_e = tee - tau_d - tau_c
-        ok = _local_fits(params, l2) & (tau_e >= 0.0)
+        # decode seconds per bit plus compute seconds per bit fit 1/rate_min
+        ok = ((1.0 / (params.bw_downlink * l2)
+               + params.ops_per_bit / params.dev_ops_per_sec
+               <= 1.0 / params.rate_min) & (tau_e >= 0.0))
         local = _strategy_arrays(
             params, ok, 0, tau_e=tau_e, tau_d=tau_d, tau_c=tau_c, tau_o=0.0,
             p_o=0.0, e_decode=e_dec,
             e_compute=compute_energy(params, params.rate_min), e_offload=0.0,
             e_harvest=harvest_rate * tau_e)
 
-        ok = _offload_fits(params, l2) & (x > 0.0)
+        # the rate floor lies strictly below the full-frame capacity
+        ok = (params.rate_min < params.bw_downlink * l2) & (x > 0.0)
         w = np.full(gd.shape, math.nan)
         w[ok] = lambert_w0((x[ok] - 1.0) * _INV_E)
         tau_o = (bits * _ieee.LN2 / params.bw_offload) / (1.0 + w)

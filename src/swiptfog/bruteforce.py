@@ -110,6 +110,14 @@ def _golden_min(f, a: np.ndarray, b: np.ndarray, iters: int) -> tuple:
     return np.choose(i, xs), np.choose(i, vals)
 
 
+def _cell_size(spec: GridSpec) -> float:
+    """The cell size of the grid-gap bounds on each time axis: twice the
+    refine's last bracket plus rounding slack, or one grid step unrefined."""
+    if spec.refine_iters > 0:
+        return 2.0 * spec.resolution * _GOLDEN ** spec.refine_iters + 1e-15
+    return spec.resolution
+
+
 def _shaped(shape: tuple, *arrays: np.ndarray) -> tuple:
     """The flat arrays in shape; floats for a number's empty shape."""
     if not shape:
@@ -297,10 +305,7 @@ def local_grid_tolerance(params: SystemParams, eff_gain_down, spec: GridSpec):
                 + params.decode_energy_per_bit) + hr)
     lip_c = hr
     couple = 1.0 + params.ops_per_bit * params.bw_downlink * l2 / params.dev_ops_per_sec
-    if spec.refine_iters > 0:
-        delta = 2.0 * spec.resolution * _GOLDEN ** spec.refine_iters + 1e-15
-    else:
-        delta = spec.resolution
+    delta = _cell_size(spec)
     base = (lip_d + lip_c) * params.frame_duration
     return lip_d * delta + lip_c * couple * delta + 1e-12 * base
 
@@ -395,10 +400,7 @@ def offload_grid_tolerance(params: SystemParams, eff_gain_down, gain_offload,
     p2 = libm(partial(pow, 2.0), np.where(over, 0.0, u))
     lam_slope = a * np.abs((p2 - 1.0) - u * math.log(2.0) * p2)
     lip = lam_slope + _harvest_rate(params, eff_gain_down)
-    if spec.refine_iters > 0:
-        delta = 2.0 * spec.resolution * _GOLDEN ** spec.refine_iters + 1e-15
-    else:
-        delta = spec.resolution
+    delta = _cell_size(spec)
     # rounding floor: 1e-12 of every term's magnitude.  lip * T covers the
     # harvested energy; the transmit energy is taken before the cancellation
     # in 2**u - 1, and the decode energy is paid in full.

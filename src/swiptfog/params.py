@@ -133,14 +133,16 @@ def load_params(source: str = "", env: dict | None = None) -> SystemParams:
 
     Empty input returns the defaults.  Lines starting with ``#`` and blank
     lines are skipped; a line must look like ``name = value`` with ``name``
-    one of the SystemParams fields, otherwise a ValueError names the
-    offending key.  After the file, environment variables of the form
-    ``SWIPTFOG_<FIELD>`` (upper-cased field name) override individual keys;
-    pass ``env={}`` to disable environment lookups.
+    one of the SystemParams fields, given at most once, otherwise a
+    ValueError names the offending key (and both lines of a repeated one).
+    After the file, environment variables of the form ``SWIPTFOG_<FIELD>``
+    (upper-cased field name) override individual keys; pass ``env={}`` to
+    disable environment lookups.
     """
     if env is None:
         env = dict(os.environ)
     overrides: dict = {}
+    line_of = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -151,6 +153,10 @@ def load_params(source: str = "", env: dict | None = None) -> SystemParams:
         key = key.strip()
         if key not in _FIELD_NAMES:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
+        if key in line_of:
+            raise ValueError(f"line {lineno}: configuration key {key!r} is "
+                             f"already given on line {line_of[key]}")
+        line_of[key] = lineno
         overrides[key] = _parse_value(key, raw)
     for name in _FIELD_NAMES:
         env_key = ENV_PREFIX + name.upper()

@@ -18,10 +18,10 @@ recursion, the only sequential step, loops over frames with all trials in
 one array.  Only run_trace builds FrameRecord objects.
 
 Reproducibility (output version STREAM_VERSION): trial t of master seed m
-draws from SeedSequence(m).spawn(n)[t] (trial_rng; _trial_states computes
-its PCG64 state without numpy's SeedSequence), so results do not
-depend on chunking, more trials extend a shorter run, and run_trace(seed) is
-trial 0 of seed.  Aggregates use exact summation (math.fsum), so they do not
+draws from SeedSequence(m).spawn(n)[t], whose PCG64 state _trial_states
+computes without numpy's SeedSequence, so results do not depend on
+chunking, more trials extend a shorter run, and run_trace(seed) is trial 0
+of seed.  Aggregates use exact summation (math.fsum), so they do not
 depend on trial order either.  Version 3 keeps version 2's trial seeds and
 normals and changes only the kernel's arithmetic: gains are formed with
 products and np.sqrt, and the kernel's exp, log2 and 2**u - 1 come from
@@ -30,7 +30,7 @@ _ieee, built from IEEE-754 basic operations, instead of the C library.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -62,14 +62,13 @@ __all__ = [
     "SweepRow",
     "STREAM_VERSION",
     "run_trace",
-    "trial_rng",
     "monte_carlo",
     "sweep",
     "SWEEP_CSV_COLUMNS",
     "FRAME_STATS_CSV_COLUMNS",
 ]
 
-# The channel draw layout (channel module), the trial seeds (trial_rng)
+# The channel draw layout (channel module), the trial seeds (_trial_states)
 # and the kernel's arithmetic.  Version 1 seeded trial t with master_seed
 # XOR t and drew frame by frame; version 2 evaluated the kernel's
 # transcendentals through the C library.
@@ -161,21 +160,13 @@ def _trial_states(master_seed: int, n_trials: int, first: int = 0) -> list[dict]
     return states
 
 
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Trial `trial`'s generator: SeedSequence(master_seed).spawn(n)[trial].
-    Distinct (master_seed, trial) pairs give distinct streams."""
-    bitgen = np.random.PCG64()
-    bitgen.state = _trial_states(master_seed, 1, trial)[0]
-    return np.random.Generator(bitgen)
-
-
 def _trial_gains(params: SystemParams, master_seed: int, n_trials: int,
                  n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Effective downlink and offload power gains of trials 0 .. n_trials - 1
     of master_seed, each of shape (n_trials, n_frames).  One generator, set
     to each trial's state in turn, fills the trial's row of one normals
-    buffer of TRIAL_CHUNK rows, as draw_gains(params, trial_rng(master_seed,
-    t), n_frames) draws it; the buffer is turned into gains in place."""
+    buffer of TRIAL_CHUNK rows with the normals draw_gains would draw from
+    it; the buffer is turned into gains in place."""
     states = _trial_states(master_seed, n_trials)
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
@@ -386,13 +377,14 @@ class SweepRow:
 def sweep(params: SystemParams, axis: SweepAxis, values, n_frames: int,
           n_trials: int, master_seed: int) -> list[SweepRow]:
     """Outage and per-strategy means at each axis value (same seeds per
-    value, so columns are comparable across the sweep)."""
+    value, so columns are comparable across the sweep).  Every value's
+    parameters are validated before any value is simulated."""
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    configs = [with_overrides(params, **{axis.value: value}) for value in values]
     rows = []
-    for value in values:
-        p = with_overrides(params, **{axis.value: value})
+    for value, p in zip(values, configs):
         mc, frames = _monte_carlo(p, n_frames, n_trials, master_seed)
         rows.append(SweepRow(axis=axis, value=value,
                              averages=_strategy_averages(frames),
@@ -402,22 +394,13 @@ def sweep(params: SystemParams, axis: SweepAxis, values, n_frames: int,
 
 FRAME_STATS_CSV_COLUMNS = ("frame", "mean_storage", "outage_rate")
 
-SWEEP_CSV_COLUMNS = ("axis", "value", "mean_cost_local", "mean_cost_offload",
-                     "mean_e_decode", "mean_e_compute", "mean_e_offload",
-                     "mean_e_harvest_local", "mean_e_harvest_offload",
-                     "frac_local", "frac_offload", "frac_harvest_only",
-                     "outage", "outage_ci")
+_AVERAGES = tuple(f.name for f in fields(StrategyAverages))
+
+SWEEP_CSV_COLUMNS = ("axis", "value", *_AVERAGES, "outage", "outage_ci")
 
 
 def sweep_csv_rows(rows: list[SweepRow]) -> list[list[str]]:
-    out = []
-    for row in rows:
-        a = row.averages
-        out.append([row.axis.value, repr(row.value),
-                    repr(a.mean_cost_local), repr(a.mean_cost_offload),
-                    repr(a.mean_e_decode), repr(a.mean_e_compute),
-                    repr(a.mean_e_offload), repr(a.mean_e_harvest_local),
-                    repr(a.mean_e_harvest_offload), repr(a.frac_local),
-                    repr(a.frac_offload), repr(a.frac_harvest_only),
-                    repr(row.outage), repr(row.outage_ci)])
-    return out
+    """String cells of each row, in SWEEP_CSV_COLUMNS order."""
+    return [[row.axis.value, *map(repr, (
+        row.value, *(getattr(row.averages, name) for name in _AVERAGES),
+        row.outage, row.outage_ci))] for row in rows]

@@ -15,8 +15,6 @@ from swiptfog import (
     harvested_energy,
     lambert_w0,
     load_params,
-    local_feasible,
-    offload_feasible,
     solve_local,
     solve_offload,
     monte_carlo,
@@ -35,27 +33,30 @@ from conftest import random_gain_pairs
 def test_local_infeasible_when_compute_budget_saturates(params):
     # ops_per_bit/dev_ops_per_sec == 1/rate_min leaves no decode time
     p = with_overrides(params, ops_per_bit=params.dev_ops_per_sec / params.rate_min)
-    assert not local_feasible(p, 1.0)
+    local, _ = solve_frames(p, [1.0], [0.0])
+    assert local.feasible.tolist() == [False]
 
 
 def test_local_feasible_at_defaults_above_snr_threshold(params):
     # seconds-per-bit budget: decode term must stay below 4e-5
-    assert local_feasible(params, 1e-6)
-    assert not local_feasible(params, 0.0)
     # threshold gain: log2(1+SNR) = 1/(B_h * 4e-5) = 0.0125
     g_thresh = (2.0 ** 0.0125 - 1.0) * params.noise_dev
-    assert local_feasible(params, g_thresh * 1.0001)
-    assert not local_feasible(params, g_thresh * 0.9999)
+    gd = [1e-6, 0.0, g_thresh * 1.0001, g_thresh * 0.9999]
+    local, _ = solve_frames(params, gd, [0.0] * 4)
+    assert local.feasible.tolist() == [True, False, True, False]
 
 
 def test_offload_feasibility_is_strict(params):
     # unit-SNR capacity is exactly B_h; a rate floor equal to it must fail
+    # (the decode slot would fill the frame), even over an offload link
+    # strong enough to send the frame's bits in the few ms the decode slot
+    # leaves just above unit SNR
     p = with_overrides(params, rate_min=params.bw_downlink)
-    assert not offload_feasible(p, p.noise_dev)
-    assert offload_feasible(p, p.noise_dev * 1.01)
-    assert offload_feasible(params, 1.0)
+    _, offload = solve_frames(p, [p.noise_dev, p.noise_dev * 1.01], [1e90] * 2)
+    assert offload.feasible.tolist() == [False, True]
     # at defaults the unit-SNR capacity 2e6 clears the 2e4 floor
-    assert offload_feasible(params, params.noise_dev)
+    _, offload = solve_frames(params, [1.0, params.noise_dev], [1e-7, 1e-4])
+    assert offload.feasible.tolist() == [True, True]
 
 
 # --- local closed form -----------------------------------------------------

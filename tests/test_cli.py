@@ -14,7 +14,7 @@ import pytest
 from conftest import random_gain_pairs
 
 import swiptfog
-from swiptfog import cli
+from swiptfog import cli, sim
 from swiptfog.allocator import solve_frames
 from swiptfog.cli import certify, main
 from swiptfog.energy import offload_bits, offload_power
@@ -110,6 +110,24 @@ def test_non_finite_or_sub_metre_config_exits_2_at_load(capsys, tmp_path):
             assert (code, out) == (2, ""), (line, argv[0])
             assert key in err
     assert not (tmp_path / "frames.csv").exists()
+
+
+def test_bad_sweep_value_or_repeated_key_exits_2_before_simulating(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "_monte_carlo",
+                        lambda *args: calls.append(args) or pytest.fail())
+    code, out, err = run(capsys, "sweep", "--seed", "1", "--axis", "dist-ap-dev",
+                         "--values", "6,0.5", "--out-dir", str(tmp_path))
+    assert (code, out, calls) == (2, "", [])
+    assert "dist_ap_dev must be at least 1.0" in err
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n_antennas = 4\nn_antennas = 2\n")
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--seed", "1",
+                         "--out-dir", str(tmp_path))
+    assert (code, out, calls) == (2, "", [])
+    assert "line 2" in err and "'n_antennas'" in err and "line 1" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_sweep_writes_deterministic_csv(capsys, tmp_path):

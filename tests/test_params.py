@@ -60,6 +60,16 @@ def test_unknown_key_is_an_error():
         load_params("not_a_key = 3\n", env={})
 
 
+def test_key_given_twice_is_an_error_naming_both_lines():
+    text = "n_antennas = 4\n# two antennas instead\nn_antennas = 2\n"
+    with pytest.raises(ValueError,
+                       match=r"line 3: .*'n_antennas'.* on line 1$"):
+        load_params(text, env={})
+    # an environment variable still overrides the one file value
+    p = load_params("n_antennas = 4\n", env={"SWIPTFOG_N_ANTENNAS": "2"})
+    assert p.n_antennas == 2
+
+
 def test_malformed_line_is_an_error():
     with pytest.raises(ValueError, match="key = value"):
         load_params("just some words\n", env={})

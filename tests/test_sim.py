@@ -11,13 +11,14 @@ from swiptfog import (
     sweep,
 )
 from swiptfog import sim
+from swiptfog.channel import draw_gains
 from swiptfog.params import with_overrides
 from swiptfog.sim import (
     TRIAL_CHUNK,
     SweepAxis,
+    _trial_gains,
     _trial_states,
     sweep_csv_rows,
-    trial_rng,
 )
 
 
@@ -130,16 +131,19 @@ def test_neighbouring_master_seeds_run_different_trials(params, seeds):
     assert a.mean_storage != b.mean_storage
 
 
-def test_trial_seeds_are_spawned_children_and_do_not_collide():
+def test_trial_seeds_are_spawned_children_and_do_not_collide(params):
     for master in (5, 303):
         children = np.random.SeedSequence(master).spawn(4)
+        gd, go = _trial_gains(params, master, 4, 3)
         for t, child in enumerate(children):
-            assert (trial_rng(master, t).random(3).tolist()
-                    == np.random.default_rng(child).random(3).tolist())
+            assert _trial_states(master, 1, t)[0] == np.random.PCG64(child).state
+            want_gd, want_go = draw_gains(params, np.random.default_rng(child), 3)
+            assert gd[t].tolist() == want_gd.tolist()
+            assert go[t].tolist() == want_go.tolist()
     # the list seed [m, t] would map [2**32 + 5, 0] and [5, 1] to one stream
-    firsts = {(m, t): trial_rng(m, t).random()
-              for m in (5, 2**32 + 5) for t in range(3)}
-    assert len(set(firsts.values())) == len(firsts)
+    firsts = [g for m in (5, 2**32 + 5)
+              for g in _trial_gains(params, m, 3, 1)[0][:, 0].tolist()]
+    assert len(set(firsts)) == len(firsts) == 6
 
 
 @pytest.mark.parametrize("master", [0, 5, 256, 303, 1792, 2**32 - 1,
@@ -153,7 +157,6 @@ def test_trial_states_equal_numpy_seeding(master):
         want = np.random.PCG64(np.random.SeedSequence(master, spawn_key=(t,))).state
         assert states[t] == want, t
         assert _trial_states(master, 1, t) == [want]
-        assert trial_rng(master, t).bit_generator.state == want
 
 
 def test_trial_states_reject_indices_past_one_seed_word():
@@ -163,10 +166,8 @@ def test_trial_states_reject_indices_past_one_seed_word():
     for first, n in ((last, 2), (2**32, 1), (-1, 1)):
         with pytest.raises(ValueError, match="trial indices"):
             _trial_states(9, n, first)
-    with pytest.raises(ValueError, match="trial indices"):
-        trial_rng(9, 2**32)
     with pytest.raises(ValueError, match="master_seed"):
-        trial_rng(-1, 0)
+        _trial_states(-1, 1)
 
 
 def test_more_trials_extend_a_shorter_run(params, monkeypatch):
@@ -255,6 +256,15 @@ def test_sweep_consumed_flat_harvest_falls_with_distance(params):
 def test_sweep_rejects_empty_values(params):
     with pytest.raises(ValueError):
         sweep(params, SweepAxis.OPS_PER_BIT, [], 10, 2, 1)
+
+
+def test_sweep_validates_every_value_before_simulating(params, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "_monte_carlo",
+                        lambda *args: calls.append(args) or pytest.fail())
+    with pytest.raises(ValueError, match="dist_ap_dev must be at least 1.0"):
+        sweep(params, SweepAxis.DIST_AP_DEV, [6.0, 0.5], 10, 2, 1)
+    assert calls == []
 
 
 def test_csv_row_shapes(params):
