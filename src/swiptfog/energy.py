@@ -46,8 +46,15 @@ def _check_slot(tau: float, frame: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, {frame}], got {tau!r}")
 
 
+def _check_gain(gain: float) -> None:
+    if not 0.0 <= gain < math.inf:
+        raise ValueError(
+            f"eff_gain_down must be finite and non-negative, got {gain!r}")
+
+
 def throughput(params: SystemParams, eff_gain_down: float, tau_d: float) -> float:
     """Achievable downlink rate in bit/s for a decode slot of tau_d seconds."""
+    _check_gain(eff_gain_down)
     _check_slot(tau_d, params.frame_duration, "tau_d")
     snr = eff_gain_down / params.noise_dev
     return params.bw_downlink * (tau_d / params.frame_duration) * math.log2(1.0 + snr)
@@ -61,6 +68,7 @@ def harvested_energy(params: SystemParams, eff_gain_down: float, tau_e: float) -
 
 def decode_energy(params: SystemParams, eff_gain_down: float, tau_d: float) -> float:
     """Decoder energy: per-bit cost times the bits decoded in tau_d seconds."""
+    _check_gain(eff_gain_down)
     _check_slot(tau_d, params.frame_duration, "tau_d")
     snr = eff_gain_down / params.noise_dev
     bits = params.bw_downlink * math.log2(1.0 + snr) * tau_d
@@ -75,7 +83,7 @@ def energy_per_op(params: SystemParams) -> float:
 
 def compute_energy(params: SystemParams, rate: float) -> float:
     """Local processing energy for one frame at the given received rate."""
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ValueError("rate must be non-negative")
     return energy_per_op(params) * params.ops_per_bit * rate * params.frame_duration
 
@@ -83,9 +91,9 @@ def compute_energy(params: SystemParams, rate: float) -> float:
 def offload_bits(params: SystemParams, gain_offload: float, p_o: float,
                  tau_o: float) -> float:
     """Bits deliverable to the server in tau_o seconds at transmit power p_o."""
-    if p_o < 0.0:
+    if not p_o >= 0.0:
         raise ValueError("p_o must be non-negative")
-    if gain_offload < 0.0:
+    if not gain_offload >= 0.0:
         raise ValueError("gain_offload must be non-negative")
     _check_slot(tau_o, params.frame_duration, "tau_o")
     snr = gain_offload * p_o / params.noise_server
@@ -112,7 +120,7 @@ def frame_cost(e_decode: float, e_compute: float, e_offload: float,
         raise ValueError("i_o must be 0 or 1")
     for name, value in (("e_decode", e_decode), ("e_compute", e_compute),
                         ("e_offload", e_offload), ("e_harvest", e_harvest)):
-        if value < 0.0:
+        if not value >= 0.0:
             raise ValueError(f"{name} must be non-negative, got {value!r}")
     if i_o == 0:
         cost = e_compute + e_decode - e_harvest

@@ -17,17 +17,13 @@ your technology assumption differs.
 """
 
 import math
-import os
 from dataclasses import dataclass, fields, replace
-
-ENV_PREFIX = "SWIPTFOG_"
 
 __all__ = [
     "SystemParams",
     "load_params",
     "dumps_params",
     "db_to_linear",
-    "ENV_PREFIX",
 ]
 
 
@@ -103,44 +99,33 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-_BOOL_FIELDS = {"normalize_beamforming"}
-_INT_FIELDS = {"n_antennas"}
-_FIELD_NAMES = tuple(f.name for f in fields(SystemParams))
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
+# per field type: what the value must look like, and its parser
+_PARSERS = {bool: ("a boolean", lambda raw: _BOOL_WORDS[raw.lower()]),
+            int: ("an integer", int), float: ("a number", float)}
+_FIELD_TYPES = {f.name: f.type for f in fields(SystemParams)}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in _BOOL_FIELDS:
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{key}: expected an integer, got {raw!r}") from exc
+    expected, parse = _PARSERS[_FIELD_TYPES[key]]
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{key}: expected a number, got {raw!r}") from exc
+        return parse(raw)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
-def load_params(source: str = "", env: dict | None = None) -> SystemParams:
+def load_params(source: str = "", *, env=None) -> SystemParams:
     """Build a validated SystemParams from flat ``key = value`` text.
 
     Empty input returns the defaults.  Lines starting with ``#`` and blank
     lines are skipped; a line must look like ``name = value`` with ``name``
     one of the SystemParams fields, given at most once, otherwise a
     ValueError names the offending key (and both lines of a repeated one).
-    After the file, environment variables of the form ``SWIPTFOG_<FIELD>``
-    (upper-cased field name) override individual keys; pass ``env={}`` to
-    disable environment lookups.
+    The text is the only input; the environment changes nothing.  ``env``
+    is ignored: perfbench/worker.py still passes ``env={}``.
     """
-    if env is None:
-        env = dict(os.environ)
     overrides: dict = {}
     line_of = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
@@ -151,17 +136,13 @@ def load_params(source: str = "", env: dict | None = None) -> SystemParams:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
         if key in line_of:
             raise ValueError(f"line {lineno}: configuration key {key!r} is "
                              f"already given on line {line_of[key]}")
         line_of[key] = lineno
         overrides[key] = _parse_value(key, raw)
-    for name in _FIELD_NAMES:
-        env_key = ENV_PREFIX + name.upper()
-        if env_key in env:
-            overrides[name] = _parse_value(name, env[env_key])
     return SystemParams(**overrides)
 
 

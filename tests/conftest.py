@@ -10,8 +10,7 @@ from swiptfog.allocator import solve_frames
 
 @pytest.fixture
 def params() -> SystemParams:
-    # defaults, shielded from ambient environment overrides
-    return load_params("", env={})
+    return load_params("")
 
 
 # Two valid configurations, each with a gain pair under which both modes are

@@ -36,7 +36,7 @@ from conftest import random_gain_pairs
 
 
 def _params() -> SystemParams:
-    return load_params("", env={})
+    return load_params("")
 
 
 def _report(n: int, name: str, ok: bool, detail: str) -> None:

@@ -234,7 +234,7 @@ def _mc_outage_roots(monkeypatch):
     problem (ops_per_bit 1e4) at 6, 10 and 15 m, 100 frames x 60 trials."""
     seen = []
     solver = allocator.lambert_w0
-    base = with_overrides(load_params("", env={}), ops_per_bit=1e4)
+    base = with_overrides(load_params(""), ops_per_bit=1e4)
     with monkeypatch.context() as m:
         m.setattr(allocator, "lambert_w0",
                   lambda x: seen.append(np.array(x)) or solver(x))

@@ -308,7 +308,7 @@ def _local_bit_cases():
     """(params, gains): the defaults, ops_per_bit 10 and 100 (runs of
     thousands of cells), and both few-cell configurations."""
     rng = np.random.default_rng(21)
-    base = load_params("", env={})
+    base = load_params("")
     for k in (None, 10.0, 100.0):
         p = base if k is None else with_overrides(base, ops_per_bit=k)
         yield p, _feasible_pairs(p, rng, 150)[0]
@@ -381,7 +381,7 @@ def test_local_grid_blocks_equal_one_run_sweeps(ops_per_bit, monkeypatch):
     # sweeping each run on its own, for the cost and for a cost that falls
     # along each run
     rng = np.random.default_rng(22)
-    p = with_overrides(load_params("", env={}), ops_per_bit=ops_per_bit)
+    p = with_overrides(load_params(""), ops_per_bit=ops_per_bit)
     cases = [(p, _feasible_pairs(p, rng, 300)[0])]
     for few, pair in FEW_CELL_DECODE:
         cases.append((few, _feasible_pairs(few, rng, 40, extra=[pair])[0]))

@@ -108,7 +108,7 @@ def test_realize_channels_pure_los_single_antenna():
     # one antenna, effectively no fading, distance chosen for 60 dB loss
     d = 10.0 ** ((60.0 + 28.0 - 20.0 * math.log10(2400.0)) / 22.0)
     p = load_params(
-        f"n_antennas = 1\nrician_k_db = 400\ndist_ap_dev = {d!r}\n", env={})
+        f"n_antennas = 1\nrician_k_db = 400\ndist_ap_dev = {d!r}\n")
     ch = realize_channels(p, np.random.default_rng(7))
     assert ch.eff_gain_down == pytest.approx(1e-6, rel=1e-6)
 

@@ -182,6 +182,25 @@ def test_verify_passes_and_writes_report(capsys, tmp_path):
     assert report[0].startswith("instance,")
 
 
+def test_verify_fails_with_exit_3_when_the_grid_beats_the_closed_form(
+        capsys, tmp_path, monkeypatch):
+    """An oracle that finds local costs 1 mJ below the grid minimum, far
+    below any closed-form optimum, fails every grid instance."""
+    real = swiptfog.bruteforce.brute_local
+
+    def too_cheap(*args):
+        tau_d, tau_c, cost = real(*args)
+        return tau_d, tau_c, cost - 1e-3
+
+    monkeypatch.setattr(swiptfog.bruteforce, "brute_local", too_cheap)
+    code, out, _ = run(capsys, "verify", "--seed", "4", "--instances", "20",
+                       "--out-dir", str(tmp_path))
+    assert code == 3
+    assert "verification FAILED (20 check(s))" in out.splitlines()
+    rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
+    assert len(rows) == 20 and all(r.endswith(",fail") for r in rows)
+
+
 @pytest.mark.parametrize("ops_per_bit,digest", [
     (None, "f2a3139d5ae3fa53f576ac694883d7334f337c873f0327b88834c22fd7214ca8"),
     (100.0, "147477aca93b4c575e081a4360227a0597218421599e73183189c82ac0ebbb1d"),
@@ -277,6 +296,30 @@ def _src_env():
     return {**os.environ, "PYTHONPATH": src}
 
 
+def test_environment_does_not_change_a_run(capsys, tmp_path):
+    """A run's parameters come only from --config: a field-named SWIPTFOG_
+    variable, or a misspelled one, leaves frames.csv as it is without
+    them, while the same distance given in the file changes it."""
+    probe = "import sys, swiptfog.cli; sys.exit(swiptfog.cli.main(sys.argv[1:]))"
+
+    def frames_csv(name, extra_env=None, dist=6.0):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"dist_ap_dev = {dist!r}\n")
+        argv = ("simulate", "--config", str(cfg), "--seed", "256", "--frames",
+                "20", "--trials", "40", "--out-dir", str(tmp_path / name))
+        if extra_env is None:
+            assert run(capsys, *argv)[0] == 0
+        else:
+            subprocess.run([sys.executable, "-c", probe, *argv], check=True,
+                           capture_output=True, env={**_src_env(), **extra_env})
+        return (tmp_path / name / "frames.csv").read_bytes()
+
+    plain = frames_csv("plain", {})
+    assert frames_csv("env", {"SWIPTFOG_DIST_AP_DEV": "15",
+                              "SWIPTFOG_DIST_AP_DEVV": "15"}) == plain
+    assert frames_csv("file", dist=15.0) != plain
+
+
 def test_cli_import_leaves_multiprocessing_out():
     """The CLI is single-process; importing it must not pull in
     multiprocessing (and with it socket and selectors)."""
@@ -296,7 +339,7 @@ def test_only_main_sets_the_heap_thresholds():
         ctypes.CDLL = lambda *a, **k: (opened.append(a), real(*a, **k))[1]
         import swiptfog, swiptfog.cli
         from swiptfog import load_params, monte_carlo
-        monte_carlo(load_params("", env={}), n_frames=3, n_trials=2,
+        monte_carlo(load_params(""), n_frames=3, n_trials=2,
                     master_seed=1)
         print(opened, swiptfog.cli._parser is None)
         for _ in range(2):

@@ -151,3 +151,35 @@ def test_frame_cost_validates_inputs():
         frame_cost(1.0, 1.0, 1.0, 1.0, i_o=2)
     with pytest.raises(ValueError):
         frame_cost(-1.0, 1.0, 1.0, 1.0, i_o=0)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_frame_cost_rejects_nan_energy(slot):
+    energies = [0.0] * 4
+    energies[slot] = math.nan
+    with pytest.raises(ValueError, match="must be non-negative, got nan"):
+        frame_cost(*energies, i_o=0)
+
+
+def test_compute_energy_rejects_nan_rate(params):
+    with pytest.raises(ValueError, match="rate must be non-negative"):
+        compute_energy(params, math.nan)
+
+
+@pytest.mark.parametrize("gain, p_o, name", [(math.nan, 1.0, "gain_offload"),
+                                             (1e-7, math.nan, "p_o")])
+def test_offload_bits_rejects_nan(params, gain, p_o, name):
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        offload_bits(params, gain, p_o, 0.5)
+
+
+@pytest.mark.parametrize("gain", [-1e-12, math.inf, math.nan])
+def test_throughput_rejects_negative_or_non_finite_gain(params, gain):
+    with pytest.raises(ValueError, match="eff_gain_down must be finite"):
+        throughput(params, gain, 0.5)
+
+
+@pytest.mark.parametrize("gain", [-1e-12, math.inf, math.nan])
+def test_decode_energy_rejects_negative_or_non_finite_gain(params, gain):
+    with pytest.raises(ValueError, match="eff_gain_down must be finite"):
+        decode_energy(params, gain, 0.5)

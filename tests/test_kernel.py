@@ -327,7 +327,7 @@ def test_trace_slots_partition_frame_and_storage_stays_non_negative(params, seed
                      min_size=8, max_size=30))
 def test_certify_passes_kernel_optima(exps):
     # the configuration that verify certifies by default
-    params = load_params("", env={})
+    params = load_params("")
     gd, go = 10.0 ** np.array(exps).T
     local, offload = solve_frames(params, gd, go)
     both = local.feasible & offload.feasible

@@ -7,7 +7,7 @@ from swiptfog import SystemParams, db_to_linear, dumps_params, load_params
 
 
 def test_empty_config_gives_documented_defaults():
-    p = load_params("", env={})
+    p = load_params("")
     assert p.n_antennas == 4
     assert p.p_transmit == 1.0
     assert p.bw_downlink == 2e6
@@ -32,8 +32,8 @@ def test_empty_config_gives_documented_defaults():
 
 
 def test_single_field_override_leaves_rest_at_defaults():
-    p = load_params("dist_ap_dev = 15\n", env={})
-    d = load_params("", env={})
+    p = load_params("dist_ap_dev = 15\n")
+    d = load_params("")
     assert p.dist_ap_dev == 15.0
     for name in ("p_transmit", "eh_efficiency", "rate_min", "dist_dev_server"):
         assert getattr(p, name) == getattr(d, name)
@@ -41,7 +41,7 @@ def test_single_field_override_leaves_rest_at_defaults():
 
 def test_zero_harvest_efficiency_rejected():
     with pytest.raises(ValueError, match="eh_efficiency"):
-        load_params("eh_efficiency = 0\n", env={})
+        load_params("eh_efficiency = 0\n")
 
 
 def test_validation_names_offending_field():
@@ -52,53 +52,54 @@ def test_validation_names_offending_field():
         ("n_antennas = 0", "n_antennas"),
     ]:
         with pytest.raises(ValueError, match=field):
-            load_params(line, env={})
+            load_params(line)
 
 
 def test_unknown_key_is_an_error():
     with pytest.raises(ValueError, match="not_a_key"):
-        load_params("not_a_key = 3\n", env={})
+        load_params("not_a_key = 3\n")
 
 
 def test_key_given_twice_is_an_error_naming_both_lines():
     text = "n_antennas = 4\n# two antennas instead\nn_antennas = 2\n"
     with pytest.raises(ValueError,
                        match=r"line 3: .*'n_antennas'.* on line 1$"):
-        load_params(text, env={})
-    # an environment variable still overrides the one file value
-    p = load_params("n_antennas = 4\n", env={"SWIPTFOG_N_ANTENNAS": "2"})
-    assert p.n_antennas == 2
+        load_params(text)
 
 
 def test_malformed_line_is_an_error():
     with pytest.raises(ValueError, match="key = value"):
-        load_params("just some words\n", env={})
-
-
-def test_env_override_is_prefix_namespaced():
-    p = load_params("", env={"SWIPTFOG_DIST_AP_DEV": "9.5"})
-    assert p.dist_ap_dev == 9.5
-    # unprefixed variables are ignored
-    p = load_params("", env={"DIST_AP_DEV": "9.5"})
-    assert p.dist_ap_dev == 6.0
-
-
-def test_env_override_beats_file_value():
-    p = load_params("dist_ap_dev = 3\n", env={"SWIPTFOG_DIST_AP_DEV": "12"})
-    assert p.dist_ap_dev == 12.0
+        load_params("just some words\n")
 
 
 def test_roundtrip_is_exact():
-    p = load_params("eh_efficiency = 0.37\nnoise_dev = 3.3e-12\n", env={})
-    again = load_params(dumps_params(p), env={})
+    p = load_params("eh_efficiency = 0.37\nnoise_dev = 3.3e-12\n")
+    again = load_params(dumps_params(p))
     assert again == p
 
 
 def test_boolean_field_parsing():
-    assert load_params("normalize_beamforming = false\n", env={}).normalize_beamforming is False
-    assert load_params("normalize_beamforming = 1\n", env={}).normalize_beamforming is True
+    assert load_params("normalize_beamforming = false\n").normalize_beamforming is False
+    assert load_params("normalize_beamforming = 1\n").normalize_beamforming is True
     with pytest.raises(ValueError, match="normalize_beamforming"):
-        load_params("normalize_beamforming = maybe\n", env={})
+        load_params("normalize_beamforming = maybe\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_antennas = 2.5", "n_antennas: expected an integer, got '2.5'"),
+    ("dist_ap_dev = six", "dist_ap_dev: expected a number, got 'six'"),
+])
+def test_value_of_the_wrong_type_names_key_and_expectation(line, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_params(line)
+
+
+def test_env_argument_is_ignored():
+    """Parameters come only from the text; perfbench/worker.py passes
+    env={}, and a mapping with a field override changes nothing."""
+    assert load_params("", env={}) == load_params("") == SystemParams()
+    assert load_params("dist_ap_dev = 6\n",
+                       env={"SWIPTFOG_DIST_AP_DEV": "15"}).dist_ap_dev == 6.0
 
 
 def test_db_to_linear_identity_points():
@@ -118,6 +119,12 @@ def test_params_are_immutable():
     p = SystemParams()
     with pytest.raises(Exception):
         p.rate_min = 1.0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_rician_factor_rejected(value):
+    with pytest.raises(ValueError, match="^rician_k_db must be finite$"):
+        SystemParams(rician_k_db=value)
 
 
 def test_bits_per_frame_positive():

@@ -253,6 +253,20 @@ def test_sweep_consumed_flat_harvest_falls_with_distance(params):
     assert harv[0] > harv[1] > harv[2]
 
 
+@pytest.mark.parametrize("n_frames, seed, message", [
+    (0, 1, "n_frames must be >= 1"), (5, -1, "seed must be non-negative")])
+def test_run_trace_rejects_bad_length_or_seed(params, n_frames, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_trace(params, n_frames, seed)
+
+
+@pytest.mark.parametrize("n_frames, n_trials, message", [
+    (5, 0, "n_trials must be >= 1"), (0, 5, "n_frames must be >= 1")])
+def test_monte_carlo_rejects_empty_runs(params, n_frames, n_trials, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        monte_carlo(params, n_frames, n_trials, 1)
+
+
 def test_sweep_rejects_empty_values(params):
     with pytest.raises(ValueError):
         sweep(params, SweepAxis.OPS_PER_BIT, [], 10, 2, 1)

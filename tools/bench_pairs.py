@@ -9,9 +9,10 @@ directory.  Each pair runs ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once in the parent and once in this
 checkout's working tree; the parent goes first on odd pairs, the change on
 even ones.  The record of every run, each side's median and quartiles of
-every end-to-end metric of BENCHMARK.json, the pairs the change wins, and
+every end-to-end metric of BENCHMARK.json, the pairs the change wins,
 whether every run of both sides wrote the same CSV digests
-(csv_sha256_same_as_parent) are written to results["<W>_seed<S>"] of --out;
+(csv_sha256_same_as_parent) and each side's src/ line count (src_lines)
+are written to results["<W>_seed<S>"] of --out;
 other keys of an existing file are kept, so seeds and workloads can be added
 by later calls.
 """
@@ -38,7 +39,7 @@ def _clean_env():
     the other's sources, or tune the C library's allocator for one side."""
     return {k: v for k, v in os.environ.items()
             if k not in ("PYTHONPATH", "GLIBC_TUNABLES")
-            and not k.startswith(("SWIPTFOG_", "MALLOC_"))}
+            and not k.startswith("MALLOC_")}
 
 
 def cpu_model():
@@ -65,6 +66,12 @@ def unpack(rev, into):
         tar.extractall(Path(into) / "tree", filter="data")
     archive.unlink()
     return sha, Path(into) / "tree"
+
+
+def src_lines(tree):
+    """Line total of src/**/*.py in tree, the size measure of ROADMAP aim 2."""
+    return sum(len(path.read_text().splitlines())
+               for path in (Path(tree) / "src").rglob("*.py"))
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -145,7 +152,8 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
     entry = {
         "pairs": pairs,
         "first_in_pair": "parent on odd pairs, change on even pairs",
-        **{side: summarize(runs, names) for side, runs in sides.items()},
+        **{side: {**summarize(runs, names), "src_lines": src_lines(trees[side])}
+           for side, runs in sides.items()},
     }
     parent, change = entry["parent"], entry["change"]
     entry["csv_sha256_same_as_parent"] = (
@@ -153,8 +161,9 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
         and parent["csv_sha256"] == change["csv_sha256"]
         and parent["csv_sha256_same_in_every_run"]
         and change["csv_sha256_same_in_every_run"])
-    print(f"csv_sha256_same_as_parent: {entry['csv_sha256_same_as_parent']}",
-          flush=True)
+    print(f"csv_sha256_same_as_parent: {entry['csv_sha256_same_as_parent']}; "
+          f"src/ lines: parent {parent['src_lines']}, "
+          f"change {change['src_lines']}", flush=True)
     if all("metrics" in r for runs in sides.values() for r in runs):
         entry["comparison"] = compare(sides["parent"], sides["change"],
                                       pairs, metrics)
