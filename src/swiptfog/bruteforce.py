@@ -16,8 +16,11 @@ Reduction lemmas (both verified numerically in the test suite):
 
 * offload program: the objective is strictly increasing in the transmit
   energy, so the energy is pinned to the smallest value meeting the bit
-  constraint, leaving a 1-D convex sweep over the offload slot (cross-checked
-  the same way).
+  constraint, leaving a 1-D convex curve over the offload slot (cross-checked
+  the same way).  The curve is a pair's own line plus a times one convex
+  curve that all pairs share, so one search over that curve's slopes puts a
+  few-cell window on each pair's grid minimum; a window whose minimum is not
+  certified against rounding falls back to sweeping the pair's whole axis.
 
 Grid-gap bounds: the returned minimum can sit above the true optimum by at
 most (Lipschitz constant) x (cell size) per axis.  ``local_grid_tolerance``
@@ -25,6 +28,7 @@ and ``offload_grid_tolerance`` evaluate those bounds for a given instance and
 grid, including the refinement shrink factor 0.618**refine_iters.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +47,8 @@ __all__ = [
     "local_grid_tolerance",
     "offload_grid_tolerance",
 ]
+
+log = logging.getLogger(__name__)
 
 _INV_E = math.exp(-1.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -327,10 +333,12 @@ def _offload_cost(e_dec, a, hr, room, tau_o, growth, out=None, tmp=None):
     return out
 
 
-def _offload_grid(params: SystemParams, n, e_dec, a, hr, room,
-                  step: float) -> tuple:
+def _offload_sweep(params: SystemParams, n, e_dec, a, hr, room,
+                   step: float) -> tuple:
     """Best grid cell (tau_o, cost) of the offload cost curve for each pair,
-    over its first n grid slots; the other arguments are _offload_cost's."""
+    over its first n grid slots, by a sweep of each pair's whole row in turn
+    into buffers reused from pair to pair; the other arguments are
+    _offload_cost's.  Each row keeps its first minimum."""
     tau_o = step * np.arange(1, n.max(initial=0) + 1)
     growth = _exp2m1(params.bits_per_frame / (params.bw_offload * tau_o))
     cost, tmp = np.empty(tau_o.size), np.empty(tau_o.size)
@@ -345,15 +353,96 @@ def _offload_grid(params: SystemParams, n, e_dec, a, hr, room,
     return best_o, best
 
 
+# _offload_grid evaluates 2 _WINDOW + 1 cells around each pair's slope
+# crossing; _ROUNDING is its bound, per unit of magnitude, on the error of a
+# computed cell (see _offload_grid).
+_WINDOW = 4
+_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+def _offload_grid(params: SystemParams, n, e_dec, a, hr, room,
+                  step: float) -> tuple:
+    """The bits of _offload_sweep, found by one search over a curve that all
+    pairs share and a certified window around each pair's minimum.
+
+    The cost at slot tau is e_dec + a F(tau) - hr (room - tau), where
+    F(tau) = tau growth(tau) is convex and falling and the same for every
+    pair: a pair's cost falls while the slope of F from one cell to the
+    next is below -hr step / a.  One searchsorted over np.diff of F finds
+    every pair's crossing, and _offload_cost, in its own operations, prices
+    the 2 _WINDOW + 1 cells around it for all pairs in one pass; each window
+    keeps its first minimum.  growth overflows to inf on a prefix of the
+    axis (the head); its cells cost inf, so each window starts past it.
+
+    The window's minimum m is kept only where it is certified as the row's
+    first minimum; otherwise the pair is swept in full by _offload_sweep.
+    A computed cell is within delta = _ROUNDING M of the exact cost at a
+    slot within 2 eps of its tau (rounding bits / (B_g tau) moves the slot,
+    not the curve), where M = |e_dec| + (hr + a) room + a F(tau) bounds
+    every term: 16 eps covers _offload_cost's roundings and exp2's last
+    bits, with room for the rounding of the test itself.  The exact cost is
+    convex in tau.  So let an edge cell e, not an end of the axis, exceed m
+    by more than 3 delta, delta taken at the window's first cell, where F
+    is largest.  Then e's exact cost exceeds m's, and by convexity every
+    cell past e costs at least e's exact cost.  Past the right edge M only
+    falls, so such a cell computes above e - 2 delta; past the left edge M
+    grows by at most M at e plus the cost's rise, so it computes above
+    e - 3 delta.  Either way no cell outside the window computes to m or
+    below.  A pair falls back when m or delta is not finite (the all-inf
+    window among them), when tau a can underflow to 0 (0 x inf is NaN in
+    the head), or when an edge that is not an end of the axis fails the
+    test, as an edge holding m does.  The search and the certificate
+    use only the oracle's own curve.
+    """
+    tau_o = step * np.arange(1, n.max(initial=0) + 1)
+    growth = _exp2m1(params.bits_per_frame / (params.bw_offload * tau_o))
+    curve = tau_o * growth
+    head = int(np.count_nonzero(np.isinf(growth)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = np.diff(curve)
+        slope[np.isnan(slope)] = -math.inf  # inf - inf within the head
+        mid = slope.searchsorted(-hr * step / a)
+    width = 2 * _WINDOW + 1
+    start = np.clip(mid - _WINDOW, head, np.maximum(n - width, head))
+    cells = start[:, None] + np.arange(width)
+    at = np.minimum(cells, tau_o.size - 1)
+    cost = _offload_cost(e_dec[:, None], a[:, None], hr[:, None],
+                         room[:, None], tau_o[at], growth[at])
+    cost[cells >= n[:, None]] = math.inf
+    j = cost.argmin(axis=1)
+    rows = np.arange(n.size)
+    best_o, best = tau_o[at[rows, j]], cost[rows, j]
+    bound = 3.0 * _ROUNDING * (np.abs(e_dec) + (hr + a) * room
+                               + a * curve[at[:, 0]])
+    finite = (best < math.inf) & (bound < math.inf) & (a * step > 0.0)
+    inner = (start > head, cells[:, -1] < n - 1)
+    sure = (finite & (~inner[0] | (cost[:, 0] > best + bound))
+            & (~inner[1] | (cost[:, -1] > best + bound)))
+    back = np.flatnonzero(~sure)
+    best_o[back], best[back] = _offload_sweep(
+        params, n[back], e_dec[back], a[back], hr[back], room[back], step)
+    why = [np.count_nonzero(x) for x in (
+        ~finite, finite & inner[0] & (j == 0),
+        finite & inner[1] & (j == width - 1))]
+    log.debug("offload grid: %d of %d pairs fell back to the full sweep "
+              "(%d with no finite minimum or bound, %d with the minimum on "
+              "the left edge, %d on the right edge, %d within the rounding "
+              "bound)", back.size, n.size, *why, back.size - sum(why))
+    return best_o, best
+
+
 def brute_offload(params: SystemParams, eff_gain_down, gain_offload,
                   spec: GridSpec) -> tuple:
     """Grid minimum of the offloading program; returns (tau_o, p_o, cost),
     element-wise over the broadcast gains as brute_local does.
 
     The decode slot is fixed at its rate-floor value (shared with the local
-    program); the transmit energy is eliminated per the reduction lemma and
-    the remaining 1-D convex curve is swept for each pair in turn, into
-    buffers reused from pair to pair, then golden-sectioned in lockstep.
+    program); the transmit energy is eliminated per the reduction lemma.
+    Each pair's grid minimum of the remaining 1-D convex curve is found by
+    one search of all pairs over the slopes of the curve they share, and a
+    window of 2 _WINDOW + 1 cells around it, certified against rounding or
+    else swept in full (see _offload_grid); then golden-sectioned in
+    lockstep.
     """
     gd, go = np.broadcast_arrays(np.asarray(eff_gain_down, dtype=float),
                                  np.asarray(gain_offload, dtype=float))

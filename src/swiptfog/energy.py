@@ -17,6 +17,8 @@ the surplus can be banked.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _ieee
 from .params import SystemParams
 
@@ -46,10 +48,14 @@ def _check_slot(tau: float, frame: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, {frame}], got {tau!r}")
 
 
-def _check_gain(gain: float) -> None:
-    if not 0.0 <= gain < math.inf:
+def _check_gain(gain) -> None:
+    """Reject a NaN, infinite or negative gain, a number or any element of
+    an array; the message names the first."""
+    ok = np.logical_and(0.0 <= gain, gain < math.inf)
+    if not ok.all():
+        bad = float(np.asarray(gain, dtype=float)[~ok].flat[0])
         raise ValueError(
-            f"eff_gain_down must be finite and non-negative, got {gain!r}")
+            f"eff_gain_down must be finite and non-negative, got {bad!r}")
 
 
 def throughput(params: SystemParams, eff_gain_down: float, tau_d: float) -> float:
@@ -61,7 +67,9 @@ def throughput(params: SystemParams, eff_gain_down: float, tau_d: float) -> floa
 
 
 def harvested_energy(params: SystemParams, eff_gain_down: float, tau_e: float) -> float:
-    """Energy banked while harvesting for tau_e seconds (signal plus noise)."""
+    """Energy banked while harvesting for tau_e seconds (signal plus noise);
+    element-wise over an array of gains."""
+    _check_gain(eff_gain_down)
     _check_slot(tau_e, params.frame_duration, "tau_e")
     return params.eh_efficiency * (eff_gain_down + params.noise_dev) * tau_e
 

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import re
 import tracemalloc
@@ -416,6 +417,126 @@ def test_local_grid_memory_stays_bounded(params):
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, f"ops_per_bit {p.ops_per_bit}: {peak} B"
+
+
+# ---------------------------------------------------------------------------
+# the offload window against full-row sweeps
+# ---------------------------------------------------------------------------
+
+_FELL_BACK = re.compile(
+    r"offload grid: (\d+) of (\d+) pairs fell back to the full sweep \((\d+) "
+    r"with no finite minimum or bound, (\d+) with the minimum on the left "
+    r"edge, (\d+) on the right edge, (\d+) within the rounding bound\)")
+
+
+def _fallbacks(caplog):
+    """The counts of the last offload grid record: (fell back, pairs, no
+    finite minimum or bound, left edge, right edge, rounding bound)."""
+    found = [_FELL_BACK.fullmatch(r.getMessage()) for r in caplog.records]
+    return tuple(map(int, [m for m in found if m][-1].groups()))
+
+
+def _offload_rows(rng, size, n_max, a_exp, hr_max, step):
+    """size random offload rows (n, e_dec, a, hr, room) of up to n_max
+    cells of the grid step, with a log-uniform over 10**a_exp and hr up to
+    hr_max."""
+    n = rng.integers(1, n_max + 1, size)
+    room = (n + rng.random(size)) * step
+    e_dec = 10.0 ** rng.uniform(-12.0, 0.0, size)
+    a = 10.0 ** rng.uniform(*a_exp, size)
+    hr = rng.random(size) * hr_max
+    return n, e_dec, a, hr, room
+
+
+def _offload_bit_cases():
+    """(name, params, rows): random rows; near-flat curves (hr = 0, tiny hr,
+    tiny and huge a), whose minima sit at either end of the axis or are
+    lost in rounding; rows shorter than the window, down to one cell; and,
+    with a narrow offload band, rows whose window reaches the head, where
+    2**u overflows, or that lie inside it, some with a so small that tau a
+    underflows."""
+    rng = np.random.default_rng(41)
+    p = load_params("")
+    step = GridSpec.for_frame(p.frame_duration).resolution
+    yield "random", p, _offload_rows(rng, 400, 10_000, (-20.0, 10.0), 1.0,
+                                     step)
+    for a_exp, hr_max in (((-20.0, -14.0), 0.0), ((-20.0, -14.0), 1e-12),
+                          ((4.0, 10.0), 0.0), ((4.0, 10.0), 1e-12),
+                          ((-14.0, -8.0), 1e-6)):
+        yield "near flat", p, _offload_rows(rng, 100, 10_000, a_exp, hr_max,
+                                            step)
+    yield "short", p, _offload_rows(rng, 200, 2 * bruteforce._WINDOW,
+                                    (-20.0, 10.0), 1.0, step)
+    # 2**u overflows on the first 40 or so cells
+    head = with_overrides(p, bw_offload=p.bits_per_frame / (900.0 * 40 * step))
+    rows = _offload_rows(rng, 300, 200, (-20.0, 0.0), 1.0, step)
+    rows[2][:10] = 1e-321  # tau a underflows to 0: 0 x inf is NaN in the head
+    yield "head", head, rows
+
+
+def _negated(cost):
+    """-cost, written into cost's output."""
+    def negated(*args, **kwargs):
+        out = cost(*args, **kwargs)
+        return np.negative(out, out=out)
+    return negated
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_offload_grid_bits_equal_full_row_sweep(negate, monkeypatch, caplog):
+    # the window's certified minimum, or the fallback's, is the full-row
+    # sweep's first minimum bit for bit.  With the cost negated the curve is
+    # concave, not convex, so the slope search puts the window on its top
+    # and every window whose row goes on past it must fall back at an edge.
+    caplog.set_level(logging.DEBUG, logger="swiptfog.bruteforce")
+    if negate:
+        monkeypatch.setattr(bruteforce, "_offload_cost", _negated(
+            bruteforce._offload_cost))
+    step = GridSpec.for_frame(load_params("").frame_duration).resolution
+    reasons, seen = np.zeros(4, dtype=int), set()
+    for name, p, rows in _offload_bit_cases():
+        if negate and name == "head":
+            continue  # the head's cells must cost +inf, not -inf
+        n = rows[0]
+        with np.errstate(invalid="ignore"):
+            got = bruteforce._offload_grid(p, *rows, step)
+            want = bruteforce._offload_sweep(p, *rows, step)
+        for g, w in zip(got, want):
+            assert (g.view(np.int64) == w.view(np.int64)).all(), name
+        fell, pairs, *why = _fallbacks(caplog)
+        assert pairs == n.size and fell == sum(why)
+        reasons += why
+        cell = np.rint(got[0] / step).astype(int) - 1
+        seen |= {("first cell", (cell == 0).any()),
+                 ("last cell", (cell[n > 1] == n[n > 1] - 1).any()),
+                 ("one cell", (n == 1).any()),
+                 ("inside the head", np.isinf(got[1]).any())}
+    if negate:  # each edge holds the concave curve's minimum somewhere
+        assert (reasons[1:3] > 0).all(), reasons
+    else:
+        assert {(k, True) for k, _ in seen} <= seen
+        # rows inside the head have no finite minimum; on flat curves the
+        # first cell holds the minimum, or an edge is within the bound
+        assert (reasons[[0, 1, 3]] > 0).all(), reasons
+
+
+def test_offload_grid_reports_its_fallbacks(params, caplog):
+    # no pair of wide feasible gains falls back at the defaults; on a flat
+    # curve, whose last cells all round to e_dec, the window's first cell
+    # holds the minimum, and every row longer than one cell falls back
+    caplog.set_level(logging.DEBUG, logger="swiptfog.bruteforce")
+    spec = GridSpec.for_frame(params.frame_duration)
+    gd, go = _feasible_pairs(params, np.random.default_rng(43), 300)
+    brute_offload(params, gd, go, spec)
+    assert _fallbacks(caplog) == (0, gd.size, 0, 0, 0, 0)
+    n = np.array([1, 50, 5000])
+    flat = (n, np.ones(3), np.full(3, 1e-20), np.zeros(3), n * spec.resolution)
+    got = bruteforce._offload_grid(params, *flat, spec.resolution)
+    assert _fallbacks(caplog) == (2, 3, 0, 2, 0, 0)
+    want = bruteforce._offload_sweep(params, *flat, spec.resolution)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert got[1].tolist()[1:] == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

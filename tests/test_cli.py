@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import hashlib
+import logging
 import math
 import os
 import re
@@ -229,6 +230,27 @@ def test_verify_csv_bits_are_pinned(capsys, tmp_path, ops_per_bit, digest):
     assert code == 0, out
     got = hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest()
     assert got == digest
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (256, "9958f3f4121768f57db17e41778a3cc7c6e3d118c264c1f2b611f64c082aa37d"),
+    (1792, "12b13ea8ebb6133ffa4fc5c00141b83137291053d7a7c6550de45235479990f3"),
+], ids=["seed-256", "seed-1792"])
+def test_verify_benchmark_bits_are_pinned(capsys, caplog, tmp_path, seed,
+                                          digest):
+    """sha256 of verify.csv with 2000 instances at the CLI seeds of the
+    verify_grid benchmark's seeds 1 and 7, as the 200-instance digests pin
+    theirs; no pair of its offload grid falls back to the full sweep."""
+    caplog.set_level(logging.DEBUG, logger="swiptfog.bruteforce")
+    code, out, _ = run(capsys, "verify", "--seed", str(seed), "--instances",
+                       "2000", "--out-dir", str(tmp_path))
+    assert code == 0, out
+    got = hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest()
+    assert got == digest
+    fell = [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("offload grid:")]
+    assert len(fell) == 1 and fell[0].startswith(
+        "offload grid: 0 of 2000 pairs fell back to the full sweep")
 
 
 def test_write_csv_bytes_equal_csv_writer(tmp_path):

@@ -183,3 +183,16 @@ def test_throughput_rejects_negative_or_non_finite_gain(params, gain):
 def test_decode_energy_rejects_negative_or_non_finite_gain(params, gain):
     with pytest.raises(ValueError, match="eff_gain_down must be finite"):
         decode_energy(params, gain, 0.5)
+
+
+@pytest.mark.parametrize("gain", [-1.0, math.inf, math.nan])
+def test_harvested_energy_rejects_negative_or_non_finite_gain(params, gain):
+    with pytest.raises(ValueError, match=f"eff_gain_down must be finite and "
+                                         f"non-negative, got {gain!r}"):
+        harvested_energy(params, gain, 1.0)
+    gains = np.array([[1e-6, 2e-6], [gain, 3e-6]])
+    with pytest.raises(ValueError, match=f"non-negative, got {gain!r}"):
+        harvested_energy(params, gains, 1.0)
+    good = np.array([[0.0, 1e-6], [2e-6, 3e-6]])
+    want = [harvested_energy(params, g, 1.0) for g in good.ravel().tolist()]
+    assert harvested_energy(params, good, 1.0).ravel().tolist() == want
