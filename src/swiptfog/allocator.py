@@ -38,6 +38,7 @@ import numpy as np
 from . import _ieee
 from .energy import (
     EnergyBreakdown,
+    _check_gain,
     compute_energy,
     energy_per_op,
     frame_cost,
@@ -101,13 +102,6 @@ class StrategyResult:
 
 
 _INFEASIBLE = StrategyResult(feasible=False)
-
-
-def _check_gains(**gains) -> None:
-    """Reject NaN, infinite and negative gains, scalar or array."""
-    for name, gain in gains.items():
-        if not np.all((0.0 <= gain) & (gain < math.inf)):
-            raise ValueError(f"{name} must be finite and non-negative")
 
 
 def _halley_pass(k, w, x, active, back2, back3):
@@ -260,7 +254,8 @@ def solve_frames(params: SystemParams, eff_gain_down,
     go = np.asarray(gain_offload, dtype=float)
     if gd.shape != go.shape:
         raise ValueError("gain arrays must have one shape")
-    _check_gains(eff_gain_down=gd, gain_offload=go)
+    _check_gain(gd)
+    _check_gain(go, "gain_offload")
     with np.errstate(over="ignore"):
         if np.isinf(gd / params.noise_dev).any():
             raise ValueError("eff_gain_down / noise_dev, the downlink SNR, "
@@ -292,7 +287,9 @@ def solve_frames(params: SystemParams, eff_gain_down,
             e_compute=compute_energy(params, params.rate_min), e_offload=0.0,
             e_harvest=harvest_rate * tau_e)
 
-        # the rate floor lies strictly below the full-frame capacity
+        # The rate floor lies strictly below the full-frame capacity.  At
+        # equality tau_d fills the frame, which the slot check rejects
+        # anyway; the strict test keeps such frames out of lambert_w0.
         ok = (params.rate_min < params.bw_downlink * l2) & (x > 0.0)
         w = np.full(gd.shape, math.nan)
         w[ok] = lambert_w0((x[ok] - 1.0) * _INV_E)

@@ -43,6 +43,7 @@ from .allocator import (
     solve_frames,
 )
 from .channel import draw_gains
+from .energy import offload_bits
 from .params import SystemParams, load_params
 from .sim import (
     FRAME_STATS_CSV_COLUMNS,
@@ -55,7 +56,6 @@ from .sim import (
 
 # The traced benchmark run (perfbench/spans.py) wraps these module-level names.
 from .allocator import decision_inequality, evaluate_strategies  # noqa: F401
-from .energy import offload_bits  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -222,23 +222,6 @@ class VerifyReport:
     failures: int   # failed checks
 
 
-def _delivered_bits(params: SystemParams, gain_offload: np.ndarray,
-                    p_o: np.ndarray, tau_o: np.ndarray) -> np.ndarray:
-    """energy.offload_bits of every claim, in its operation order, on arrays;
-    each of its checks runs over all claims and raises its message."""
-    tee = params.frame_duration
-    if (p_o < 0.0).any():
-        raise ValueError("p_o must be non-negative")
-    if (gain_offload < 0.0).any():
-        raise ValueError("gain_offload must be non-negative")
-    outside = ~((0.0 <= tau_o) & (tau_o <= tee))
-    if outside.any():
-        raise ValueError(f"tau_o must lie in [0, {tee}], got "
-                         f"{tau_o[outside][0].item()!r}")
-    snr = gain_offload * p_o / params.noise_server
-    return params.bw_offload * tau_o * libm(math.log2, 1.0 + snr)
-
-
 def certify(params: SystemParams, eff_gain_down: np.ndarray,
             gain_offload: np.ndarray, local: StrategyArrays,
             offload: StrategyArrays, grid_pairs: int) -> VerifyReport:
@@ -276,7 +259,7 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
     dev_l = np.abs(cost_l - cost_grid)
     tol_o = bruteforce.offload_grid_tolerance(params, gd, go, spec, tau_o)
     dev_o = np.abs(cost_o - cost_grid_o)
-    delivered = _delivered_bits(params, go, p_o, tau_o)
+    delivered = offload_bits(params, go, p_o, tau_o)
     rate_dev = np.abs(delivered - params.bits_per_frame) / params.bits_per_frame
     passed = ((dev_l <= tol_l) & (cost_grid >= cost_l - tol_l)
               & (dev_o <= tol_o) & (cost_grid_o >= cost_o - tol_o)

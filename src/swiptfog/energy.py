@@ -11,7 +11,9 @@ gain G (received power per unit symbol power) and offload power gain |g|^2:
     offload power      p_o = (noise_server / |g|^2) * (2^(bits / (B_g * tau_o)) - 1)
 
 and the frame cost is consumed minus harvested energy; negative cost means
-the surplus can be banked.
+the surplus can be banked.  harvested_energy, offload_bits and
+offload_power work element-wise on arrays as well as on numbers; the other
+functions take numbers.
 """
 
 import math
@@ -43,19 +45,22 @@ class EnergyBreakdown:
     cost: float        # J, consumed - harvested; may be negative
 
 
-def _check_slot(tau: float, frame: float, name: str) -> None:
-    if not 0.0 <= tau <= frame:
-        raise ValueError(f"{name} must lie in [0, {frame}], got {tau!r}")
+def _check_slot(tau, frame: float, name: str) -> None:
+    """Reject a NaN slot or one outside [0, frame], a number or any element
+    of an array; the message names the first."""
+    ok = np.logical_and(0.0 <= tau, tau <= frame)
+    if not ok.all():
+        bad = float(np.asarray(tau, dtype=float)[~ok].flat[0])
+        raise ValueError(f"{name} must lie in [0, {frame}], got {bad!r}")
 
 
-def _check_gain(gain) -> None:
+def _check_gain(gain, name: str = "eff_gain_down") -> None:
     """Reject a NaN, infinite or negative gain, a number or any element of
     an array; the message names the first."""
     ok = np.logical_and(0.0 <= gain, gain < math.inf)
     if not ok.all():
         bad = float(np.asarray(gain, dtype=float)[~ok].flat[0])
-        raise ValueError(
-            f"eff_gain_down must be finite and non-negative, got {bad!r}")
+        raise ValueError(f"{name} must be finite and non-negative, got {bad!r}")
 
 
 def throughput(params: SystemParams, eff_gain_down: float, tau_d: float) -> float:
@@ -96,16 +101,18 @@ def compute_energy(params: SystemParams, rate: float) -> float:
     return energy_per_op(params) * params.ops_per_bit * rate * params.frame_duration
 
 
-def offload_bits(params: SystemParams, gain_offload: float, p_o: float,
-                 tau_o: float) -> float:
-    """Bits deliverable to the server in tau_o seconds at transmit power p_o."""
-    if not p_o >= 0.0:
+def offload_bits(params: SystemParams, gain_offload, p_o, tau_o):
+    """Bits deliverable to the server in tau_o seconds at transmit power p_o;
+    element-wise on arrays.  log2 is math.log2 at every element, as in
+    throughput, so an array gives each number's bits."""
+    if not np.all(p_o >= 0.0):
         raise ValueError("p_o must be non-negative")
-    if not gain_offload >= 0.0:
+    if not np.all(gain_offload >= 0.0):
         raise ValueError("gain_offload must be non-negative")
     _check_slot(tau_o, params.frame_duration, "tau_o")
     snr = gain_offload * p_o / params.noise_server
-    return params.bw_offload * tau_o * math.log2(1.0 + snr)
+    log2 = np.vectorize(math.log2, otypes=[float])
+    return params.bw_offload * tau_o * log2(1.0 + snr)
 
 
 def offload_power(params: SystemParams, gain_offload, tau_o):

@@ -59,6 +59,29 @@ def test_offload_feasibility_is_strict(params):
     assert offload.feasible.tolist() == [True, True]
 
 
+def test_rate_floor_at_capacity_never_reaches_the_root_solver(
+        params, monkeypatch):
+    # rate_min = B_h and G = noise_dev make log2(1 + SNR) exactly 1, so the
+    # full-frame capacity equals the floor: both modes are infeasible, and
+    # the strict comparison keeps the frame out of lambert_w0, which only
+    # sees the second frame, above the floor
+    p = with_overrides(params, rate_min=params.bw_downlink)
+    assert _ieee.log2(np.array([2.0])).tolist() == [1.0]
+    solver, seen = allocator.lambert_w0, []
+
+    def spy(x):
+        seen.append(np.array(x, copy=True))
+        return solver(x)
+
+    monkeypatch.setattr(allocator, "lambert_w0", spy)
+    gd = np.array([p.noise_dev, 1e5 * p.noise_dev])
+    go = np.array([1e-7, 1e-7])
+    local, offload = solve_frames(p, gd, go)
+    assert not (local.feasible[0] or offload.feasible[0])
+    x = p.eh_efficiency * go[1] * (gd[1] + p.noise_dev) / p.noise_server
+    assert [a.tolist() for a in seen] == [[(x - 1.0) * allocator._INV_E]]
+
+
 # --- local closed form -----------------------------------------------------
 
 def test_local_compute_slot_value(params):

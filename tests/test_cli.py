@@ -4,7 +4,6 @@ import hashlib
 import logging
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +17,7 @@ import swiptfog
 from swiptfog import cli, sim
 from swiptfog.allocator import solve_frames
 from swiptfog.cli import certify, main
-from swiptfog.energy import offload_bits, offload_power
+from swiptfog.energy import offload_power
 
 
 def run(capsys, *argv):
@@ -450,26 +449,6 @@ def test_verify_detects_injected_perturbation(params):
     assert report.failures > 0
     assert [row[-1] for row in report.rows].count("fail") == report.failures
     assert report.worst["offload"] > 1.0
-
-
-def test_delivered_bits_equal_offload_bits_per_claim(params):
-    gd, go = np.array(random_gain_pairs(np.random.default_rng(9), 500, params)).T
-    offload = solve_frames(params, gd, go)[1]
-    claims = (go, offload.p_o, offload.tau_o)
-    got = cli._delivered_bits(params, *claims)
-    want = [offload_bits(params, *claim)
-            for claim in zip(*(c.tolist() for c in claims))]
-    assert got.tobytes() == np.array(want).tobytes()
-    # each bad claim raises the message offload_bits raises for it
-    tee = params.frame_duration
-    for i, bad in ((0, -1e-7), (1, -1e-30), (2, -1e-9), (2, tee * 1.0001),
-                   (2, math.nan)):
-        claim = [c.copy() for c in claims]
-        claim[i][3] = bad
-        with pytest.raises(ValueError) as raised:
-            offload_bits(params, *(c.item(3) for c in claim))
-        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
-            cli._delivered_bits(params, *claim)
 
 
 def test_allocate_overflowing_gain_exits_2_with_message(capsys):

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import random_gain_pairs
 
 from swiptfog import (
     compute_energy,
@@ -11,6 +13,7 @@ from swiptfog import (
     offload_bits,
     throughput,
 )
+from swiptfog.allocator import solve_frames
 from swiptfog.params import with_overrides
 
 
@@ -113,6 +116,45 @@ def test_offload_bits_rejects_negative(params):
         offload_bits(params, 1e-7, -1.0, 0.5)
     with pytest.raises(ValueError):
         offload_bits(params, -1e-7, 1.0, 0.5)
+
+
+def test_offload_bits_on_arrays_equal_per_claim_calls(params):
+    gd, go = np.array(random_gain_pairs(np.random.default_rng(9), 500, params)).T
+    offload = solve_frames(params, gd, go)[1]
+    claims = (go, offload.p_o, offload.tau_o)
+    got = offload_bits(params, *claims)
+    want = [offload_bits(params, *claim)
+            for claim in zip(*(c.tolist() for c in claims))]
+    assert got.tobytes() == np.array(want).tobytes()
+    # each bad claim raises, on the array, the message of its scalar call
+    tee = params.frame_duration
+    for i, bad in ((0, -1e-7), (1, -1e-30), (1, math.nan), (2, -1e-9),
+                   (2, tee * 1.0001), (2, math.nan)):
+        claim = [c.copy() for c in claims]
+        claim[i][3] = bad
+        with pytest.raises(ValueError) as raised:
+            offload_bits(params, *(c.item(3) for c in claim))
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            offload_bits(params, *claim)
+
+
+@pytest.mark.parametrize("scale", [-1e-9, 1.0001, math.nan])
+def test_slot_guard_names_the_first_bad_element(params, scale):
+    tee = params.frame_duration
+    bad = scale * tee
+    # a later bad element is not the one named
+    slots = np.array([[0.0, tee], [bad, 2.0 * tee]])
+    gains = np.full(slots.shape, 1e-6)
+    message = re.escape(f"tau_e must lie in [0, {tee}], got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        harvested_energy(params, 1e-6, bad)
+    with pytest.raises(ValueError, match=message):
+        harvested_energy(params, gains, slots)
+    with pytest.raises(ValueError, match=message.replace("tau_e", "tau_o")):
+        offload_bits(params, gains, np.ones(slots.shape), slots)
+    good = np.array([0.0, 0.5 * tee, tee])
+    want = [harvested_energy(params, 1e-6, t) for t in good.tolist()]
+    assert harvested_energy(params, 1e-6, good).tolist() == want
 
 
 def test_time_homogeneity(params):

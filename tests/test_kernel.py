@@ -187,6 +187,17 @@ def test_non_finite_or_negative_gains_fail_in_the_kernel_and_every_view(
             view()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+def test_solve_frames_names_the_first_bad_gain(params, bad):
+    ok = np.array([1e-6, 1e-6, 1e-6])
+    gains = np.array([1e-7, bad, -1.0])
+    for name, args in (("eff_gain_down", (gains, ok)),
+                       ("gain_offload", (ok, gains))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be finite and non-negative, got {bad!r}")):
+            solve_frames(params, *args)
+
+
 def test_solve_frames_rejects_a_downlink_snr_that_overflows(params):
     # G / noise_dev is inf, so tau_d = 0 and the decode energy inf * 0 = NaN
     for gd in (1e300, 1e308):
