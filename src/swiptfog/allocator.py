@@ -104,48 +104,47 @@ class StrategyResult:
 _INFEASIBLE = StrategyResult(feasible=False)
 
 
-def _halley_pass(k, w, x, active, back2, back3):
-    """Pass k of lambert_w0's Halley iteration on the elements active of w,
-    which it updates; back2 and back3 are their w of passes k-2 and k-3.
-    Returns the elements that iterate on, with their w of passes k-1 and
-    k-2.  Its temporaries are freed before the next pass starts."""
-    wa, xa = w[active], x[active]
-    ew = _ieee.exp(wa)
+def _halley_pass(k, w, x, live, back2, back3):
+    """Pass k of lambert_w0's Halley iteration on a working set: w and x,
+    the elements' w of pass k-1 and their arguments, live where they still
+    iterate, and back2 and back3 their w of passes k-2 and k-3.  Returns the
+    w of pass k, which finished elements keep, and where they iterate on.
+    Its temporaries are freed before the next pass starts."""
+    ew = _ieee.exp(w)
     # in place, in the order of
     #   f = w e^w - x,  step = f / (e^w (w+1) - (w+2) f / (2 (w+1)))
-    f = wa * ew
-    f -= xa
-    wp1 = wa + 1.0
+    f = w * ew
+    f -= x
+    wp1 = w + 1.0
     halt = (f == 0.0) | (wp1 == 0.0)
-    denom = wa + 2.0
+    denom = w + 2.0
     denom *= f
     denom /= 2.0 * wp1
     ew *= wp1
     np.subtract(ew, denom, out=denom)
     step = np.divide(f, denom, out=f)
-    w_next = np.subtract(wa, step, out=denom)
+    w_next = np.subtract(w, step, out=denom)
     w_next[w_next < -1.0] = -1.0 + 1e-16
     # |step| <= 2e-16 (1 + |w_next|)
     tol = np.abs(w_next, out=ew)
     tol += 1.0
     tol *= 2e-16
     done = np.abs(step, out=step) <= tol
+    halt |= ~live
     done |= halt
     # A pass is a function of (w, x), so an element back at its w of n = 2
     # or 3 passes ago cycles through n floats until the last pass: retire
     # it with the member that pass _PASSES would leave, the w of pass
-    # k - ((k - _PASSES) mod n).
-    recent = (w_next, wa, back2, back3)  # w of passes k, k-1, ...
-    w_new = np.where(halt, wa, w_next)
-    cycle = np.zeros(active.size, dtype=bool)
+    # k - ((k - _PASSES) mod n).  Before pass n there is no such w.
+    recent = (w_next, w, back2, back3)  # w of passes k, k-1, ...
+    w_new = np.where(halt, w, w_next)
     for n in (2, 3):
-        caught = ~(done | cycle) & (w_next == recent[n])
-        if caught.any():
-            w_new = np.where(caught, recent[(k - _PASSES) % n], w_new)
-            cycle |= caught
-    w[active] = w_new
-    keep = ~(done | cycle)
-    return active[keep], wa[keep], back2[keep]
+        if k >= n:
+            caught = ~done & (w_next == recent[n])
+            if caught.any():
+                w_new = np.where(caught, recent[(k - _PASSES) % n], w_new)
+                done |= caught
+    return w_new, ~done
 
 
 def lambert_w0(x):
@@ -160,8 +159,12 @@ def lambert_w0(x):
     cycles through two or three adjacent floats; a pass depends on (w, x)
     alone, so an element whose w returns to its value of two or three
     passes back is retired at once with the float the 50th pass would leave
-    (same bits, a few passes instead of 50).  A number gives a float, an
-    array an array of its shape.  No external special-function dependency.
+    (same bits, a few passes instead of 50).  The passes run on a
+    contiguous working set: a finished element stays in it, unchanged, and
+    the set is compacted only once at most half of it still iterates (the
+    simulator's roots mostly finish together, at the third or fourth
+    pass).  A number gives a float, an array an array of its shape.  No
+    external special-function dependency.
     """
     x = np.asarray(x, dtype=float)
     shape, x = x.shape, x.ravel()
@@ -173,26 +176,34 @@ def lambert_w0(x):
             f"lambert_w0 domain is x >= -1/e, got {float(x[below].min())!r}")
     # representation noise just below the branch point gives -1
     w = np.where(below, -1.0, 0.0)
-    pos = x > 0.0
-    neg = (x < 0.0) & ~below
-    w[pos] = _ieee.log2(1.0 + x[pos]) * _ieee.LN2
-    p = np.sqrt(2.0 * (math.e * x[neg] + 1.0))
-    w_neg = -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
-    w[neg] = np.where(w_neg >= 0.0, -1e-300, w_neg)  # stay on the negative side
-    iterated = np.flatnonzero(pos | neg)
-    active = iterated
-    back2 = back3 = np.full(active.size, math.nan)  # w 2 and 3 passes back
+    idx = np.flatnonzero((x != 0.0) & ~below)
+    xa = x[idx]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = np.sqrt(2.0 * (math.e * xa + 1.0))
+        wa = -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
+        wa[wa >= 0.0] = -1e-300  # stay on the negative side
+        pos = xa > 0.0
+        wa[pos] = _ieee.log2(1.0 + xa[pos]) * _ieee.LN2
+        live = np.ones(idx.size, dtype=bool)
+        back2 = back3 = wa  # read from passes 2 and 3 on, when they hold w
         for k in range(1, _PASSES + 1):
-            if active.size == 0:
+            if idx.size == 0:
                 break
-            active, back2, back3 = _halley_pass(k, w, x, active, back2, back3)
-        wi, xi = w[iterated], x[iterated]
-        certified = (np.abs(wi * _ieee.exp(wi) - xi)
-                     <= 1e-12 * np.maximum(1.0, np.abs(xi)))
+            w_k, live = _halley_pass(k, wa, xa, live, back2, back3)
+            wa, back2, back3 = w_k, wa, back2
+            if 2 * np.count_nonzero(live) <= live.size:
+                w[idx] = wa
+                keep = np.flatnonzero(live)
+                idx, wa, xa, back2, back3 = (
+                    a[keep] for a in (idx, wa, xa, back2, back3))
+                live = np.ones(keep.size, dtype=bool)
+        w[idx] = wa
+        # x = 0 and the points at -1/e pass as they are
+        certified = (np.abs(w * _ieee.exp(w) - x)
+                     <= 1e-12 * np.maximum(1.0, np.abs(x)))
     if not certified.all():
         raise ArithmeticError(
-            f"lambert_w0 failed to converge for x={float(xi[~certified][0])!r}")
+            f"lambert_w0 failed to converge for x={float(x[~certified][0])!r}")
     w = w.reshape(shape)
     return float(w) if w.ndim == 0 else w
 
@@ -296,8 +307,7 @@ def solve_frames(params: SystemParams, eff_gain_down,
         tau_o = (bits * _ieee.LN2 / params.bw_offload) / (1.0 + w)
         tau_e = tee - tau_d - tau_o
         ok &= (w > -1.0 + 1e-12) & (tau_e >= 0.0)
-        p_o = np.full(gd.shape, math.nan)
-        p_o[ok] = offload_power(params, go[ok], tau_o[ok])
+        p_o = offload_power(params, go, tau_o)
         offload = _strategy_arrays(
             params, ok, 1, tau_e=tau_e, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
             p_o=p_o, e_decode=e_dec, e_compute=0.0, e_offload=tau_o * p_o,
@@ -370,10 +380,11 @@ def choose_modes(params: SystemParams, eff_gain_down,
     """
     offloads = offload.cost < local.cost
     both = local.feasible & offload.feasible
-    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down)[both],
-                               offload.tau_o[both], offload.p_o[both])
+    # offload's fields are NaN where it is infeasible
+    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down),
+                               offload.tau_o, offload.p_o)
     margin = 1e-9 * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    disagree = ((lhs > rhs) != offloads[both]) & (np.abs(lhs - rhs) > margin)
+    disagree = ((lhs > rhs) != offloads) & (np.abs(lhs - rhs) > margin) & both
     if disagree.any():
         log.warning("mode rule disagrees with cost comparison on %d of %d "
                     "frames where both modes are feasible",

@@ -14,8 +14,9 @@ trial's channel normals with one call into its row of one buffer of
 TRIAL_CHUNK rows, and real arithmetic in place turns the buffer into the
 chunk's gains, with the bits of per-trial draws.  Both programs
 (allocator.solve_frames) are solved by array calls, and the storage
-recursion, the only sequential step, loops over frames with all trials in
-one array.  Only run_trace builds FrameRecord objects.
+recursion, the only sequential step, loops over frames on contiguous
+frames-major rows, one of all trials per frame: a comparison, a negation
+and an add each.  Only run_trace builds FrameRecord objects.
 
 Reproducibility (output version STREAM_VERSION): trial t of master seed m
 draws from SeedSequence(m).spawn(n)[t], whose PCG64 state _trial_states
@@ -219,20 +220,26 @@ class _Frames:
 def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
               gain_offload: np.ndarray) -> _Frames:
     """Solve every frame, then run the storage recursion of every trial
-    (rows) over its frames (columns), starting empty."""
+    (rows) over its frames (columns), starting empty.  The recursion runs
+    on contiguous frames-major rows, one row of all trials per frame: the
+    level moves by -cost where the frame runs and by the full-frame harvest
+    elsewhere, added in one step, as x - c == x + (-c) in IEEE arithmetic."""
     local, offload = solve_frames(params, eff_gain_down, gain_offload)
     offloads = choose_modes(params, eff_gain_down, local, offload)
     cost = np.where(offloads, offload.cost, local.cost)
-    harvest = harvested_energy(params, eff_gain_down, params.frame_duration)
-    storage = np.empty(cost.shape)
-    processed = np.empty(cost.shape, dtype=bool)
-    level = np.zeros(cost.shape[0])
-    for f in range(cost.shape[1]):
-        storage[:, f] = level
-        processed[:, f] = runs = cost[:, f] <= level
-        level = np.where(runs, level - cost[:, f], level + harvest[:, f])
+    n_frames = cost.shape[1]
+    cost_rows = np.ascontiguousarray(cost.T)
+    # each frame's row turns into that frame's change of level
+    step = np.ascontiguousarray(harvested_energy(
+        params, eff_gain_down, params.frame_duration).T)
+    storage = np.zeros((n_frames + 1, cost.shape[0]))
+    processed = np.empty(cost_rows.shape, dtype=bool)
+    for f in range(n_frames):
+        runs = np.less_equal(cost_rows[f], storage[f], out=processed[f])
+        np.negative(cost_rows[f], out=step[f], where=runs)
+        np.add(storage[f], step[f], out=storage[f + 1])
     return _Frames(local=local, offload=offload, offloads=offloads, cost=cost,
-                   processed=processed, storage=storage)
+                   processed=processed.T, storage=storage[:-1].T)
 
 
 def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 from dataclasses import fields, replace
@@ -284,6 +285,26 @@ def test_root_solver_bits_equal_the_all_passes_loop(monkeypatch):
     for order in (np.arange(xs.size), rng.permutation(xs.size)):
         got = lambert_w0(xs[order])
         assert np.array_equal(got.view(np.int64), want[order].view(np.int64))
+
+
+def test_root_solver_bits_are_pinned(monkeypatch):
+    """sha256 of lambert_w0 over near-branch inputs (both cycle lengths are
+    retired among them), x across (-1/e, 1e300] and every root of one
+    mc_outage distance (15 m, 100 frames x 250 trials, seed 256)."""
+    rng = np.random.default_rng(23)
+    seen = []
+    solver = allocator.lambert_w0
+    monkeypatch.setattr(allocator, "lambert_w0",
+                        lambda x: seen.append(np.array(x)) or solver(x))
+    monte_carlo(with_overrides(load_params(""), ops_per_bit=1e4,
+                               dist_ap_dev=15.0), 100, 250, 256)
+    xs = np.concatenate([
+        _near_branch(20_000, 5), 10.0 ** rng.uniform(-300.0, 300.0, 5_000),
+        -10.0 ** rng.uniform(-300.0, math.log10(1.0 / math.e), 5_000),
+        [1e300, 0.0, -1.0 / math.e], *seen])
+    got = solver(xs)
+    assert hashlib.sha256(got.astype("<f8").tobytes()).hexdigest() == (
+        "7a454755e165ef3bc7a963a713e4cd737ae907708756e466ac9a67d2e904e0b1")
 
 
 def test_root_solver_retires_cycling_elements_within_a_few_passes(monkeypatch):

@@ -151,6 +151,22 @@ def test_sweep_empty_values_is_usage_error(capsys):
     assert "values" in err
 
 
+def test_sweep_nan_cells_are_the_documented_ones(capsys, tmp_path):
+    # README, "CSV schemas": outage_ci is NaN with one trial, and a mode's
+    # cost and energy means are NaN where the mode is never feasible; at
+    # 1e9 operations per bit local computing never is, offloading always is
+    code, _, _ = run(capsys, "sweep", "--seed", "1", "--axis", "ops-per-bit",
+                     "--values", "10,1e9", "--frames", "5", "--trials", "1",
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "sweep_ops_per_bit.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    local_means = {"mean_cost_local", "mean_e_compute", "mean_e_harvest_local"}
+    want = [{"outage_ci"}, {"outage_ci"} | local_means]
+    assert [{k for k, v in row.items() if k != "axis" and math.isnan(float(v))}
+            for row in rows] == want
+
+
 def test_sweep_jobs_flag_does_not_change_output(capsys, tmp_path):
     base = ("sweep", "--seed", "9", "--axis", "dist-ap-dev",
             "--values", "6,10", "--frames", "8", "--trials", "4")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from swiptfog import _ieee, allocator, channel, energy, sim
+from swiptfog import params as params_module
 
 
 def _ulps(got, want):
@@ -128,26 +129,85 @@ def test_results_keep_the_input_shape_and_leave_it_unchanged():
 
 _C_LIBRARY_UFUNCS = {"hypot", "exp", "exp2", "expm1", "log", "log2", "log10",
                      "log1p", "power", "float_power"}
+_MATH_TRANSCENDENTALS = {
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "pow", "cbrt",
+    "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
+    "tanh", "asinh", "acosh", "atanh", "hypot", "dist", "erf", "erfc",
+    "gamma", "lgamma"}
+# The kernel modules' C-library calls that stay, by module, defining
+# function and kind of call: none of them is evaluated per frame.  numpy's
+# exp, log and power ufuncs and _libm are allowed nowhere.
+_ALLOWED = {
+    ("swiptfog.channel", "pathloss_db", "math.log10"):
+        "the path-loss formula, once per configuration",
+    ("swiptfog.channel", "_to_amplitudes", "**"):
+        "10.0 ** x turns the path loss into an amplitude scale, once per "
+        "configuration",
+    ("swiptfog.channel", "draw_rician", "math.cos"):
+        "the one-frame reference draw's phase; the kernel's stream has none",
+    ("swiptfog.channel", "draw_rician", "math.sin"):
+        "the one-frame reference draw's phase; the kernel's stream has none",
+    ("swiptfog.params", "db_to_linear", "**"):
+        "10.0 ** x of the Rician K factor, once per configuration",
+    ("swiptfog.energy", "throughput", "math.log2"):
+        "reference ledger, like the brute-force oracle",
+    ("swiptfog.energy", "decode_energy", "math.log2"):
+        "reference ledger, like the brute-force oracle",
+    ("swiptfog.energy", "offload_bits", "math.log2"):
+        "reference ledger at every element, which certify checks the kernel "
+        "against",
+}
 
 
-@pytest.mark.parametrize("module", [allocator, channel, energy, sim],
+def _integer_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, int)
+            and not isinstance(node.value, bool))
+
+
+def _c_library_uses(node, function=None):
+    """(innermost enclosing function, kind, line) of every C-library
+    transcendental that the code under node takes: _libm, numpy's exp, log
+    and power ufuncs, math's transcendentals, and ** (kind "**") with an
+    exponent that is not an integer literal."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    kind = None
+    if isinstance(node, ast.ImportFrom):
+        names = {a.name for a in node.names}
+        if (node.module or "").endswith("_libm") or any("libm" in n for n in names):
+            kind = f"import of {node.module}"
+        elif node.module == "numpy" and names & _C_LIBRARY_UFUNCS:
+            kind = f"from numpy import {sorted(names & _C_LIBRARY_UFUNCS)}"
+        elif node.module == "math" and names & _MATH_TRANSCENDENTALS:
+            kind = f"from math import {sorted(names & _MATH_TRANSCENDENTALS)}"
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        module = node.value.id
+        if ((module in ("np", "numpy") and node.attr in _C_LIBRARY_UFUNCS)
+                or (module == "math" and node.attr in _MATH_TRANSCENDENTALS)):
+            kind = f"{module}.{node.attr}"
+    elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+          and not _integer_literal(node.right)):
+        kind = "**"
+    uses = [] if kind is None else [
+        (function, kind, getattr(node, "lineno", None))]
+    for child in ast.iter_child_nodes(node):
+        uses += _c_library_uses(child, function)
+    return uses
+
+
+@pytest.mark.parametrize("module", [_ieee, allocator, channel, energy,
+                                    params_module, sim],
                          ids=lambda m: m.__name__)
 def test_kernel_modules_use_no_c_library_transcendentals(module):
     """The kernel's values must not depend on the C library or on numpy's
-    vector loops: no _libm, no np.hypot and no numpy exp, log or power."""
-    tree = ast.parse(inspect.getsource(module))
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if (node.module or "").endswith("_libm") or any(
-                    "libm" in a.name for a in node.names):
-                found.append(f"import of {node.module}")
-            if node.module == "numpy":
-                found += [a.name for a in node.names
-                          if a.name in _C_LIBRARY_UFUNCS]
-        elif (isinstance(node, ast.Attribute)
-              and isinstance(node.value, ast.Name)
-              and node.value.id in ("np", "numpy")
-              and node.attr in _C_LIBRARY_UFUNCS):
-            found.append(f"np.{node.attr} (line {node.lineno})")
+    vector loops: no _libm, no np.hypot, no numpy exp, log or power, no
+    math exp, log, pow or trigonometry and no ** with a non-integer exponent,
+    except the (function, kind) pairs of _ALLOWED, each of which must still
+    occur."""
+    uses = _c_library_uses(ast.parse(inspect.getsource(module)))
+    found = [u for u in uses if (module.__name__, *u[:2]) not in _ALLOWED]
     assert not found, found
+    allowed = {(f, kind) for m, f, kind in _ALLOWED if m == module.__name__}
+    assert allowed <= {u[:2] for u in uses}, "stale _ALLOWED entries"

@@ -38,10 +38,10 @@ from swiptfog import (
     throughput,
 )
 from swiptfog.allocator import StrategyArrays, solve_frames
-from swiptfog.channel import draw_gains
+from swiptfog.channel import _to_amplitudes, draw_gains
 from swiptfog.cli import certify
 from swiptfog.params import with_overrides
-from swiptfog.sim import TRIAL_CHUNK, _trial_gains
+from swiptfog.sim import TRIAL_CHUNK, _monte_carlo, _trial_gains
 
 from conftest import FEW_CELL_DECODE
 
@@ -251,6 +251,37 @@ def test_chunk_gains_equal_stacked_draw_gains(params, n_antennas, normalize):
         assert np.array_equal(go[t].view(np.int64), want_go.view(np.int64))
 
 
+@pytest.mark.parametrize("n_antennas,normalize,digest", [
+    (1, True, "b2d66159bfce703b5199dd587f1b988c0f47517ad8e50a377686c51684d3186a"),
+    (1, False, "b2d66159bfce703b5199dd587f1b988c0f47517ad8e50a377686c51684d3186a"),
+    (3, True, "c3668d220f58d33b79745b5a572d25236bd6498a6bd8b81a18c7260be0815454"),
+    (3, False, "cb340f9c84c03b11618063c29584d1118797a7192348e8515fdbe8a86bac456a"),
+    (8, True, "faedc0e13c058661acb78d9d1dc3314a4c1a66ad60b45c958beccc8abfecde8f"),
+    (8, False, "24bda2e8ffc09b4fb0a04c10a8cbd48f3f31ee91b7e01134c0330063471d67b3"),
+])
+def test_trial_gains_bits_are_pinned(params, n_antennas, normalize, digest):
+    """sha256 of _trial_gains' downlink and offload gains, 40 trials (two
+    normals buffers) x 50 frames at master seed 256, at array sizes other
+    than the default 4 antennas and under both power conventions (output
+    version 3)."""
+    p = with_overrides(params, n_antennas=n_antennas,
+                       normalize_beamforming=normalize)
+    h = hashlib.sha256()
+    for gains in _trial_gains(p, 256, 40, 50):
+        h.update(gains.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+
+def test_to_amplitudes_rejects_a_strided_buffer(params):
+    """The links are scaled through a reshaped view, which a strided buffer
+    cannot give without a copy that the scaling would miss."""
+    normals = np.ones((3, params.n_antennas + 1, 4))[..., ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _to_amplitudes(params, normals)
+    assert (normals == 1.0).all()
+
+
 def _scalar_replay(params, n_frames, n_trials, master_seed):
     """Start-of-frame storage and outage indicators, (trials x frames),
     from realize_channels and evaluate_strategies' costs, with the decision
@@ -320,6 +351,39 @@ def test_solve_frames_property(params, gd_exp, go_exp):
     gd = 10.0 ** np.array(gd_exp[:n])
     go = 10.0 ** np.array(go_exp[:n])
     _check_claims(params, gd, go)
+
+
+def _assert_storage_balances(params, n_frames, n_trials, seed):
+    """Each trial's level after frame n_frames equals the full-frame harvest
+    banked on its outage frames minus the cost spent on its processed
+    frames, to within 8 ulps of the magnitude (the banked harvest plus the
+    absolute costs): the recursion rounds once per frame, every sum here is
+    exact.  The level is read as the start of frame n_frames + 1 of a longer
+    run, whose first frames draw the same channels."""
+    _, frames = _monte_carlo(params, n_frames + 1, n_trials, seed)
+    gd, _ = _trial_gains(params, seed, n_trials, n_frames + 1)
+    harvest = harvested_energy(params, gd[:, :n_frames], params.frame_duration)
+    for t in range(n_trials):
+        runs = frames.processed[t, :n_frames]
+        banked = harvest[t][~runs].tolist()
+        spent = frames.cost[t, :n_frames][runs].tolist()
+        level = float(frames.storage[t, n_frames])
+        magnitude = math.fsum(banked) + math.fsum(map(abs, spent))
+        residual = math.fsum([level, *spent, *(-h for h in banked)])
+        assert abs(residual) <= 8 * 2.0**-52 * magnitude, (t, residual, level)
+
+
+@pytest.mark.parametrize("dist", [6.0, 10.0, 15.0])
+def test_storage_recursion_balances_its_energy(params, dist):
+    # criterion 6's trials
+    _assert_storage_balances(
+        with_overrides(params, ops_per_bit=1e4, dist_ap_dev=dist), 100, 250, 303)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(params=_params_strategy, seed=st.integers(0, 2**32 - 1))
+def test_storage_recursion_balances_its_energy_over_configurations(params, seed):
+    _assert_storage_balances(params, 30, 8, seed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
