@@ -1,10 +1,10 @@
 """C-library evaluation of math functions over arrays, for the oracle.
 
-The grid oracle (bruteforce), verify's root-residual check (cli.certify)
-and verify's gain draw evaluate exp, log2, log1p and pow through the math
-module, one element at a time.  The kernel does not: its exp, log2 and
-2**u - 1 come from _ieee.  So the oracle checks the kernel against an
-independent implementation of every transcendental it uses.
+The grid oracle (bruteforce), verify's root-residual check (cli.certify),
+verify's gain draw and the energy ledger's offload_bits evaluate exp, log2,
+log1p and pow through the math module, one element at a time.  The kernel
+does not: its exp, log2 and 2**u - 1 come from _ieee, so the oracle and the
+ledger check it against independent implementations.
 
 A power with a fixed base is mapped as a bound callable such as
 ``partial(pow, 10.0)``.  The oracle's offload grid sweep is the exception:

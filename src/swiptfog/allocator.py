@@ -25,7 +25,10 @@ energy the frame is spent harvesting.
 The closed forms are written once, in solve_frames, which solves whole
 arrays of frames, and the decision once, in choose_modes and _affordable.
 solve_local, solve_offload, evaluate_strategies and decide are views of
-them on one frame; for many frames, call solve_frames.
+them on one frame; for many frames, call solve_frames.  solve_frames
+computes every energy term on _ieee and takes only the gain guard from
+the energy ledger, its reference; the one-frame views use the ledger's
+frame_cost and harvested_energy.
 """
 
 import logging
@@ -36,19 +39,11 @@ from enum import Enum
 import numpy as np
 
 from . import _ieee
-from .energy import (
-    EnergyBreakdown,
-    _check_gain,
-    compute_energy,
-    energy_per_op,
-    frame_cost,
-    harvested_energy,
-    offload_power,
-)
+from .energy import EnergyBreakdown, _check_gain, frame_cost, harvested_energy
 from .params import SystemParams
 
-# The traced benchmark run (perfbench/spans.py) wraps this module-level name.
-from .energy import decode_energy  # noqa: F401
+# The traced benchmark run (perfbench/spans.py) wraps these module-level names.
+from .energy import compute_energy, decode_energy  # noqa: F401
 
 __all__ = [
     "Strategy",
@@ -228,11 +223,17 @@ class StrategyArrays:
     cost: np.ndarray
 
 
+def energy_per_op(params: SystemParams) -> float:
+    """Switching energy of one logic operation, F0 * alpha * Mc * N0 * ln2."""
+    return (params.fanout * params.activity_factor * params.immaturity_factor
+            * params.thermal_noise_density * _ieee.LN2)
+
+
 def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
                      **fields) -> StrategyArrays:
     """Apply the energy module's guards (slots inside the frame, energies
     non-negative) to the feasible elements, mask the infeasible ones and
-    assemble the cost as frame_cost does for mode i_o."""
+    assemble the cost as frame_cost does for mode i_o, not inf if feasible."""
     for name in ("tau_e", "tau_d", "tau_c", "tau_o"):
         slot = fields[name]
         if (((slot < 0.0) | (slot > params.frame_duration)) & feasible).any():
@@ -244,6 +245,9 @@ def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
            for name, value in fields.items()}
     paid = out["e_offload"] if i_o else out["e_compute"]
     cost = np.where(feasible, paid + out["e_decode"] - out["e_harvest"], math.inf)
+    if (np.isinf(cost) & feasible).any():
+        raise ValueError(f"a feasible frame's {('local', 'offload')[i_o]} cost "
+                         "overflows: the configuration's energies are too large")
     return StrategyArrays(feasible=feasible, cost=cost, **out)
 
 
@@ -257,7 +261,7 @@ def solve_frames(params: SystemParams, eff_gain_down,
     the decode slot meets the rate floor with equality.  x == 0 (no offload
     path) and allocations exceeding the frame are infeasible.  Gains must be
     finite and non-negative, with a finite downlink SNR G / noise_dev and a
-    finite root argument.
+    finite root argument, and a feasible frame's cost must not overflow.
     log2, exp and 2**u - 1 come from _ieee, so results do not depend on
     the C library or on numpy's vector loops.
     """
@@ -295,8 +299,9 @@ def solve_frames(params: SystemParams, eff_gain_down,
         local = _strategy_arrays(
             params, ok, 0, tau_e=tau_e, tau_d=tau_d, tau_c=tau_c, tau_o=0.0,
             p_o=0.0, e_decode=e_dec,
-            e_compute=compute_energy(params, params.rate_min), e_offload=0.0,
-            e_harvest=harvest_rate * tau_e)
+            e_compute=(energy_per_op(params) * params.ops_per_bit
+                       * params.rate_min * tee),
+            e_offload=0.0, e_harvest=harvest_rate * tau_e)
 
         # The rate floor lies strictly below the full-frame capacity.  At
         # equality tau_d fills the frame, which the slot check rejects
@@ -307,7 +312,8 @@ def solve_frames(params: SystemParams, eff_gain_down,
         tau_o = (bits * _ieee.LN2 / params.bw_offload) / (1.0 + w)
         tau_e = tee - tau_d - tau_o
         ok &= (w > -1.0 + 1e-12) & (tau_e >= 0.0)
-        p_o = offload_power(params, go, tau_o)
+        p_o = (params.noise_server / go) * _ieee.exp2m1(
+            bits / (params.bw_offload * tau_o))
         offload = _strategy_arrays(
             params, ok, 1, tau_e=tau_e, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
             p_o=p_o, e_decode=e_dec, e_compute=0.0, e_offload=tau_o * p_o,

@@ -1,4 +1,4 @@
-"""Per-frame rate and energy quantities.
+"""The paper's per-frame rate and energy terms: the kernel's reference ledger.
 
 Frame of duration T, bandwidth B_h downlink / B_g offload, effective downlink
 gain G (received power per unit symbol power) and offload power gain |g|^2:
@@ -8,12 +8,12 @@ gain G (received power per unit symbol power) and offload power gain |g|^2:
     decode energy      E_D = eps * B_h * log2(1 + G / noise_dev) * tau_d
     compute energy     E_C = F0 * alpha * Mc * N0 * ln2 * K * R * T
     offloadable bits   N_O = B_g * tau_o * log2(1 + |g|^2 * p_o / noise_server)
-    offload power      p_o = (noise_server / |g|^2) * (2^(bits / (B_g * tau_o)) - 1)
 
 and the frame cost is consumed minus harvested energy; negative cost means
-the surplus can be banked.  harvested_energy, offload_bits and
-offload_power work element-wise on arrays as well as on numbers; the other
-functions take numbers.
+the surplus can be banked.  harvested_energy and offload_bits work
+element-wise on arrays as well as on numbers; the other functions take
+numbers.  Like the oracle, the ledger takes log2 and ln 2 from the C
+library; it shares no value with the kernel, which is checked against it.
 """
 
 import math
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ieee
+from ._libm import libm
 from .params import SystemParams
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "decode_energy",
     "compute_energy",
     "offload_bits",
-    "offload_power",
-    "energy_per_op",
     "frame_cost",
 ]
 
@@ -88,17 +86,13 @@ def decode_energy(params: SystemParams, eff_gain_down: float, tau_d: float) -> f
     return params.decode_energy_per_bit * bits
 
 
-def energy_per_op(params: SystemParams) -> float:
-    """Switching energy of one logic operation, F0 * alpha * Mc * N0 * ln2."""
-    return (params.fanout * params.activity_factor * params.immaturity_factor
-            * params.thermal_noise_density * _ieee.LN2)
-
-
 def compute_energy(params: SystemParams, rate: float) -> float:
     """Local processing energy for one frame at the given received rate."""
     if not rate >= 0.0:
         raise ValueError("rate must be non-negative")
-    return energy_per_op(params) * params.ops_per_bit * rate * params.frame_duration
+    return (params.fanout * params.activity_factor * params.immaturity_factor
+            * params.thermal_noise_density * math.log(2.0)
+            * params.ops_per_bit * rate * params.frame_duration)
 
 
 def offload_bits(params: SystemParams, gain_offload, p_o, tau_o):
@@ -111,17 +105,7 @@ def offload_bits(params: SystemParams, gain_offload, p_o, tau_o):
         raise ValueError("gain_offload must be non-negative")
     _check_slot(tau_o, params.frame_duration, "tau_o")
     snr = gain_offload * p_o / params.noise_server
-    log2 = np.vectorize(math.log2, otypes=[float])
-    return params.bw_offload * tau_o * log2(1.0 + snr)
-
-
-def offload_power(params: SystemParams, gain_offload, tau_o):
-    """Transmit power that delivers a frame's bits to the server in tau_o
-    seconds, the inverse of offload_bits.  Element-wise on arrays; 2**u - 1
-    is evaluated without cancellation for small u."""
-    bits = params.bits_per_frame
-    return (params.noise_server / gain_offload) * _ieee.exp2m1(
-        bits / (params.bw_offload * tau_o))
+    return params.bw_offload * tau_o * libm(math.log2, 1.0 + snr)
 
 
 def frame_cost(e_decode: float, e_compute: float, e_offload: float,

@@ -46,7 +46,6 @@ from .allocator import (
     solve_frames,
 )
 from .channel import _to_amplitudes, _to_gains
-from .energy import harvested_energy
 from .params import SystemParams, with_overrides
 
 # The scalar per-frame path stays importable from this module: the traced
@@ -229,9 +228,9 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
     cost = np.where(offloads, offload.cost, local.cost)
     n_frames = cost.shape[1]
     cost_rows = np.ascontiguousarray(cost.T)
-    # each frame's row turns into that frame's change of level
-    step = np.ascontiguousarray(harvested_energy(
-        params, eff_gain_down, params.frame_duration).T)
+    # each frame's row of full-frame harvests turns into its change of level
+    step = np.ascontiguousarray((params.eh_efficiency * (
+        eff_gain_down + params.noise_dev) * params.frame_duration).T)
     storage = np.zeros((n_frames + 1, cost.shape[0]))
     processed = np.empty(cost_rows.shape, dtype=bool)
     for f in range(n_frames):

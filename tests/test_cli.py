@@ -14,10 +14,9 @@ import pytest
 from conftest import random_gain_pairs
 
 import swiptfog
-from swiptfog import cli, sim
+from swiptfog import _ieee, cli, sim
 from swiptfog.allocator import solve_frames
 from swiptfog.cli import certify, main
-from swiptfog.energy import offload_power
 
 
 def run(capsys, *argv):
@@ -456,7 +455,8 @@ def test_verify_detects_injected_perturbation(params):
     assert certify(params, gd, go, local, offload, 5).failures == 0
     # claim an offload slot 1 % longer, with its power and cost recomputed
     tau_o = offload.tau_o * 1.01
-    p_o = offload_power(params, go, tau_o)
+    p_o = (params.noise_server / go) * _ieee.exp2m1(
+        params.bits_per_frame / (params.bw_offload * tau_o))
     harvest = (params.eh_efficiency * (gd + params.noise_dev)
                * (params.frame_duration - offload.tau_d - tau_o))
     claim = replace(offload, tau_o=tau_o, p_o=p_o, e_offload=tau_o * p_o,
@@ -480,6 +480,21 @@ def test_allocate_overflowing_gain_exits_2_with_message(capsys):
     assert code == 2
     assert "error:" in err and "root argument" in err
     assert "eff_gain_down=1e+290" in err and "gain_offload=1e+100" in err
+
+
+def test_a_configuration_whose_energies_overflow_exits_2(capsys, tmp_path):
+    # a feasible frame's cost of inf used to reach the sweep CSV with exit 0
+    cfg = tmp_path / "big.cfg"
+    for line in ("decode_energy_per_bit = 1e308", "fanout = 1e308"):
+        cfg.write_text(line + "\n")
+        for argv in (("allocate", "--seed", "1"),
+                     ("sweep", "--seed", "0", "--axis", "ops-per-bit",
+                      "--values", "1", "--out-dir", str(tmp_path))):
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert (code, out) == (2, ""), (line, argv[0])
+            assert err == ("error: a feasible frame's local cost overflows: the "
+                           "configuration's energies are too large\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_allocate_snr_overflow_exits_2_instead_of_a_nan_cost(capsys):
@@ -507,6 +522,21 @@ def test_simulate_zero_frames_or_trials_is_usage_error(capsys, tmp_path):
                            "--out-dir", str(tmp_path))
         assert code == 1
         assert "positive integer" in err
+    assert not (tmp_path / "frames.csv").exists()
+
+
+def test_a_size_that_cannot_be_allocated_exits_2_with_one_error_line(
+        capsys, tmp_path):
+    # petabyte arrays, which numpy refuses at once without touching memory
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n_antennas = 1000000000000000\n")
+    for argv in (("allocate", "--seed", "1", "--config", str(cfg)),
+                 ("simulate", "--seed", "1", "--frames", "1000000000000000",
+                  "--trials", "1", "--out-dir", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "allocate" in err
     assert not (tmp_path / "frames.csv").exists()
 
 

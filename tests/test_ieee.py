@@ -1,7 +1,8 @@
 """The kernel's exp, 2**u - 1 and log2 (swiptfog._ieee): accuracy against
 the C library and a 40-digit decimal reference, exact and special values,
-bits that do not depend on an element's place in its array, and the guard
-that keeps the kernel modules off the C library's transcendentals."""
+bits that do not depend on an element's place in its array, the guard
+that keeps the kernel modules off the C library's transcendentals, and the
+split between the kernel and the energy ledger it is checked against."""
 
 import ast
 import inspect
@@ -149,13 +150,6 @@ _ALLOWED = {
         "the one-frame reference draw's phase; the kernel's stream has none",
     ("swiptfog.params", "db_to_linear", "**"):
         "10.0 ** x of the Rician K factor, once per configuration",
-    ("swiptfog.energy", "throughput", "math.log2"):
-        "reference ledger, like the brute-force oracle",
-    ("swiptfog.energy", "decode_energy", "math.log2"):
-        "reference ledger, like the brute-force oracle",
-    ("swiptfog.energy", "offload_bits", "math.log2"):
-        "reference ledger at every element, which certify checks the kernel "
-        "against",
 }
 
 
@@ -197,8 +191,8 @@ def _c_library_uses(node, function=None):
     return uses
 
 
-@pytest.mark.parametrize("module", [_ieee, allocator, channel, energy,
-                                    params_module, sim],
+@pytest.mark.parametrize("module", [_ieee, allocator, channel, params_module,
+                                    sim],
                          ids=lambda m: m.__name__)
 def test_kernel_modules_use_no_c_library_transcendentals(module):
     """The kernel's values must not depend on the C library or on numpy's
@@ -211,3 +205,53 @@ def test_kernel_modules_use_no_c_library_transcendentals(module):
     assert not found, found
     allowed = {(f, kind) for m, f, kind in _ALLOWED if m == module.__name__}
     assert allowed <= {u[:2] for u in uses}, "stale _ALLOWED entries"
+
+
+# The kernel's functions.  Of the energy ledger they may use only its input
+# guards, which compute no value.
+_KERNEL_FUNCTIONS = (
+    allocator.energy_per_op, allocator._strategy_arrays, allocator.solve_frames,
+    allocator.lambert_w0, allocator._halley_pass, allocator.mode_rule_sides,
+    allocator.choose_modes, allocator._affordable, sim._simulate,
+    sim._trial_gains)
+_LEDGER_GUARDS = {"_check_gain", "_check_slot"}
+
+
+def _from_module(module, value) -> bool:
+    return value is module or getattr(value, "__module__", None) == module.__name__
+
+
+def _ledger_references(fn):
+    """Names by which fn's code reaches the energy ledger: a global that is
+    the energy module or an object it defines, an attribute of the module,
+    or an import from it."""
+    tree = ast.parse(inspect.getsource(fn))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if fn.__globals__.get(node.value.id) is energy:
+                found.add(node.attr)
+        elif isinstance(node, ast.Name):
+            value = fn.__globals__.get(node.id)
+            if value is not energy and _from_module(energy, value):
+                found.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("energy"):
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_kernel_and_ledger_share_no_value_path():
+    """energy imports nothing from _ieee, and the kernel takes no value from
+    energy, so certify and the tests check the kernel against a ledger
+    whose bits do not follow the kernel's."""
+    tree = ast.parse(inspect.getsource(energy))
+    imports = [n for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [getattr(n, "module", None) or "" for n in imports]
+    names += [a.name for n in imports for a in n.names]
+    assert not [n for n in names if "_ieee" in n], names
+    assert not [k for k, v in vars(energy).items() if _from_module(_ieee, v)]
+    for fn in _KERNEL_FUNCTIONS:
+        used = _ledger_references(fn) - _LEDGER_GUARDS
+        assert not used, (fn.__qualname__, sorted(used))
