@@ -366,11 +366,13 @@ def decision_inequality(params: SystemParams, eff_gain_down: float,
 
 def mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
     """Left/right sides of the closed-form mode test at the optimal offload
-    slot and power; offload wins when left > right.  Element-wise."""
-    harvest_rate = params.eh_efficiency * (eff_gain_down + params.noise_dev)
-    lhs = params.ops_per_bit * params.bits_per_frame * (
-        energy_per_op(params) + harvest_rate / params.dev_ops_per_sec)
-    rhs = tau_o * (p_o + harvest_rate)
+    slot and power; offload wins when left > right.  Element-wise, with no
+    floating-point warning: a side that overflows is inf."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        harvest_rate = params.eh_efficiency * (eff_gain_down + params.noise_dev)
+        lhs = params.ops_per_bit * params.bits_per_frame * (
+            energy_per_op(params) + harvest_rate / params.dev_ops_per_sec)
+        rhs = tau_o * (p_o + harvest_rate)
     return lhs, rhs
 
 

@@ -67,8 +67,8 @@ class GridSpec:
             raise ValueError("refine_iters must be >= 0")
 
     @classmethod
-    def for_frame(cls, frame_duration: float, refine_iters: int = 60) -> "GridSpec":
-        return cls(resolution=1e-4 * frame_duration, refine_iters=refine_iters)
+    def for_frame(cls, frame_duration: float) -> "GridSpec":
+        return cls(resolution=1e-4 * frame_duration)
 
 
 def _per_op_energy(params: SystemParams) -> float:

@@ -10,12 +10,12 @@ simulate   multi-frame storage statistics, written as CSV
 verify     certify the closed-form optima against the grid searches and the
            root solver against bisection
 
-Every run is reproducible: all randomness flows from --seed, and CSV floats
-are written with repr so files are byte-identical across runs.  Runs are
-single-process.  The first main call in a process builds the parser, which
-later calls reuse, and where the C library is glibc raises its mmap and trim
-thresholds to 4 MiB and 32 MiB, so repeated runs reuse the heap; importing
-the module or calling the library changes nothing.
+Every run is reproducible: all randomness flows from --seed, and _write_csv
+writes each CSV cell as str(value), so files are byte-identical across
+runs.  Runs are single-process.  The first main call in a process builds
+the parser, which later calls reuse, and where the C library is glibc
+raises its mmap and trim thresholds to 4 MiB and 32 MiB, so repeated runs
+reuse the heap; importing the module or calling the library changes nothing.
 
 Exit codes: 0 success, 1 usage error, 2 invalid configuration,
 3 verification failure.
@@ -25,7 +25,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -45,14 +45,7 @@ from .allocator import (
 from .channel import draw_gains
 from .energy import offload_bits
 from .params import SystemParams, load_params
-from .sim import (
-    FRAME_STATS_CSV_COLUMNS,
-    SWEEP_CSV_COLUMNS,
-    SweepAxis,
-    monte_carlo,
-    sweep,
-    sweep_csv_rows,
-)
+from .sim import StrategyAverages, SweepAxis, monte_carlo, sweep
 
 # The traced benchmark run (perfbench/spans.py) wraps these module-level names.
 from .allocator import decision_inequality, evaluate_strategies  # noqa: F401
@@ -63,6 +56,14 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 _AXES = {axis.value.replace("_", "-"): axis for axis in SweepAxis}
+
+# The headers of the CSV files; see README, "CSV schemas".
+_FRAMES_COLUMNS = ("frame", "mean_storage", "outage_rate")
+_SWEEP_COLUMNS = ("axis", "value", *(f.name for f in fields(StrategyAverages)),
+                  "outage", "outage_ci")
+_VERIFY_COLUMNS = ("instance", "gain_down", "gain_offload", "cost_local_closed",
+                   "cost_local_grid", "cost_offload_closed", "cost_offload_grid",
+                   "rate_deviation", "status")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,11 +104,11 @@ def _load_config(path: str | None) -> SystemParams:
 
 
 def _write_csv(out_dir: str, name: str, header, rows) -> str:
-    """Write header and rows of string cells to out_dir/name, as csv.writer
-    writes them by default: cells joined by "," and lines ended by "\r\n".
-    A cell that csv.writer would quote (one holding ",", '"', "\r" or "\n")
-    or a line without text raises ValueError.  Returns the path."""
-    lines = [",".join(header), *map(",".join, rows)]
+    """Write header and rows of values to out_dir/name, each cell str(value),
+    as csv.writer writes text cells by default: joined by "," and lines ended
+    by "\r\n".  A cell that csv.writer would quote (one holding ",", '"', "\r"
+    or "\n") or a line without text raises ValueError.  Returns the path."""
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     text = "\r\n".join(lines) + "\r\n"
     commas = len(header) - 1 + sum(map(len, rows)) - len(rows)
     if ('"' in text or text.count(",") != commas
@@ -184,8 +185,9 @@ def cmd_sweep(args) -> int:
     axis = _AXES[args.axis]
     rows = sweep(params, axis, args.values, n_frames=args.frames,
                  n_trials=args.trials, master_seed=args.seed)
-    path = _write_csv(args.out_dir, f"sweep_{axis.value}.csv",
-                      SWEEP_CSV_COLUMNS, sweep_csv_rows(rows))
+    path = _write_csv(args.out_dir, f"sweep_{axis.value}.csv", _SWEEP_COLUMNS,
+                      [(axis.value, row.value, *astuple(row.averages),
+                        row.outage, row.outage_ci) for row in rows])
     for row in rows:
         a = row.averages
         print(f"{axis.value}={_fmt(row.value)}: "
@@ -200,9 +202,9 @@ def cmd_simulate(args) -> int:
     params = _load_config(args.config)
     result = monte_carlo(params, n_frames=args.frames, n_trials=args.trials,
                          master_seed=args.seed)
-    rows = [[str(f), repr(storage), repr(outage)] for f, (storage, outage)
-            in enumerate(zip(result.mean_storage, result.outage_per_frame))]
-    path = _write_csv(args.out_dir, "frames.csv", FRAME_STATS_CSV_COLUMNS, rows)
+    path = _write_csv(args.out_dir, "frames.csv", _FRAMES_COLUMNS,
+                      list(zip(range(result.n_frames), result.mean_storage,
+                               result.outage_per_frame)))
     print(f"frames={result.n_frames} trials={result.n_trials} "
           f"outage={result.outage:.4f} (ci {result.outage_ci:.4f}) "
           f"mean_processed_cost={_fmt(result.mean_processed_cost)} J")
@@ -217,7 +219,7 @@ MAX_REJECTED_DRAWS = 10_000
 @dataclass(frozen=True)
 class VerifyReport:
     lines: list     # summary, with one line per failing grid-checked pair
-    rows: list      # verify.csv rows, one per grid-checked pair
+    rows: list      # verify.csv cell values, one tuple per grid-checked pair
     worst: dict     # largest deviation of each kind (see certify)
     failures: int   # failed checks
 
@@ -277,7 +279,7 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
                                                   tol_o, rate_dev))))
     cells = zip(*(c.tolist() for c in (gd, go, cost_l, cost_grid, cost_o,
                                        cost_grid_o, rate_dev)))
-    rows = [[str(i), *map(repr, row), "pass" if ok else "fail"]
+    rows = [(i, *row, "pass" if ok else "fail")
             for i, (row, ok) in enumerate(zip(cells, passed.tolist()))]
     lines.append(f"grid check: {len(rows)} instances, worst local dev "
                  f"{worst['local']:.3f}x tol, worst offload dev "
@@ -321,10 +323,8 @@ def cmd_verify(args) -> int:
                      args.instances)
     print("\n".join(report.lines))
     if args.out_dir:
-        path = _write_csv(args.out_dir, "verify.csv", (
-            "instance", "gain_down", "gain_offload", "cost_local_closed",
-            "cost_local_grid", "cost_offload_closed", "cost_offload_grid",
-            "rate_deviation", "status"), report.rows)
+        path = _write_csv(args.out_dir, "verify.csv", _VERIFY_COLUMNS,
+                          report.rows)
         print(f"wrote {path}")
     if report.failures:
         print(f"verification FAILED ({report.failures} check(s))")

@@ -31,7 +31,7 @@ _ieee, built from IEEE-754 basic operations, instead of the C library.
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -64,8 +64,6 @@ __all__ = [
     "run_trace",
     "monte_carlo",
     "sweep",
-    "SWEEP_CSV_COLUMNS",
-    "FRAME_STATS_CSV_COLUMNS",
 ]
 
 # The channel draw layout (channel module), the trial seeds (_trial_states)
@@ -397,16 +395,3 @@ def sweep(params: SystemParams, axis: SweepAxis, values, n_frames: int,
                              outage=mc.outage, outage_ci=mc.outage_ci))
     return rows
 
-
-FRAME_STATS_CSV_COLUMNS = ("frame", "mean_storage", "outage_rate")
-
-_AVERAGES = tuple(f.name for f in fields(StrategyAverages))
-
-SWEEP_CSV_COLUMNS = ("axis", "value", *_AVERAGES, "outage", "outage_ci")
-
-
-def sweep_csv_rows(rows: list[SweepRow]) -> list[list[str]]:
-    """String cells of each row, in SWEEP_CSV_COLUMNS order."""
-    return [[row.axis.value, *map(repr, (
-        row.value, *(getattr(row.averages, name) for name in _AVERAGES),
-        row.outage, row.outage_ci))] for row in rows]

@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +206,8 @@ def test_block_calls_equal_one_element_calls_bit_for_bit(params, case):
         params, pair = FEW_CELL_DECODE[0]
         gd, go = _feasible_pairs(params, rng, 12, extra=[pair])
     for refine_iters in (0, 40, 60):
-        spec = GridSpec.for_frame(params.frame_duration, refine_iters)
+        spec = replace(GridSpec.for_frame(params.frame_duration),
+                       refine_iters=refine_iters)
         singles, keep = [], []
         for g, h in zip(gd.tolist(), go.tolist()):
             try:
@@ -233,7 +235,7 @@ def test_block_with_an_empty_grid_raises_as_one_element_does(params):
     with pytest.raises(ValueError, match="gain_offload must be positive"):
         brute_offload(params, gd, go, spec)
     few, (g, h) = FEW_CELL_DECODE[1]
-    no_refine = GridSpec.for_frame(few.frame_duration, 0)
+    no_refine = replace(GridSpec.for_frame(few.frame_duration), refine_iters=0)
     for block in (g, np.array([g, 2 * g])):
         with pytest.raises(ValueError,
                            match="empty feasible grid for the local program"):
@@ -329,7 +331,8 @@ def test_local_grid_bits_equal_full_row_sweep(case, monkeypatch):
         assert got.tobytes() == want.tobytes()
     assert np.isinf(cells[2]).any() == (case >= 3)  # gains without a cell
     for refine_iters in (0, 60):
-        spec = GridSpec.for_frame(p.frame_duration, refine_iters)
+        spec = replace(GridSpec.for_frame(p.frame_duration),
+                       refine_iters=refine_iters)
         results = []
         for grid in (bruteforce._local_grid, _full_row_local_grid):
             monkeypatch.setattr(bruteforce, "_local_grid", grid)
@@ -610,7 +613,8 @@ def _scalar_offload_tolerance(params, gd, go, spec, tau_o):
 @pytest.mark.parametrize("refine_iters", [0, 60])
 def test_offload_tolerance_arrays_equal_scalar_formula(params, refine_iters):
     rng = np.random.default_rng(37)
-    spec = GridSpec.for_frame(params.frame_duration, refine_iters)
+    spec = replace(GridSpec.for_frame(params.frame_duration),
+                   refine_iters=refine_iters)
     gd, go = _feasible_pairs(params, rng, 60)
     tau_o = np.concatenate([
         solve_frames(params, gd, go)[1].tau_o[:-3],

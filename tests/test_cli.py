@@ -7,7 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -143,6 +143,19 @@ def test_sweep_writes_deterministic_csv(capsys, tmp_path):
     assert header.startswith("axis,value,mean_cost_local")
 
 
+def test_sweep_csv_header_is_strategy_averages_fields(capsys, tmp_path):
+    names = tuple(f.name for f in fields(sim.StrategyAverages))
+    assert cli._SWEEP_COLUMNS == ("axis", "value", *names, "outage", "outage_ci")
+    code, _, _ = run(capsys, "sweep", "--seed", "1", "--axis", "ops-per-bit",
+                     "--values", "1e3", "--frames", "5", "--trials", "2",
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "sweep_ops_per_bit.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == cli._SWEEP_COLUMNS and len(header) == 14
+    assert [len(row) for row in rows] == [14]
+
+
 def test_sweep_empty_values_is_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--seed", "1", "--axis", "ops-per-bit",
                        "--values", " ", "--frames", "5", "--trials", "1")
@@ -267,26 +280,35 @@ def test_verify_benchmark_bits_are_pinned(capsys, caplog, tmp_path, seed,
         "offload grid: 0 of 2000 pairs fell back to the full sweep")
 
 
+def _repr_cell(value):
+    """A value's cell as csv.writer would write its repr: text as it is, a
+    numpy scalar as the Python number it holds."""
+    if isinstance(value, str):
+        return value
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def test_write_csv_bytes_equal_csv_writer(tmp_path):
     header = ("instance", "value", "status")
-    rows = [[str(i), repr(x), status] for i, (x, status) in enumerate(
-        [(math.nan, "pass"), (math.inf, "fail"), (-math.inf, "pass"),
-         (-0.0, "pass"), (5e-324, "fail"), (1e+300, "pass"),
-         (2 ** 70, "pass"), (-(10 ** 30), "fail"), (0.1, "pass")])]
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e+300, 2 ** 70,
+              -(10 ** 30), 0.1, "text", np.float64(0.1), np.float64(math.nan),
+              np.float64(math.inf), np.float64(-math.inf), np.float64(-0.0),
+              np.float64(5e-324), np.float64(1e+300), np.int64(-7)]
+    rows = [(i, x, ("pass", "fail")[i % 2]) for i, x in enumerate(values)]
     path = cli._write_csv(str(tmp_path / "new"), "out.csv", header, rows)
     with open(tmp_path / "want.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_repr_cell(cell) for cell in row] for row in rows)
     assert open(path, "rb").read() == (tmp_path / "want.csv").read_bytes()
     for cell in ("1,5", 'say "x"', "a\nb", "a\rb", "a\r\nb"):
         with pytest.raises(ValueError, match="a cell holds"):
             cli._write_csv(str(tmp_path), "bad.csv", header,
-                           [*rows, ["9", cell, "pass"]])
+                           [*rows, (9, cell, "pass")])
         with pytest.raises(ValueError, match="a cell holds"):
             cli._write_csv(str(tmp_path), "bad.csv", ("instance", cell), [])
     with pytest.raises(ValueError, match="a line is empty"):
-        cli._write_csv(str(tmp_path), "bad.csv", header, [*rows, [""]])
+        cli._write_csv(str(tmp_path), "bad.csv", header, [*rows, ("",)])
     assert not (tmp_path / "bad.csv").exists()
 
 

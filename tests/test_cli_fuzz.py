@@ -1,8 +1,8 @@
 """Boundary fuzz of the command line: configuration texts with values at
 and past the edges of their ranges, and argument lists for the four
 subcommands, run in process.  Every run ends with a documented exit code,
-exits 1 and 2 say why on one error line, and every CSV cell is finite
-unless the README says its column can be NaN."""
+exits 1 and 2 say why on one error line, no warning escapes, and every CSV
+cell is finite unless the README says its column can be NaN."""
 
 import contextlib
 import csv
@@ -10,6 +10,7 @@ import io
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import fields
 
 from hypothesis import HealthCheck, example, given, settings
@@ -127,6 +128,9 @@ def _check_csv(path):
 # found by a longer random run: an inf cost reached the sweep CSV
 @example(config="decode_energy_per_bit = 1e308",
          argv=["sweep", "--seed", "0", "--axis", "ops-per-bit", "--values", "1"])
+# the mode rule's harvest_rate / dev_ops_per_sec overflowed with a warning
+@example(config="dev_ops_per_sec = 5e-324",
+         argv=["simulate", "--seed", "1", "--frames", "3", "--trials", "2"])
 def test_cli_ends_with_a_documented_exit_and_finite_csv_cells(config, argv):
     with tempfile.TemporaryDirectory() as out_dir:
         cfg = os.path.join(out_dir, "fuzz.cfg")
@@ -136,10 +140,13 @@ def test_cli_ends_with_a_documented_exit_and_finite_csv_cells(config, argv):
         if argv[:1] != ["allocate"]:
             argv = [*argv, "--out-dir", csv_dir]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([*argv, "--config", cfg])
         err = err.getvalue()
         assert code in (0, 1, 2, 3), (code, err)
+        assert not caught, [str(w.message) for w in caught]
         assert "Traceback" not in err
         if code in (1, 2):
             errors = [line for line in err.splitlines()

@@ -18,7 +18,6 @@ from swiptfog.sim import (
     SweepAxis,
     _trial_gains,
     _trial_states,
-    sweep_csv_rows,
 )
 
 
@@ -280,8 +279,3 @@ def test_sweep_validates_every_value_before_simulating(params, monkeypatch):
         sweep(params, SweepAxis.DIST_AP_DEV, [6.0, 0.5], 10, 2, 1)
     assert calls == []
 
-
-def test_csv_row_shapes(params):
-    srows = sweep_csv_rows(sweep(params, SweepAxis.OPS_PER_BIT, [1e3],
-                                 n_frames=5, n_trials=2, master_seed=1))
-    assert len(srows) == 1 and len(srows[0]) == 14

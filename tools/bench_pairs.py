@@ -12,7 +12,8 @@ even ones.  The record of every run, each side's median and quartiles of
 every end-to-end metric of BENCHMARK.json, the pairs the change wins,
 whether every run of both sides wrote the same CSV digests
 (csv_sha256_same_as_parent) and each side's src/ line count (src_lines)
-are written to results["<W>_seed<S>"] of --out;
+and line count per src/ module (src_module_lines) are written to
+results["<W>_seed<S>"] of --out;
 other keys of an existing file are kept, so seeds and workloads can be added
 by later calls.
 """
@@ -68,10 +69,12 @@ def unpack(rev, into):
     return sha, Path(into) / "tree"
 
 
-def src_lines(tree):
-    """Line total of src/**/*.py in tree, the size measure of ROADMAP aim 2."""
-    return sum(len(path.read_text().splitlines())
-               for path in (Path(tree) / "src").rglob("*.py"))
+def src_module_lines(tree):
+    """Line count of each src/**/*.py in tree, keyed by its path under src/;
+    their total is the size measure of ROADMAP aim 2."""
+    src = Path(tree) / "src"
+    return {path.relative_to(src).as_posix(): len(path.read_text().splitlines())
+            for path in sorted(src.rglob("*.py"))}
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -149,10 +152,12 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
             value = result.get("metrics", {}).get("items_per_s", {}).get("value")
             print(f"pair {i} {side}: items_per_s={value}", flush=True)
     names = [m["name"] for m in metrics]
+    lines = {side: src_module_lines(tree) for side, tree in trees.items()}
     entry = {
         "pairs": pairs,
         "first_in_pair": "parent on odd pairs, change on even pairs",
-        **{side: {**summarize(runs, names), "src_lines": src_lines(trees[side])}
+        **{side: {**summarize(runs, names), "src_lines": sum(lines[side].values()),
+                  "src_module_lines": lines[side]}
            for side, runs in sides.items()},
     }
     parent, change = entry["parent"], entry["change"]
