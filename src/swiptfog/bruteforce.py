@@ -135,38 +135,24 @@ def _shaped(shape: tuple, *arrays: np.ndarray) -> tuple:
 # local-computation program
 # ---------------------------------------------------------------------------
 
-def _local_cost(params: SystemParams, l2, hr, tau_d, tau_c, rate,
-                out=None, tmp=None):
-    """E_D + E_C - E_H at slots tau_d and tau_c, element-wise; l2 is
-    log2(1 + SNR), hr the harvest rate and rate B_h (tau_d / T) l2.  Written
-    into out (tmp is a work buffer of its shape) if given, which they must be
-    when the slots broadcast to a larger shape than rate has."""
+def _local_cost(params: SystemParams, l2, hr, tau_d, tau_c, rate):
+    """E_D + E_C - E_H at slots tau_d and tau_c, element-wise over the
+    broadcast arguments; l2 is log2(1 + SNR), hr the harvest rate and rate
+    B_h (tau_d / T) l2."""
     tee = params.frame_duration
-    e_cmp = np.multiply(_per_op_energy(params) * params.ops_per_bit, rate, out=tmp)
-    e_cmp *= tee
-    out = np.multiply(params.decode_energy_per_bit * params.bw_downlink * l2,
-                      tau_d, out=out)
-    out += e_cmp
-    span = np.subtract(tee, tau_d, out=tmp)
-    span -= tau_c
-    out -= np.multiply(hr, span, out=tmp)
-    return out
+    return (params.decode_energy_per_bit * params.bw_downlink * l2 * tau_d
+            + _per_op_energy(params) * params.ops_per_bit * rate * tee
+            - hr * (tee - tau_d - tau_c))
 
 
-def _local_cells(params: SystemParams, l2, rate_per_l2, step: float,
-                 rate=None, tau_c=None) -> tuple:
+def _local_cells(params: SystemParams, l2, rate_per_l2, step: float) -> tuple:
     """(rate, tau_c) at the decode cells where B_h (tau_d / T) is rate_per_l2,
     for gains with l2 = log2(1 + SNR): tau_c is the least grid compute slot
-    meeting the op count.  Written into rate and tau_c if given."""
-    rate = np.multiply(rate_per_l2, l2, out=rate)
-    tau_c = np.multiply(params.ops_per_bit, rate, out=tau_c)
-    tau_c *= params.frame_duration
-    tau_c /= params.dev_ops_per_sec
-    tau_c /= step
-    tau_c -= 1e-12
-    np.ceil(tau_c, out=tau_c)
-    tau_c *= step
-    return rate, tau_c
+    meeting the op count."""
+    rate = rate_per_l2 * l2
+    tau_c = (params.ops_per_bit * rate * params.frame_duration
+             / params.dev_ops_per_sec / step - 1e-12)
+    return rate, np.ceil(tau_c) * step
 
 
 def _local_runs(params: SystemParams, l2, rate_per_l2, tau_d, step: float):
@@ -223,20 +209,14 @@ def _local_grid(params: SystemParams, l2, hr, step: float) -> tuple:
         k = int(sizes.searchsorted(_BLOCK_CELLS, side="right"))
         blocks.append((i, k, int(width[i + k - 1])))
         i += k
-    # buffers for the largest block or run
-    size = max([k * m for _, k, m in blocks] + width[-1:].tolist(), default=0)
-    rate, tau_c, cost, tmp = (np.empty(size) for _ in range(4))
     best_d, best_c = np.full(l2.size, math.nan), np.full(l2.size, math.nan)
     best = np.full(l2.size, math.inf)
     for i, k, m in blocks:
         rows, starts = order[i:i + k], lo[i:i + k]
-        bufs = [b[:k * m].reshape(k, m) for b in (rate, tau_c, cost, tmp)]
         td = sliding_window_view(tau_d, m)[starts]
         r, tc = _local_cells(params, l2[rows, None],
-                             sliding_window_view(rate_per_l2, m)[starts],
-                             step, *bufs[:2])
-        c = _local_cost(params, l2[rows, None], hr[rows, None], td, tc, r,
-                        *bufs[2:])
+                             sliding_window_view(rate_per_l2, m)[starts], step)
+        c = _local_cost(params, l2[rows, None], hr[rows, None], td, tc, r)
         c[np.arange(m) >= width[i:i + k, None]] = math.inf
         at = (np.arange(k), c.argmin(axis=1))
         best_d[rows], best_c[rows], best[rows] = td[at], tc[at], c[at]
@@ -245,9 +225,8 @@ def _local_grid(params: SystemParams, l2, hr, step: float) -> tuple:
                                  hr[wide]))
     for k, a, m, l2k, hrk in zip(*runs):
         td = tau_d[a:a + m]
-        r, tc = _local_cells(params, l2k, rate_per_l2[a:a + m], step, rate[:m],
-                             tau_c[:m])
-        c = _local_cost(params, l2k, hrk, td, tc, r, cost[:m], tmp[:m])
+        r, tc = _local_cells(params, l2k, rate_per_l2[a:a + m], step)
+        c = _local_cost(params, l2k, hrk, td, tc, r)
         j = int(c.argmin())
         best_d[k], best_c[k], best[k] = td[j], tc[j], c[j]
     return best_d, best_c, best
@@ -261,10 +240,10 @@ def brute_local(params: SystemParams, eff_gain_down, spec: GridSpec) -> tuple:
     with the cheapest grid-aligned compute slot per the reduction lemma, by
     a binary search of all gains in lockstep; then sweeps the runs in order
     of width, narrow ones in blocks of like width and wide ones one at a
-    time, into reused buffers (see _local_grid).  Then (optionally)
-    golden-sections the surviving 1-D problem, with the compute slot
-    continuous, for all gains in lockstep inside the best cell, clipped to
-    the decode slots that meet both constraints,
+    time (see _local_grid).  Then (optionally) golden-sections the surviving
+    1-D problem, with the compute slot continuous, for all gains in lockstep
+    inside the best cell, clipped to the decode slots that meet both
+    constraints,
     [rate_min T / (B_h l2), T / (1 + K B_h l2 / f)]; a gain without a
     feasible grid cell is refined over all of that interval.
     """
@@ -286,9 +265,10 @@ def brute_local(params: SystemParams, eff_gain_down, spec: GridSpec) -> tuple:
         d_lo = params.rate_min * tee / (params.bw_downlink * l2)
         d_hi = tee / (1.0 + params.ops_per_bit * params.bw_downlink * l2
                       / params.dev_ops_per_sec)
-        # fmax and fmin skip the NaN best_d of gains without a grid cell
-        lo = np.fmax(np.fmax(step * 1e-6, best_d - step), d_lo)
-        hi = np.fmin(np.fmin(tee, best_d + step), d_hi)
+        # fmax and fmin skip the NaN best_d of gains without a grid cell;
+        # 0 < d_lo and d_hi < T, so the bracket stays inside the frame
+        lo = np.fmax(best_d - step, d_lo)
+        hi = np.fmin(best_d + step, d_hi)
         td, val = _golden_min(reduced, lo, hi, spec.refine_iters)
         better = val < best
         r = params.bw_downlink * (td / tee) * l2
@@ -320,34 +300,27 @@ def local_grid_tolerance(params: SystemParams, eff_gain_down, spec: GridSpec):
 # offloading program
 # ---------------------------------------------------------------------------
 
-def _offload_cost(e_dec, a, hr, room, tau_o, growth, out=None, tmp=None):
+def _offload_cost(e_dec, a, hr, room, tau_o, growth):
     """Strategy cost at offload slot tau_o, element-wise, with the transmit
     energy tau_o a growth pinned to the least that delivers the frame's bits;
     a is N_s/|g|^2, growth 2**(bits/(B_g tau_o)) - 1, room T - tau_d and hr
-    the harvest rate.  Written into out (tmp is a work buffer) if given."""
-    lam = np.multiply(tau_o, a, out=out)
-    lam *= growth
-    out = np.add(e_dec, lam, out=out)
-    span = np.subtract(room, tau_o, out=tmp)
-    out -= np.multiply(hr, span, out=tmp)
-    return out
+    the harvest rate."""
+    return e_dec + tau_o * a * growth - hr * (room - tau_o)
 
 
 def _offload_sweep(params: SystemParams, n, e_dec, a, hr, room,
                    step: float) -> tuple:
     """Best grid cell (tau_o, cost) of the offload cost curve for each pair,
-    over its first n grid slots, by a sweep of each pair's whole row in turn
-    into buffers reused from pair to pair; the other arguments are
-    _offload_cost's.  Each row keeps its first minimum."""
+    over its first n grid slots, by a sweep of each pair's whole row in
+    turn; the other arguments are _offload_cost's.  Each row keeps its first
+    minimum."""
     tau_o = step * np.arange(1, n.max(initial=0) + 1)
     growth = _exp2m1(params.bits_per_frame / (params.bw_offload * tau_o))
-    cost, tmp = np.empty(tau_o.size), np.empty(tau_o.size)
     best_o, best = np.empty(n.size), np.empty(n.size)
     pairs = zip(n.tolist(), e_dec.tolist(), a.tolist(), hr.tolist(),
                 room.tolist())
     for k, (m, e_dec_k, a_k, hr_k, room_k) in enumerate(pairs):
-        c = _offload_cost(e_dec_k, a_k, hr_k, room_k, tau_o[:m], growth[:m],
-                          cost[:m], tmp[:m])
+        c = _offload_cost(e_dec_k, a_k, hr_k, room_k, tau_o[:m], growth[:m])
         i = int(c.argmin())
         best_o[k], best[k] = tau_o[i], c[i]
     return best_o, best
@@ -468,7 +441,8 @@ def brute_offload(params: SystemParams, eff_gain_down, gain_offload,
         def curve(to):
             return _offload_cost(e_dec, a, hr, room, to,
                                  _exp2m1(bits / (params.bw_offload * to)))
-        lo = np.maximum(step * 1e-6, best_o - step)
+        # growth, and so the cost, is inf below bits / (B_g _EXP2_CAP)
+        lo = np.maximum(bits / (params.bw_offload * _EXP2_CAP), best_o - step)
         top = np.minimum(room, best_o + step)
         to, val = _golden_min(curve, lo, top, spec.refine_iters)
         better = val < best

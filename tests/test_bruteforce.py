@@ -39,8 +39,7 @@ def brute_local_grid2d(params, gd, spec):
     ops_ok = tau_c * params.dev_ops_per_sec >= params.ops_per_bit * rate * tee
     mask = (rate >= params.rate_min) & ops_ok & (tau_d + tau_c <= tee)
     hr = params.eh_efficiency * (gd + params.noise_dev)
-    cost = _local_cost(params, l2, hr, tau_d, tau_c, rate,
-                       np.empty(mask.shape), np.empty(mask.shape))
+    cost = _local_cost(params, l2, hr, tau_d, tau_c, rate)
     cost[~mask] = np.inf
     i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
     return float(ax[i]), float(ax[j]), float(cost[i, j])
@@ -420,6 +419,33 @@ def test_local_grid_memory_stays_bounded(params):
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, f"ops_per_bit {p.ops_per_bit}: {peak} B"
+
+
+def test_offload_grid_memory_stays_bounded(params, caplog):
+    # the offload pass holds its window of 9 cells per pair and one row of
+    # the axis, and a pair that falls back is swept on its own: under 2 MiB
+    # over 2000 pairs, and over 2000 flat rows (see
+    # test_offload_grid_reports_its_fallbacks) of 50 cells or more, which all
+    # fall back
+    caplog.set_level(logging.DEBUG, logger="swiptfog.bruteforce")
+    rng = np.random.default_rng(29)
+    gd, go = _feasible_pairs(params, rng, 2000)
+    assert gd.size == 2000
+    spec = GridSpec.for_frame(params.frame_duration)
+    n = rng.integers(50, int(params.frame_duration / spec.resolution), 2000)
+    flat = (n, np.ones(n.size), np.full(n.size, 1e-20), np.zeros(n.size),
+            n * spec.resolution)
+    for call in (lambda: brute_offload(params, gd, go, spec),
+                 lambda: bruteforce._offload_grid(params, *flat,
+                                                  spec.resolution)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, f"{peak} B"
+    assert _fallbacks(caplog)[:2] == (2000, 2000)
 
 
 # ---------------------------------------------------------------------------

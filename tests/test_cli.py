@@ -562,6 +562,24 @@ def test_a_size_that_cannot_be_allocated_exits_2_with_one_error_line(
     assert not (tmp_path / "frames.csv").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "bw_offload = 1e14", "bw_offload = 1e308",
+    "bw_downlink = 1e14", "bw_downlink = 1e300",
+])
+def test_verify_passes_at_large_bandwidths(capsys, tmp_path, line):
+    """The optimal slots sit far below one grid cell here, so the oracle's
+    refine brackets must reach down to its own floors: the shortest offload
+    slot of finite cost, and the local decode slot of the rate floor."""
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(line + "\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--seed", "1",
+                       "--instances", "20", "--jobs", "1",
+                       "--out-dir", str(tmp_path))
+    assert code == 0, out
+    rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
+    assert len(rows) == 20 and all(r.endswith(",pass") for r in rows)
+
+
 def test_verify_gives_up_when_no_instance_is_feasible(capsys, tmp_path):
     # the rate floor exceeds every sampled link capacity
     cfg = tmp_path / "p.cfg"
