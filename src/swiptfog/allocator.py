@@ -207,8 +207,8 @@ def lambert_w0(x):
 class StrategyArrays:
     """One mode's optimum for every frame of a gain array (see solve_frames).
 
-    Fields mirror Allocation and EnergyBreakdown.  Where the mode is
-    infeasible, cost is inf and every other field is NaN.
+    Fields mirror Allocation and EnergyBreakdown, as read-only views.  Read
+    feasible first: where it is False, cost is inf and the rest unspecified.
     """
     feasible: np.ndarray
     tau_e: np.ndarray
@@ -231,24 +231,22 @@ def energy_per_op(params: SystemParams) -> float:
 
 def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
                      **fields) -> StrategyArrays:
-    """Apply the energy module's guards (slots inside the frame, energies
-    non-negative) to the feasible elements, mask the infeasible ones and
-    assemble the cost as frame_cost does for mode i_o, not inf if feasible."""
-    for name in ("tau_e", "tau_d", "tau_c", "tau_o"):
-        slot = fields[name]
-        if (((slot < 0.0) | (slot > params.frame_duration)) & feasible).any():
-            raise ValueError(f"{name} must lie in [0, {params.frame_duration}]")
-    for name in ("e_decode", "e_compute", "e_offload", "e_harvest"):
-        if ((fields[name] < 0.0) & feasible).any():
-            raise ValueError(f"{name} must be non-negative")
-    out = {name: np.where(feasible, value, math.nan)
-           for name, value in fields.items()}
-    paid = out["e_offload"] if i_o else out["e_compute"]
-    cost = np.where(feasible, paid + out["e_decode"] - out["e_harvest"], math.inf)
-    if (np.isinf(cost) & feasible).any():
-        raise ValueError(f"a feasible frame's {('local', 'offload')[i_o]} cost "
-                         "overflows: the configuration's energies are too large")
-    return StrategyArrays(feasible=feasible, cost=cost, **out)
+    """Mode i_o's fields, read-only and broadcast to feasible's shape, and its
+    cost as frame_cost forms it, inf where infeasible.  One guard, by mask
+    reductions: a feasible element has its slots in [0, T], and its p_o,
+    energies and spend (paid + e_decode) finite and non-negative."""
+    spent = (fields["e_offload"] if i_o else fields["e_compute"]) + fields["e_decode"]
+    for name, value in (*fields.items(), ("cost", spent)):
+        value, slot = np.asarray(value), name.startswith("tau_")
+        high = params.frame_duration if slot else np.finfo(float).max
+        if (feasible & ~((value >= 0.0) & (value <= high))).any():
+            if slot or name == "p_o" or (feasible & (value < 0.0)).any():
+                raise ValueError(f"a feasible frame's {name} must lie in [0, {high}]")
+            raise ValueError(f"a feasible frame's {('local', 'offload')[i_o]} cost "
+                             "overflows: the configuration's energies are too large")
+    cost = np.where(feasible, spent - fields["e_harvest"], math.inf)
+    return StrategyArrays(feasible=feasible, cost=cost, **{
+        name: np.broadcast_to(v, feasible.shape) for name, v in fields.items()})
 
 
 def solve_frames(params: SystemParams, eff_gain_down,
@@ -261,7 +259,7 @@ def solve_frames(params: SystemParams, eff_gain_down,
     the decode slot meets the rate floor with equality.  x == 0 (no offload
     path) and allocations exceeding the frame are infeasible.  Gains must be
     finite and non-negative, with a finite downlink SNR G / noise_dev and a
-    finite root argument, and a feasible frame's cost must not overflow.
+    finite root argument, and no field of a feasible frame may overflow.
     log2, exp and 2**u - 1 come from _ieee, so results do not depend on
     the C library or on numpy's vector loops.
     """
@@ -376,6 +374,29 @@ def mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
     return lhs, rhs
 
 
+def _rule_disagreements(params: SystemParams, eff_gain_down,
+                        local: StrategyArrays, offload: StrategyArrays,
+                        pairs: np.ndarray) -> tuple[int, int]:
+    """Of the frames in the mask pairs, all feasible in both modes, how many
+    the closed-form mode rule decides otherwise than the cost comparison:
+    (beyond rounding, within rounding).  Within rounding means the rule's
+    sides lie within 1e-9 of the larger one, or the costs within 8 ulp
+    (8 * 2**-52) of the summed magnitudes of both modes' energy terms; both
+    bounds are formed only where the rule and the costs disagree."""
+    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down),
+                               offload.tau_o, offload.p_o)
+    at = np.nonzero(((lhs > rhs) != (offload.cost < local.cost)) & pairs)
+    lhs, rhs = lhs[at], rhs[at]
+    terms = (local.e_compute[at] + offload.e_offload[at] + local.e_harvest[at]
+             + offload.e_harvest[at] + 2.0 * local.e_decode[at])
+    with np.errstate(invalid="ignore"):  # both sides inf
+        sides = np.abs(lhs - rhs) > 1e-9 * np.maximum(
+            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    costs = np.abs(offload.cost[at] - local.cost[at]) > 8.0 * 2.0**-52 * terms
+    beyond = int(np.count_nonzero(sides & costs))
+    return beyond, lhs.size - beyond
+
+
 def choose_modes(params: SystemParams, eff_gain_down,
                  local: StrategyArrays, offload: StrategyArrays) -> np.ndarray:
     """The mode choice before the storage check, element-wise: True where
@@ -383,21 +404,16 @@ def choose_modes(params: SystemParams, eff_gain_down,
     mode costs inf, so the cheaper mode is a feasible one whenever either is.
 
     Where both modes are feasible the cost comparison is cross-checked
-    against the closed-form inequality; disagreements beyond rounding noise
-    are logged once, with their count.
+    against the closed-form inequality; disagreements beyond rounding
+    (_rule_disagreements) are logged once, with their count.
     """
-    offloads = offload.cost < local.cost
     both = local.feasible & offload.feasible
-    # offload's fields are NaN where it is infeasible
-    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down),
-                               offload.tau_o, offload.p_o)
-    margin = 1e-9 * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    disagree = ((lhs > rhs) != offloads) & (np.abs(lhs - rhs) > margin) & both
-    if disagree.any():
+    beyond, _ = _rule_disagreements(params, eff_gain_down, local, offload, both)
+    if beyond:
         log.warning("mode rule disagrees with cost comparison on %d of %d "
                     "frames where both modes are feasible",
-                    int(disagree.sum()), int(both.sum()))
-    return offloads
+                    beyond, int(np.count_nonzero(both)))
+    return offload.cost < local.cost
 
 
 def _affordable(local: StrategyArrays, offload: StrategyArrays,

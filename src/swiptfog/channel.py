@@ -140,7 +140,13 @@ def _to_amplitudes(params: SystemParams, normals: np.ndarray) -> np.ndarray:
         raise ValueError("normals must be C-contiguous")
     loss = [pathloss_db(d, params.carrier_freq_mhz, params.pathloss_coeff)
             for d in (params.dist_ap_dev, params.dist_dev_server)]
-    scale_h, scale_g = (math.sqrt(10.0 ** (-db / 10.0)) for db in loss)
+    try:
+        scale_h, scale_g = (math.sqrt(10.0 ** (-db / 10.0)) for db in loss)
+    except OverflowError:  # the link with the smaller loss overflows first
+        link = "AP -> device" if loss[0] <= loss[1] else "device -> server"
+        message = (f"carrier_freq_mhz = {params.carrier_freq_mhz!r} overflows "
+                   f"the {link} path-loss scale 10**(-dB/10)")
+        raise ValueError(message) from None
     los_w, scatter_w = _rician_weights(params.rician_k_linear)
     normals /= _SQRT2
     normals *= scatter_w

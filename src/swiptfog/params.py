@@ -81,6 +81,11 @@ class SystemParams:
                 raise ValueError(f"{name} must be at least {low}, got {value!r}")
         if not math.isfinite(self.rician_k_db):
             raise ValueError("rician_k_db must be finite")
+        try:
+            db_to_linear(self.rician_k_db)
+        except OverflowError:
+            raise ValueError(f"rician_k_db = {self.rician_k_db!r} overflows the "
+                             "linear ratio 10**(dB/10)") from None
         if self.rate_min * self.frame_duration <= 0.0:
             raise ValueError("rate_min * frame_duration must be positive")
 

@@ -351,8 +351,7 @@ def _strategy_averages(frames: _Frames) -> StrategyAverages:
     return StrategyAverages(
         mean_cost_local=_masked_mean(local.cost, local.feasible),
         mean_cost_offload=_masked_mean(offload.cost, offload.feasible),
-        mean_e_decode=_masked_mean(np.where(local.feasible, local.e_decode,
-                                            offload.e_decode),
+        mean_e_decode=_masked_mean(local.e_decode,  # shared by both modes
                                    local.feasible | offload.feasible),
         mean_e_compute=_masked_mean(local.e_compute, local.feasible),
         mean_e_offload=_masked_mean(offload.e_offload, offload.feasible),

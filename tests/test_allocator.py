@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -493,11 +494,13 @@ def test_decision_rule_requires_both_feasible(params):
 
 @pytest.mark.parametrize("name,bad", [
     ("tau_e", -1e-9), ("tau_d", 1.5), ("tau_c", -1.0), ("tau_o", 2.0),
+    ("tau_e", math.nan), ("p_o", math.inf), ("p_o", math.nan),
     ("e_decode", -1e-12), ("e_compute", -1.0), ("e_offload", -1e-30),
-    ("e_harvest", -1e-12)])
+    ("e_harvest", -1e-12), ("e_decode", math.inf), ("e_harvest", math.nan)])
 def test_strategy_arrays_guards_only_feasible_elements(params, name, bad):
-    # slots in [0, T] (T = 1 s here), energies >= 0: a bad value on a
-    # feasible element raises; on an infeasible one, or NaN, it does not
+    # slots in [0, T] (T = 1 s here), p_o and energies finite and >= 0: a
+    # bad value, NaN included, on a feasible element raises; on an
+    # infeasible one it does not, and only the cost is masked
     slots = ("tau_e", "tau_d", "tau_c", "tau_o")
     good = dict.fromkeys(slots, 0.25) | dict.fromkeys(
         ("p_o", "e_decode", "e_compute", "e_offload", "e_harvest"), 1e-6)
@@ -508,13 +511,17 @@ def test_strategy_arrays_guards_only_feasible_elements(params, name, bad):
         return allocator._strategy_arrays(
             p, feasible, 1, **(good | {name: np.array(values)}))
 
-    message = (r"must lie in \[0, 1.0\]" if name in slots
-               else "must be non-negative")
-    with pytest.raises(ValueError, match=f"{name} {message}"):
-        arrays([good[name], good[name], bad])
-    out = arrays([math.nan, bad, good[name]])
-    assert np.isnan(getattr(out, name)[:2]).all()
+    high = re.escape(str(1.0 if name in slots else np.finfo(float).max))
+    message = (rf"a feasible frame's {name} must lie in \[0, {high}\]"
+               if name in slots or name == "p_o" or bad < 0.0
+               else "a feasible frame's offload cost overflows")
+    for values in ([good[name], good[name], bad], [bad, good[name], good[name]]):
+        with pytest.raises(ValueError, match=message):
+            arrays(values)
+    out = arrays([good[name], bad, good[name]])
     assert out.feasible.tolist() == [True, False, True]
+    assert getattr(out, name)[1] == bad or math.isnan(bad)
+    assert np.isfinite(out.cost[::2]).all() and out.cost[1] == math.inf
 
 
 def test_tie_and_scale_invariance(params):

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -589,6 +590,80 @@ def test_verify_gives_up_when_no_instance_is_feasible(capsys, tmp_path):
                        "--out-dir", str(tmp_path))
     assert code == 2
     assert "no feasible instance" in err
+
+
+def _run_quietly(capsys, *argv):
+    """run(), which also returns the warnings the run raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    return code, out, err, [str(w.message) for w in caught]
+
+
+def test_a_feasible_frame_with_an_infinite_offload_power_exits_2(
+        capsys, tmp_path):
+    # rate_min = 5e-324: the offload slot underflows to 0 and its power is
+    # inf; sweep used to write mean_cost_offload = nan with exit 0, and
+    # verify to exit 3 with two RuntimeWarnings
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("rate_min = 5e-324\n")
+    out_dir = tmp_path / "out"
+    for argv in (("sweep", "--seed", "1", "--axis", "ops-per-bit", "--values",
+                  "1e4", "--frames", "5", "--trials", "2"),
+                 ("verify", "--seed", "1", "--instances", "5")):
+        code, out, err, caught = _run_quietly(
+            capsys, *argv, "--config", str(cfg), "--out-dir", str(out_dir))
+        assert (code, out, caught) == (2, "", []), argv[0]
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "p_o" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text,key,link", [
+    ("rician_k_db = 3100", "rician_k_db", None),
+    ("carrier_freq_mhz = 1e-300", "carrier_freq_mhz", "AP -> device"),
+    # the longer AP -> device link stays finite
+    ("carrier_freq_mhz = 1e-155\ndist_ap_dev = 1000", "carrier_freq_mhz",
+     "device -> server"),
+])
+def test_a_channel_constant_that_overflows_exits_2_naming_its_key(
+        capsys, tmp_path, text, key, link):
+    # each used to end in "error: (34, 'Numerical result out of range')"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(text + "\n")
+    code, out, err, caught = _run_quietly(
+        capsys, "simulate", "--seed", "1", "--frames", "3", "--trials", "2",
+        "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith(f"error: {key} = ") and err.count("\n") == 1, err
+    assert link is None or f"the {link} path-loss scale" in err
+
+
+def test_verify_passes_where_the_rule_and_costs_tie_to_rounding(
+        capsys, tmp_path):
+    # rate_min = 1e-30: the rule and the costs disagree on 644 of the 1000
+    # pairs, all with equal costs; verify used to exit 3
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("rate_min = 1e-30\n")
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--instances", "5",
+                       "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0, out
+    assert ("mode rule vs cost comparison: 1000/1000 agree, 644 of them to "
+            "within rounding -> ok") in out
+
+
+def test_simulate_logs_no_disagreement_within_rounding(capsys, caplog,
+                                                       tmp_path):
+    # rate_min = 1e-10: the rule and the costs disagree within rounding on
+    # 58 of 5000 frames, which choose_modes used to log
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("rate_min = 1e-10\n")
+    with caplog.at_level(logging.DEBUG, logger="swiptfog"):
+        code, _, _ = run(capsys, "simulate", "--seed", "1", "--frames", "100",
+                         "--trials", "50", "--config", str(cfg),
+                         "--out-dir", str(tmp_path))
+    assert code == 0
+    assert caplog.records == []
 
 
 def test_counts_below_one_are_usage_errors(capsys, tmp_path):
