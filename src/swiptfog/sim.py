@@ -19,14 +19,15 @@ frames-major rows, one of all trials per frame: a comparison, a negation
 and an add each.  Only run_trace builds FrameRecord objects.
 
 Reproducibility (output version STREAM_VERSION): trial t of master seed m
-draws from SeedSequence(m).spawn(n)[t], whose PCG64 state _trial_states
-computes without numpy's SeedSequence, so results do not depend on
-chunking, more trials extend a shorter run, and run_trace(seed) is trial 0
-of seed.  Aggregates use exact summation (math.fsum), so they do not
-depend on trial order either.  Version 3 keeps version 2's trial seeds and
-normals and changes only the kernel's arithmetic: gains are formed with
-products and np.sqrt, and the kernel's exp, log2 and 2**u - 1 come from
-_ieee, built from IEEE-754 basic operations, instead of the C library.
+draws from SeedSequence(m).spawn(n)[t]; _trial_states takes numpy's
+SeedSequence(m) pool and mixes in every trial's spawn-key word on arrays
+to get the PCG64 states, so results do not depend on chunking, more
+trials extend a shorter run, and run_trace(seed) is trial 0 of seed.
+Aggregates use exact summation (math.fsum), so they do not depend on trial
+order either.  Version 3 keeps version 2's trial seeds and normals and
+changes only the kernel's arithmetic: gains are formed with products and
+np.sqrt, and the kernel's exp, log2 and 2**u - 1 come from _ieee, built
+from IEEE-754 basic operations, instead of the C library.
 """
 
 import math
@@ -82,72 +83,43 @@ _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _uint32_words(value: int) -> list[int]:
-    """value as SeedSequence takes an integer: 32-bit words, least
-    significant first, at least one."""
-    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _seed_words(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
-    """SeedSequence(...).generate_state(n_words) of the assembled entropy
-    words, element-wise over uint32 arrays (one element per sequence)."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    const = _INIT_B
-    words = []
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        words.append(value ^ (value >> np.uint32(16)))
-    return words
+def _hash(words: np.ndarray, init: int, mult: int, skip: int = 0) -> np.ndarray:
+    """SeedSequence's hash of uint32 words, element-wise: row i is the
+    (skip + i)-th hash of the constant chain init * mult**k mod 2**32."""
+    consts = np.array([init * pow(mult, skip + i, 1 << 32) & _MASK32
+                       for i in range(len(words) + 1)], dtype=np.uint32)[:, None]
+    value = (words ^ consts[:-1]) * consts[1:]
+    return value ^ value >> np.uint32(16)
 
 
 def _trial_states(master_seed: int, n_trials: int, first: int = 0) -> list[dict]:
     """PCG64 states of trials first .. first + n_trials - 1 of master seed
-    master_seed, each PCG64(SeedSequence(master_seed, spawn_key=(t,))).state:
-    SeedSequence's hash on arrays over all trials at once, then PCG64's
-    seeding of (state, inc) as 128-bit integers.  Trial indices are below
-    2**32, one spawn-key word each."""
+    master_seed, each PCG64(SeedSequence(master_seed, spawn_key=(t,))).state.
+    numpy's SeedSequence(master_seed).pool is what every such child holds
+    before its spawn-key word t is mixed in (the child pads the run words to
+    four with 0, and the pool hashes 0 for missing words); the mix of t,
+    generate_state(4, np.uint64) and PCG64's seeding of (state, inc) as
+    128-bit integers run here, on arrays over all trials.  Trial indices are
+    below 2**32, one spawn-key word each."""
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
     if first < 0 or first + n_trials > 1 << 32:
         raise ValueError("trial indices must lie in [0, 2**32)")
-    run = _uint32_words(master_seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.full(1, w, dtype=np.uint32) for w in run]
-    entropy.append(np.arange(first, first + n_trials, dtype=np.uint32))
-    words = _seed_words(entropy, 8)
-    # generate_state(4, np.uint64): little-endian pairs of 32-bit words
-    w64 = [(words[2 * k].astype(np.uint64)
-            | words[2 * k + 1].astype(np.uint64) << np.uint64(32)).tolist()
-           for k in range(4)]
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    # the pool took 16 hashes, and 4 more for each run word past the fourth
+    skip = 4 * max((master_seed.bit_length() + 31) // 32, 4)
+    trials = np.arange(first, first + n_trials, dtype=np.uint32)
+    hashed = _hash(np.broadcast_to(trials, (4, n_trials)), _INIT_A, _MULT_A, skip)
+    mixed = (np.array([_MIX_MULT_L * x & _MASK32 for x in pool],
+                      dtype=np.uint32)[:, None] - np.uint32(_MIX_MULT_R) * hashed)
+    mixed ^= mixed >> np.uint32(16)
+    # generate_state(4, np.uint64): eight words, little-endian pairs
+    words = _hash(np.tile(mixed, (2, 1)), _INIT_B, _MULT_B).astype(np.uint64)
+    w64 = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
     states = []
     for s_hi, s_lo, i_hi, i_lo in zip(*w64):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
@@ -220,21 +192,27 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
     (rows) over its frames (columns), starting empty.  The recursion runs
     on contiguous frames-major rows, one row of all trials per frame: the
     level moves by -cost where the frame runs and by the full-frame harvest
-    elsewhere, added in one step, as x - c == x + (-c) in IEEE arithmetic."""
+    elsewhere, added in one step, as x - c == x + (-c) in IEEE arithmetic.
+    A level that overflows stays inf or turns NaN for good, so the last
+    row alone tells whether any trial left the float range."""
     local, offload = solve_frames(params, eff_gain_down, gain_offload)
     offloads = choose_modes(params, eff_gain_down, local, offload)
     cost = np.where(offloads, offload.cost, local.cost)
     n_frames = cost.shape[1]
     cost_rows = np.ascontiguousarray(cost.T)
-    # each frame's row of full-frame harvests turns into its change of level
-    step = np.ascontiguousarray((params.eh_efficiency * (
-        eff_gain_down + params.noise_dev) * params.frame_duration).T)
     storage = np.zeros((n_frames + 1, cost.shape[0]))
     processed = np.empty(cost_rows.shape, dtype=bool)
-    for f in range(n_frames):
-        runs = np.less_equal(cost_rows[f], storage[f], out=processed[f])
-        np.negative(cost_rows[f], out=step[f], where=runs)
-        np.add(storage[f], step[f], out=storage[f + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each frame's row of full-frame harvests turns into its change of level
+        step = np.ascontiguousarray((params.eh_efficiency * (
+            eff_gain_down + params.noise_dev) * params.frame_duration).T)
+        for f in range(n_frames):
+            runs = np.less_equal(cost_rows[f], storage[f], out=processed[f])
+            np.negative(cost_rows[f], out=step[f], where=runs)
+            np.add(storage[f], step[f], out=storage[f + 1])
+    if not np.isfinite(storage[-1]).all():
+        raise ValueError("the stored energy overflows: the configuration's "
+                         "harvested energies are too large")
     return _Frames(local=local, offload=offload, offloads=offloads, cost=cost,
                    processed=processed.T, storage=storage[:-1].T)
 

@@ -619,6 +619,26 @@ def test_a_feasible_frame_with_an_infinite_offload_power_exits_2(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text,argv", [
+    ("noise_dev = 1e308", ("sweep", "--axis", "dist-dev-server", "--values", "1e9")),
+    ("noise_dev = 1e308\ndist_dev_server = 1e9", ("simulate",)),
+], ids=["sweep", "simulate"])
+def test_a_storage_level_that_overflows_exits_2_without_warnings(
+        capsys, tmp_path, text, argv):
+    # nothing is feasible and the banked harvest leaves the float range; the
+    # recursion used to warn twice and end in "intermediate overflow in fsum"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(text + "\n")
+    out_dir = tmp_path / "out"
+    code, out, err, caught = _run_quietly(
+        capsys, *argv, "--seed", "0", "--frames", "5", "--trials", "2",
+        "--config", str(cfg), "--out-dir", str(out_dir))
+    assert (code, out, caught) == (2, "", [])
+    assert err == ("error: the stored energy overflows: the configuration's "
+                   "harvested energies are too large\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("text,key,link", [
     ("rician_k_db = 3100", "rician_k_db", None),
     ("carrier_freq_mhz = 1e-300", "carrier_freq_mhz", "AP -> device"),

@@ -131,6 +131,10 @@ def _check_csv(path):
 # the mode rule's harvest_rate / dev_ops_per_sec overflowed with a warning
 @example(config="dev_ops_per_sec = 5e-324",
          argv=["simulate", "--seed", "1", "--frames", "3", "--trials", "2"])
+# the storage recursion overflowed with warnings, then fsum raised
+@example(config="noise_dev = 1e308",
+         argv=["sweep", "--seed", "0", "--axis", "dist-dev-server", "--values",
+               "1e9", "--frames", "5", "--trials", "2"])
 def test_cli_ends_with_a_documented_exit_and_finite_csv_cells(config, argv):
     with tempfile.TemporaryDirectory() as out_dir:
         cfg = os.path.join(out_dir, "fuzz.cfg")

@@ -146,10 +146,12 @@ def test_trial_seeds_are_spawned_children_and_do_not_collide(params):
 
 
 @pytest.mark.parametrize("master", [0, 5, 256, 303, 1792, 2**32 - 1,
-                                    2**32 + 5, 2**70 + 11])
+                                    2**32 + 5, 2**70 + 11, 2**96 + 7,
+                                    2**128 - 1, 2**128 + 5, 2**200 + 9])
 def test_trial_states_equal_numpy_seeding(master):
-    # one- to three-word master seeds; trials inside and at the edges of
-    # the first TRIAL_CHUNK-sized chunks
+    # one- to five- and seven-word master seeds: past four words each run
+    # word adds four hashes before the spawn-key word's; trials inside and
+    # at the edges of the first TRIAL_CHUNK-sized chunks
     states = _trial_states(master, 250)
     assert len(states) == 250
     for t in (0, 1, 31, 32, 33, 249):
@@ -257,6 +259,15 @@ def test_sweep_consumed_flat_harvest_falls_with_distance(params):
 def test_run_trace_rejects_bad_length_or_seed(params, n_frames, seed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_trace(params, n_frames, seed)
+
+
+def test_run_trace_rejects_an_overflowing_storage_level(params):
+    # nothing is feasible and every frame banks about 6e307 J, so the level
+    # overflows within five frames; an inf level would run the infeasible
+    # frames (inf <= inf)
+    p = with_overrides(params, noise_dev=1e308, dist_dev_server=1e9)
+    with pytest.raises(ValueError, match="stored energy overflows"):
+        run_trace(p, 5, 0)
 
 
 @pytest.mark.parametrize("n_frames, n_trials, message", [
