@@ -176,6 +176,7 @@ def lambert_w0(x):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = np.sqrt(2.0 * (math.e * xa + 1.0))
         wa = -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
+        del p
         wa[wa >= 0.0] = -1e-300  # stay on the negative side
         pos = xa > 0.0
         wa[pos] = _ieee.log2(1.0 + xa[pos]) * _ieee.LN2
@@ -261,7 +262,9 @@ def solve_frames(params: SystemParams, eff_gain_down,
     finite and non-negative, with a finite downlink SNR G / noise_dev and a
     finite root argument, and no field of a feasible frame may overflow.
     log2, exp and 2**u - 1 come from _ieee, so results do not depend on
-    the C library or on numpy's vector loops.
+    the C library or on numpy's vector loops.  To keep fewer full-size
+    arrays alive, the offload fields are built first (x is freed before
+    lambert_w0 runs), then the local ones; guards run local, then offload.
     """
     gd = np.asarray(eff_gain_down, dtype=float)
     go = np.asarray(gain_offload, dtype=float)
@@ -279,44 +282,47 @@ def solve_frames(params: SystemParams, eff_gain_down,
         i = np.isinf(x).argmax()
         raise ValueError(f"gains eff_gain_down={float(gd.flat[i])!r} and "
                          f"gain_offload={float(go.flat[i])!r} overflow the root "
-                         "argument eta * |g|^2 * (G + noise_dev) / noise_server")
+                         "argument eta * |g|^2 * (G + noise_dev) / noise_server "
+                         f"(noise_dev = {params.noise_dev!r}, "
+                         f"noise_server = {params.noise_server!r})")
     tee = params.frame_duration
     bits = params.bits_per_frame
+    tau_c = params.ops_per_bit * bits / params.dev_ops_per_sec
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        l2 = _ieee.log2(1.0 + gd / params.noise_dev)  # log2(1 + SNR)
-        tau_d = bits / (params.bw_downlink * l2)
-        e_dec = params.decode_energy_per_bit * (params.bw_downlink * l2 * tau_d)
-        harvest_rate = params.eh_efficiency * (gd + params.noise_dev)
-
-        tau_c = params.ops_per_bit * bits / params.dev_ops_per_sec
-        tau_e = tee - tau_d - tau_c
+        # full-frame capacity B_h * log2(1 + SNR)
+        cap = params.bw_downlink * _ieee.log2(1.0 + gd / params.noise_dev)
+        tau_d = bits / cap
+        e_dec = params.decode_energy_per_bit * (cap * tau_d)
         # decode seconds per bit plus compute seconds per bit fit 1/rate_min
-        ok = ((1.0 / (params.bw_downlink * l2)
-               + params.ops_per_bit / params.dev_ops_per_sec
-               <= 1.0 / params.rate_min) & (tau_e >= 0.0))
-        local = _strategy_arrays(
-            params, ok, 0, tau_e=tau_e, tau_d=tau_d, tau_c=tau_c, tau_o=0.0,
-            p_o=0.0, e_decode=e_dec,
-            e_compute=(energy_per_op(params) * params.ops_per_bit
-                       * params.rate_min * tee),
-            e_offload=0.0, e_harvest=harvest_rate * tau_e)
-
+        ok_local = (1.0 / cap + params.ops_per_bit / params.dev_ops_per_sec
+                    <= 1.0 / params.rate_min)
         # The rate floor lies strictly below the full-frame capacity.  At
         # equality tau_d fills the frame, which the slot check rejects
         # anyway; the strict test keeps such frames out of lambert_w0.
-        ok = (params.rate_min < params.bw_downlink * l2) & (x > 0.0)
+        ok = (params.rate_min < cap) & (x > 0.0)
+        root = (x[ok] - 1.0) * _INV_E
+        del cap, x
+        root = lambert_w0(root)
         w = np.full(gd.shape, math.nan)
-        w[ok] = lambert_w0((x[ok] - 1.0) * _INV_E)
+        w[ok] = root
         tau_o = (bits * _ieee.LN2 / params.bw_offload) / (1.0 + w)
         tau_e = tee - tau_d - tau_o
         ok &= (w > -1.0 + 1e-12) & (tau_e >= 0.0)
+        del root, w
         p_o = (params.noise_server / go) * _ieee.exp2m1(
             bits / (params.bw_offload * tau_o))
-        offload = _strategy_arrays(
-            params, ok, 1, tau_e=tau_e, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
-            p_o=p_o, e_decode=e_dec, e_compute=0.0, e_offload=tau_o * p_o,
-            e_harvest=harvest_rate * tau_e)
-    return local, offload
+        harvest_rate = params.eh_efficiency * (gd + params.noise_dev)
+        offload = dict(tau_e=tau_e, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
+                       p_o=p_o, e_decode=e_dec, e_compute=0.0,
+                       e_offload=tau_o * p_o, e_harvest=harvest_rate * tau_e)
+        tau_e = tee - tau_d - tau_c
+        local = _strategy_arrays(
+            params, ok_local & (tau_e >= 0.0), 0, tau_e=tau_e, tau_d=tau_d,
+            tau_c=tau_c, tau_o=0.0, p_o=0.0, e_decode=e_dec,
+            e_compute=(energy_per_op(params) * params.ops_per_bit
+                       * params.rate_min * tee),
+            e_offload=0.0, e_harvest=harvest_rate * tau_e)
+        return local, _strategy_arrays(params, ok, 1, **offload)
 
 
 def _frame_result(arrays: StrategyArrays, i_o: int, index=0) -> StrategyResult:

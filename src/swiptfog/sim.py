@@ -34,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -204,8 +205,9 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
     processed = np.empty(cost_rows.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         # each frame's row of full-frame harvests turns into its change of level
-        step = np.ascontiguousarray((params.eh_efficiency * (
-            eff_gain_down + params.noise_dev) * params.frame_duration).T)
+        step = np.add(eff_gain_down.T, params.noise_dev, order="C")
+        step *= params.eh_efficiency
+        step *= params.frame_duration
         for f in range(n_frames):
             runs = np.less_equal(cost_rows[f], storage[f], out=processed[f])
             np.negative(cost_rows[f], out=step[f], where=runs)
@@ -271,9 +273,11 @@ def _ci_halfwidth(values: list[float]) -> float:
 
 
 def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
-    """Exact mean of values[mask]; NaN when the mask selects nothing."""
+    """Exact mean of values[mask] for 2-D values; NaN if the mask selects
+    nothing.  One fsum reads the rows' selections in turn, never all at once."""
     count = int(np.count_nonzero(mask))
-    return math.fsum(values[mask].tolist()) / count if count else math.nan
+    selected = (row[keep].tolist() for row, keep in zip(values, mask))
+    return math.fsum(chain.from_iterable(selected)) / count if count else math.nan
 
 
 def _monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
@@ -286,8 +290,8 @@ def _monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
     frames = _simulate(params, *_trial_gains(params, master_seed, n_trials,
                                              n_frames))
 
-    mean_storage = tuple(math.fsum(column) / n_trials
-                         for column in frames.storage.T.tolist())
+    mean_storage = tuple(math.fsum(column.tolist()) / n_trials
+                         for column in frames.storage.T)
     harvested = ~frames.processed
     outage_per_frame = tuple(n / n_trials for n in harvested.sum(axis=0).tolist())
     per_trial_outage = [n / n_frames for n in harvested.sum(axis=1).tolist()]

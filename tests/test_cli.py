@@ -639,6 +639,27 @@ def test_a_storage_level_that_overflows_exits_2_without_warnings(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--seed", "0", "--frames", "5", "--trials", "2"),
+    ("allocate", "--gain-down", "1e-6", "--gain-offload", "1e-7"),
+], ids=["simulate", "allocate"])
+def test_a_root_argument_that_overflows_names_the_configuration_terms(
+        capsys, tmp_path, argv):
+    # ordinary gains, but noise_dev = 1e308 puts the root argument past the
+    # float range, so the message names the configuration's terms too
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("noise_dev = 1e308\n")
+    out_dir = tmp_path / "out"
+    extra = ("--out-dir", str(out_dir)) if argv[0] == "simulate" else ()
+    code, out, err, caught = _run_quietly(
+        capsys, *argv, "--config", str(cfg), *extra)
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "root argument" in err
+    assert "(noise_dev = 1e+308, noise_server = 1e-11)" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("text,key,link", [
     ("rician_k_db = 3100", "rician_k_db", None),
     ("carrier_freq_mhz = 1e-300", "carrier_freq_mhz", "AP -> device"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from swiptfog import (
 from swiptfog import sim
 from swiptfog.channel import draw_gains
 from swiptfog.params import with_overrides
+from swiptfog.allocator import solve_frames
 from swiptfog.sim import (
     TRIAL_CHUNK,
     SweepAxis,
+    _masked_mean,
     _trial_gains,
     _trial_states,
 )
@@ -216,6 +219,46 @@ def test_trial_seed_permutation_leaves_means_unchanged(params):
         fwd = math.fsum(outage[s] for s in seeds) / len(seeds)
         shuffled = math.fsum(outage[s] for s in order) / len(seeds)
         assert fwd == shuffled
+
+
+def test_monte_carlo_memory_stays_bounded(params):
+    # solve_frames frees the capacity and the root argument before
+    # lambert_w0 runs and builds the offload fields before the local ones,
+    # and the means sum row by row: one 100 x 250 run peaks under 4.4 MiB
+    p = with_overrides(params, ops_per_bit=1e4, dist_ap_dev=15.0)
+    tracemalloc.start()
+    try:
+        monte_carlo(p, 100, 250, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.4 * 2 ** 20, f"{peak} B"
+
+
+def test_masked_mean_has_the_bits_of_one_fsum_of_the_selection(params):
+    # fsum rounds the exact sum once, so summing row by row keeps the bits
+    # of math.fsum(values[mask].tolist()) / count
+    rng = np.random.default_rng(43)
+    p = with_overrides(params, dist_ap_dev=40.0)
+    local, offload = solve_frames(p, *_trial_gains(p, 256, 250, 100))
+    assert 0 < np.count_nonzero(offload.feasible) < offload.feasible.size
+    wide = 10.0 ** rng.uniform(-20.0, -3.0, (250, 100))
+    assert 0 in local.e_compute.strides  # a scalar, broadcast
+    cases = [(local.e_compute, local.feasible),
+             (local.e_compute, offload.feasible),
+             (local.e_harvest, local.feasible),
+             (offload.cost, offload.feasible),
+             (wide, np.zeros(wide.shape, dtype=bool)),
+             (wide, np.ones(wide.shape, dtype=bool)),
+             (wide, rng.random(wide.shape) < 0.3)]
+    for values, mask in cases:
+        count = int(np.count_nonzero(mask))
+        got = _masked_mean(values, mask)
+        if count == 0:
+            assert math.isnan(got)
+            continue
+        want = math.fsum(values[mask].tolist()) / count
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_outage_monotone_in_distance(params):
