@@ -17,7 +17,7 @@ your technology assumption differs.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 __all__ = [
     "SystemParams",
@@ -158,8 +158,3 @@ def dumps_params(params: SystemParams) -> str:
         value = getattr(params, f.name)
         lines.append(f"{f.name} = {value!r}")
     return "\n".join(lines) + "\n"
-
-
-def with_overrides(params: SystemParams, **kwargs) -> SystemParams:
-    """Return a copy with the given fields replaced (re-validated)."""
-    return replace(params, **kwargs)

@@ -32,7 +32,7 @@ from IEEE-754 basic operations, instead of the C library.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 
@@ -48,7 +48,7 @@ from .allocator import (
     solve_frames,
 )
 from .channel import _to_amplitudes, _to_gains
-from .params import SystemParams, with_overrides
+from .params import SystemParams
 
 # The scalar per-frame path stays importable from this module: the traced
 # benchmark run (perfbench/spans.py) wraps these module-level names.
@@ -367,7 +367,7 @@ def sweep(params: SystemParams, axis: SweepAxis, values, n_frames: int,
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    configs = [with_overrides(params, **{axis.value: value}) for value in values]
+    configs = [replace(params, **{axis.value: value}) for value in values]
     rows = []
     for value, p in zip(values, configs):
         mc, frames = _monte_carlo(p, n_frames, n_trials, master_seed)

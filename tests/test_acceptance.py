@@ -4,32 +4,32 @@ calibrated at run time."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swiptfog import (
-    GridSpec,
-    Strategy,
-    bisect_lambert,
-    brute_local,
-    brute_offload,
-    lambert_w0,
-    load_params,
-    local_grid_tolerance,
-    offload_bits,
-    offload_grid_tolerance,
-    solve_local,
-    solve_offload,
-)
 from swiptfog.allocator import (
+    Strategy,
     _affordable,
     choose_modes,
     harvest_only_result,
+    lambert_w0,
     mode_rule_sides,
     solve_frames,
+    solve_local,
+    solve_offload,
 )
-from swiptfog.params import SystemParams, with_overrides
+from swiptfog.bruteforce import (
+    GridSpec,
+    bisect_lambert,
+    brute_local,
+    brute_offload,
+    local_grid_tolerance,
+    offload_grid_tolerance,
+)
+from swiptfog.energy import offload_bits
+from swiptfog.params import SystemParams, load_params
 from swiptfog.sim import SweepAxis, monte_carlo, run_trace, sweep
 
 from conftest import random_gain_pairs
@@ -115,7 +115,7 @@ def test_criterion_3_decision_rule_consistency():
     done = 0
     while done < total:
         k = 10.0 ** rng.uniform(2.0, 4.5)
-        p = with_overrides(p0, ops_per_bit=k)
+        p = replace(p0, ops_per_bit=k)
         gd = np.array([10.0 ** rng.uniform(-8.0, -3.0)])
         go = np.array([10.0 ** rng.uniform(-8.0, -4.0)])
         local, offload = solve_frames(p, gd, go)
@@ -154,7 +154,7 @@ def test_criterion_4_op_count_crossover():
 
 
 def test_criterion_5_distance_coverage_crossover():
-    p = with_overrides(_params(), ops_per_bit=1e4)
+    p = replace(_params(), ops_per_bit=1e4)
     dts = [float(d) for d in range(2, 16)]
     rows = sweep(p, SweepAxis.DIST_AP_DEV, dts, n_frames=100, n_trials=10,
                  master_seed=202)
@@ -178,11 +178,11 @@ def test_criterion_5_distance_coverage_crossover():
 
 
 def test_criterion_6_outage_statistics():
-    p = with_overrides(_params(), ops_per_bit=1e4)
+    p = replace(_params(), ops_per_bit=1e4)
     t0 = time.perf_counter()
     outages = {}
     for d in (6.0, 10.0, 15.0):
-        pd = with_overrides(p, dist_ap_dev=d)
+        pd = replace(p, dist_ap_dev=d)
         mc = monte_carlo(pd, n_frames=100, n_trials=250, master_seed=303)
         outages[d] = mc.outage
     elapsed = time.perf_counter() - t0
@@ -207,7 +207,7 @@ def test_criterion_7_simulation_invariants():
     p0 = _params()
     for d in (6.0, 10.0, 15.0):
         for k in (1e2, 1e4):
-            p = with_overrides(p0, dist_ap_dev=d, ops_per_bit=k)
+            p = replace(p0, dist_ap_dev=d, ops_per_bit=k)
             seed = int(d * 1000 + k)
             # determinism
             t1 = run_trace(p, 30, seed)

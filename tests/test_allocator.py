@@ -7,25 +7,28 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from swiptfog import (
+from swiptfog import _ieee, allocator
+from swiptfog.allocator import (
     Strategy,
+    choose_modes,
     decide,
     decision_inequality,
-    decode_energy,
-    compute_energy,
     evaluate_strategies,
-    harvested_energy,
+    harvest_only_result,
     lambert_w0,
-    load_params,
+    solve_frames,
     solve_local,
     solve_offload,
-    monte_carlo,
+)
+from swiptfog.bruteforce import bisect_lambert
+from swiptfog.energy import (
+    compute_energy,
+    decode_energy,
+    harvested_energy,
     throughput,
 )
-from swiptfog import _ieee, allocator
-from swiptfog.allocator import choose_modes, harvest_only_result, solve_frames
-from swiptfog.bruteforce import bisect_lambert
-from swiptfog.params import with_overrides
+from swiptfog.params import load_params
+from swiptfog.sim import monte_carlo
 
 from conftest import random_gain_pairs
 
@@ -34,7 +37,7 @@ from conftest import random_gain_pairs
 
 def test_local_infeasible_when_compute_budget_saturates(params):
     # ops_per_bit/dev_ops_per_sec == 1/rate_min leaves no decode time
-    p = with_overrides(params, ops_per_bit=params.dev_ops_per_sec / params.rate_min)
+    p = replace(params, ops_per_bit=params.dev_ops_per_sec / params.rate_min)
     local, _ = solve_frames(p, [1.0], [0.0])
     assert local.feasible.tolist() == [False]
 
@@ -53,7 +56,7 @@ def test_offload_feasibility_is_strict(params):
     # (the decode slot would fill the frame), even over an offload link
     # strong enough to send the frame's bits in the few ms the decode slot
     # leaves just above unit SNR
-    p = with_overrides(params, rate_min=params.bw_downlink)
+    p = replace(params, rate_min=params.bw_downlink)
     _, offload = solve_frames(p, [p.noise_dev, p.noise_dev * 1.01], [1e90] * 2)
     assert offload.feasible.tolist() == [False, True]
     # at defaults the unit-SNR capacity 2e6 clears the 2e4 floor
@@ -67,7 +70,7 @@ def test_rate_floor_at_capacity_never_reaches_the_root_solver(
     # full-frame capacity equals the floor: both modes are infeasible, and
     # the strict comparison keeps the frame out of lambert_w0, which only
     # sees the second frame, above the floor
-    p = with_overrides(params, rate_min=params.bw_downlink)
+    p = replace(params, rate_min=params.bw_downlink)
     assert _ieee.log2(np.array([2.0])).tolist() == [1.0]
     solver, seen = allocator.lambert_w0, []
 
@@ -259,12 +262,12 @@ def _mc_outage_roots(monkeypatch):
     problem (ops_per_bit 1e4) at 6, 10 and 15 m, 100 frames x 60 trials."""
     seen = []
     solver = allocator.lambert_w0
-    base = with_overrides(load_params(""), ops_per_bit=1e4)
+    base = replace(load_params(""), ops_per_bit=1e4)
     with monkeypatch.context() as m:
         m.setattr(allocator, "lambert_w0",
                   lambda x: seen.append(np.array(x)) or solver(x))
         for dist in (6.0, 10.0, 15.0):
-            monte_carlo(with_overrides(base, dist_ap_dev=dist), 100, 60, 256)
+            monte_carlo(replace(base, dist_ap_dev=dist), 100, 60, 256)
     return np.concatenate(seen)
 
 
@@ -297,8 +300,8 @@ def test_root_solver_bits_are_pinned(monkeypatch):
     solver = allocator.lambert_w0
     monkeypatch.setattr(allocator, "lambert_w0",
                         lambda x: seen.append(np.array(x)) or solver(x))
-    monte_carlo(with_overrides(load_params(""), ops_per_bit=1e4,
-                               dist_ap_dev=15.0), 100, 250, 256)
+    monte_carlo(replace(load_params(""), ops_per_bit=1e4,
+                        dist_ap_dev=15.0), 100, 250, 256)
     xs = np.concatenate([
         _near_branch(20_000, 5), 10.0 ** rng.uniform(-300.0, 300.0, 5_000),
         -10.0 ** rng.uniform(-300.0, math.log10(1.0 / math.e), 5_000),
@@ -358,7 +361,7 @@ def test_offload_slot_at_root_zero(params):
 
 
 def test_offload_bit_constraint_tight(params):
-    from swiptfog import offload_bits
+    from swiptfog.energy import offload_bits
     rng = np.random.default_rng(3)
     for gd, go in random_gain_pairs(rng, 100, params):
         res = solve_offload(params, gd, go)
@@ -405,7 +408,7 @@ def test_decide_prefers_cheaper_and_sets_indicator(params):
 
 def test_decide_falls_back_to_harvesting_when_unaffordable(params):
     # near-zero harvest efficiency keeps both optimal costs positive
-    p = with_overrides(params, eh_efficiency=1e-6)
+    p = replace(params, eh_efficiency=1e-6)
     gd, go = 1e-6, 1e-7
     local, offload = evaluate_strategies(p, gd, go)
     cheapest = min(local.cost, offload.cost)
@@ -417,7 +420,7 @@ def test_decide_falls_back_to_harvesting_when_unaffordable(params):
 
 
 def test_decide_exact_budget_boundary(params):
-    p = with_overrides(params, eh_efficiency=1e-6)
+    p = replace(params, eh_efficiency=1e-6)
     gd, go = 1e-6, 1e-7
     local, offload = evaluate_strategies(p, gd, go)
     cost = min(local.cost, offload.cost)
@@ -430,7 +433,7 @@ def test_decide_exact_budget_boundary(params):
 
 def test_decide_harvest_only_when_nothing_feasible(params):
     # zero offload path and compute budget too small for the rate floor
-    p = with_overrides(params, ops_per_bit=params.dev_ops_per_sec / params.rate_min)
+    p = replace(params, ops_per_bit=params.dev_ops_per_sec / params.rate_min)
     alloc, brk = decide(p, 1e-6, 0.0, math.inf)
     assert alloc.strategy is Strategy.HARVEST_ONLY
     assert alloc.tau_e == p.frame_duration
@@ -504,7 +507,7 @@ def test_strategy_arrays_guards_only_feasible_elements(params, name, bad):
     slots = ("tau_e", "tau_d", "tau_c", "tau_o")
     good = dict.fromkeys(slots, 0.25) | dict.fromkeys(
         ("p_o", "e_decode", "e_compute", "e_offload", "e_harvest"), 1e-6)
-    p = with_overrides(params, frame_duration=1.0)
+    p = replace(params, frame_duration=1.0)
     feasible = np.array([True, False, True])
 
     def arrays(values):

@@ -8,22 +8,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swiptfog import (
+from swiptfog import bruteforce
+from swiptfog.allocator import solve_frames, solve_local, solve_offload
+from swiptfog.bruteforce import (
     GridSpec,
+    _local_cost,
     bisect_lambert,
     brute_local,
     brute_offload,
-    bruteforce,
-    load_params,
     local_grid_tolerance,
     offload_grid_tolerance,
-    solve_local,
-    solve_offload,
 )
-from swiptfog.bruteforce import _local_cost
-from swiptfog.params import with_overrides
-
-from swiptfog.allocator import solve_frames
+from swiptfog.params import load_params
 
 from conftest import FEW_CELL_DECODE, random_gain_pairs
 
@@ -123,9 +119,8 @@ def test_local_reduction_matches_full_2d_scan(params):
 
 
 def test_local_empty_grid_raises(params):
-    from swiptfog.params import with_overrides
     # rate floor impossible at any decode slot of this gain
-    p = with_overrides(params, rate_min=1e12)
+    p = replace(params, rate_min=1e12)
     with pytest.raises(ValueError, match="feasible"):
         brute_local(p, 1e-6, GridSpec(resolution=1e-2, refine_iters=0))
 
@@ -244,15 +239,14 @@ def test_block_with_an_empty_grid_raises_as_one_element_does(params):
 
 
 def test_offload_empty_grid_raises(params):
-    from swiptfog.params import with_overrides
-    p = with_overrides(params, rate_min=1e12)
+    p = replace(params, rate_min=1e12)
     with pytest.raises(ValueError, match="feasible"):
         brute_offload(p, 1e-6, 1e-7, GridSpec(resolution=1e-2, refine_iters=0))
 
 
 def test_oracle_objective_matches_energy_composition(params):
     # the vectorized grid objective must agree with the energy primitives
-    from swiptfog import compute_energy, decode_energy, harvested_energy, throughput
+    from swiptfog.energy import compute_energy, decode_energy, harvested_energy, throughput
     rng = np.random.default_rng(4)
     for _ in range(100):
         gd = 10.0 ** rng.uniform(-8, -4)
@@ -312,7 +306,7 @@ def _local_bit_cases():
     rng = np.random.default_rng(21)
     base = load_params("")
     for k in (None, 10.0, 100.0):
-        p = base if k is None else with_overrides(base, ops_per_bit=k)
+        p = base if k is None else replace(base, ops_per_bit=k)
         yield p, _feasible_pairs(p, rng, 150)[0]
     for p, pair in FEW_CELL_DECODE:
         yield p, _feasible_pairs(p, rng, 40, extra=[pair])[0]
@@ -352,7 +346,7 @@ def test_local_runs_equal_searchsorted_over_full_rows(params):
     # runs that start at the first cell (lo = 0) to compute slots too long
     # for any cell (hi = 0, empty); with a light compute load and a low rate
     # floor, runs also reach the last cell (hi = n)
-    light = with_overrides(params, rate_min=1.0, ops_per_bit=1e-9)
+    light = replace(params, rate_min=1.0, ops_per_bit=1e-9)
     step = GridSpec.for_frame(params.frame_duration).resolution
     l2 = np.geomspace(1e-20, 1e4, 600)
     seen = set()
@@ -384,7 +378,7 @@ def test_local_grid_blocks_equal_one_run_sweeps(ops_per_bit, monkeypatch):
     # sweeping each run on its own, for the cost and for a cost that falls
     # along each run
     rng = np.random.default_rng(22)
-    p = with_overrides(load_params(""), ops_per_bit=ops_per_bit)
+    p = replace(load_params(""), ops_per_bit=ops_per_bit)
     cases = [(p, _feasible_pairs(p, rng, 300)[0])]
     for few, pair in FEW_CELL_DECODE:
         cases.append((few, _feasible_pairs(few, rng, 40, extra=[pair])[0]))
@@ -407,7 +401,7 @@ def test_local_grid_memory_stays_bounded(params):
     # cell: under 2 MiB over 2000 gains, with runs of tens of cells (the
     # defaults), hundreds (ops_per_bit 1000) and thousands (100 and 10)
     rng = np.random.default_rng(23)
-    for p in (params, *(with_overrides(params, ops_per_bit=k)
+    for p in (params, *(replace(params, ops_per_bit=k)
                         for k in (1000.0, 100.0, 10.0))):
         gd = _feasible_pairs(p, rng, 2000)[0]
         assert gd.size == 2000
@@ -497,7 +491,7 @@ def _offload_bit_cases():
     yield "short", p, _offload_rows(rng, 200, 2 * bruteforce._WINDOW,
                                     (-20.0, 10.0), 1.0, step)
     # 2**u overflows on the first 40 or so cells
-    head = with_overrides(p, bw_offload=p.bits_per_frame / (900.0 * 40 * step))
+    head = replace(p, bw_offload=p.bits_per_frame / (900.0 * 40 * step))
     rows = _offload_rows(rng, 300, 200, (-20.0, 0.0), 1.0, step)
     rows[2][:10] = 1e-321  # tau a underflows to 0: 0 x inf is NaN in the head
     yield "head", head, rows

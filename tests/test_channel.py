@@ -1,17 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swiptfog import (
+from swiptfog.channel import (
     conjugate_beamform,
+    draw_gains,
     draw_rician,
-    load_params,
     pathloss_db,
     realize_channels,
 )
-from swiptfog.channel import draw_gains
-from swiptfog.params import with_overrides
+from swiptfog.params import load_params
 
 
 def test_pathloss_reference_points():
@@ -123,8 +123,7 @@ def test_realize_channels_effective_gain_identity(params):
 
 
 def test_realize_channels_literal_power_flag(params):
-    from swiptfog.params import with_overrides
-    p = with_overrides(params, normalize_beamforming=False)
+    p = replace(params, normalize_beamforming=False)
     ch = realize_channels(p, np.random.default_rng(9))
     expected = p.p_transmit * np.abs(ch.h).sum() ** 2
     assert ch.eff_gain_down == pytest.approx(expected, rel=1e-12)
@@ -170,7 +169,7 @@ def _phase_kept_gains(params, rng, n):
 def test_draw_gains_moments_match_a_phase_kept_reference(params):
     # the dominant-path frame drops the phase draw; |a e^{j theta} + z| has
     # the law of |a + z|, so both gains keep their mean and variance
-    p = with_overrides(params, dist_ap_dev=15.0)
+    p = replace(params, dist_ap_dev=15.0)
     assert p.normalize_beamforming
     n = 400_000
     drawn = draw_gains(p, np.random.default_rng(12), n)

@@ -1,11 +1,13 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import random_gain_pairs
 
-from swiptfog import (
+from swiptfog.allocator import solve_frames
+from swiptfog.energy import (
     compute_energy,
     decode_energy,
     frame_cost,
@@ -13,8 +15,6 @@ from swiptfog import (
     offload_bits,
     throughput,
 )
-from swiptfog.allocator import solve_frames
-from swiptfog.params import with_overrides
 
 
 def test_throughput_zero_slot(params):
@@ -49,7 +49,7 @@ def test_harvest_reference_value(params):
 
 
 def test_harvest_noise_only(params):
-    p = with_overrides(params, eh_efficiency=1.0)
+    p = replace(params, eh_efficiency=1.0)
     assert harvested_energy(p, 0.0, 1.0) == pytest.approx(1e-11, rel=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_decode_energy_is_per_bit_price(params):
 
 
 def test_decode_free_when_per_bit_cost_zero(params):
-    p = with_overrides(params, decode_energy_per_bit=0.0)
+    p = replace(params, decode_energy_per_bit=0.0)
     assert decode_energy(p, 1e-6, 0.5) == 0.0
 
 
@@ -90,7 +90,7 @@ def test_compute_energy_linear_in_rate_and_ops(params):
     assert compute_energy(params, 0.0) == 0.0
     assert compute_energy(params, 4e4) == pytest.approx(
         2.0 * compute_energy(params, 2e4), rel=1e-12)
-    doubled = with_overrides(params, ops_per_bit=2 * params.ops_per_bit)
+    doubled = replace(params, ops_per_bit=2 * params.ops_per_bit)
     assert compute_energy(doubled, 2e4) == pytest.approx(
         2.0 * compute_energy(params, 2e4), rel=1e-12)
 

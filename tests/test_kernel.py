@@ -15,33 +15,38 @@ import dataclasses
 import hashlib
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swiptfog import (
-    SystemParams,
-    compute_energy,
+from swiptfog.allocator import (
+    StrategyArrays,
     decide,
-    decode_energy,
     evaluate_strategies,
-    harvested_energy,
-    load_params,
-    monte_carlo,
-    offload_bits,
-    realize_channels,
-    run_trace,
+    solve_frames,
     solve_local,
     solve_offload,
+)
+from swiptfog.channel import _to_amplitudes, draw_gains, realize_channels
+from swiptfog.cli import certify
+from swiptfog.energy import (
+    compute_energy,
+    decode_energy,
+    harvested_energy,
+    offload_bits,
     throughput,
 )
-from swiptfog.allocator import StrategyArrays, solve_frames
-from swiptfog.channel import _to_amplitudes, draw_gains
-from swiptfog.cli import certify
-from swiptfog.params import with_overrides
-from swiptfog.sim import TRIAL_CHUNK, _monte_carlo, _trial_gains
+from swiptfog.params import SystemParams, load_params
+from swiptfog.sim import (
+    TRIAL_CHUNK,
+    _monte_carlo,
+    _trial_gains,
+    monte_carlo,
+    run_trace,
+)
 
 from conftest import FEW_CELL_DECODE
 
@@ -153,7 +158,7 @@ def test_solve_frames_bits_are_pinned(params):
 
 def test_solve_frames_when_local_is_never_feasible(params):
     # compute budget exactly saturated: only offloading remains
-    p = with_overrides(params, ops_per_bit=50_000.0)
+    p = replace(params, ops_per_bit=50_000.0)
     rng = np.random.default_rng(7)
     gd = 10.0 ** rng.uniform(-10.0, -3.0, 500)
     go = 10.0 ** rng.uniform(-10.0, -4.0, 500)
@@ -242,8 +247,8 @@ def _numpy_trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 @pytest.mark.parametrize("normalize", [True, False])
 def test_chunk_gains_equal_stacked_draw_gains(params, n_antennas, normalize):
     # two full normals buffers and a partial one
-    p = with_overrides(params, n_antennas=n_antennas,
-                       normalize_beamforming=normalize)
+    p = replace(params, n_antennas=n_antennas,
+                normalize_beamforming=normalize)
     n_trials = 2 * TRIAL_CHUNK + 3
     gd, go = _trial_gains(p, 77, n_trials, 40)
     assert gd.shape == go.shape == (n_trials, 40)
@@ -266,8 +271,8 @@ def test_trial_gains_bits_are_pinned(params, n_antennas, normalize, digest):
     normals buffers) x 50 frames at master seed 256, at array sizes other
     than the default 4 antennas and under both power conventions (output
     version 3)."""
-    p = with_overrides(params, n_antennas=n_antennas,
-                       normalize_beamforming=normalize)
+    p = replace(params, n_antennas=n_antennas,
+                normalize_beamforming=normalize)
     h = hashlib.sha256()
     for gains in _trial_gains(p, 256, 40, 50):
         h.update(gains.astype("<f8").tobytes())
@@ -309,7 +314,7 @@ def _scalar_replay(params, n_frames, n_trials, master_seed):
 
 @pytest.mark.parametrize("dist", [6.0, 10.0, 15.0])
 def test_monte_carlo_matches_scalar_replay(params, dist):
-    p = with_overrides(params, dist_ap_dev=dist)
+    p = replace(params, dist_ap_dev=dist)
     n_frames, n_trials, seed = 40, 12, 505
     mc = monte_carlo(p, n_frames, n_trials, seed)
     storage, outage = _scalar_replay(p, n_frames, n_trials, seed)
@@ -399,7 +404,7 @@ def _assert_storage_balances(params, n_frames, n_trials, seed):
 def test_storage_recursion_balances_its_energy(params, dist):
     # criterion 6's trials
     _assert_storage_balances(
-        with_overrides(params, ops_per_bit=1e4, dist_ap_dev=dist), 100, 250, 303)
+        replace(params, ops_per_bit=1e4, dist_ap_dev=dist), 100, 250, 303)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

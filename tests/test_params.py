@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swiptfog import SystemParams, db_to_linear, dumps_params, load_params
+from swiptfog.params import SystemParams, db_to_linear, dumps_params, load_params
 
 
 def test_empty_config_gives_documented_defaults():

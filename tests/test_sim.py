@@ -1,26 +1,22 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swiptfog import (
-    Strategy,
-    decide,
-    monte_carlo,
-    run_trace,
-    sweep,
-)
 from swiptfog import sim
+from swiptfog.allocator import Strategy, decide, solve_frames
 from swiptfog.channel import draw_gains
-from swiptfog.params import with_overrides
-from swiptfog.allocator import solve_frames
 from swiptfog.sim import (
     TRIAL_CHUNK,
     SweepAxis,
     _masked_mean,
     _trial_gains,
     _trial_states,
+    monte_carlo,
+    run_trace,
+    sweep,
 )
 
 
@@ -35,7 +31,7 @@ def _step(params, gd, go, e_stored):
 
 def test_step_empty_storage_goes_to_harvest_mode(params):
     # positive costs everywhere and nothing banked yet
-    p = with_overrides(params, eh_efficiency=1e-6)
+    p = replace(params, eh_efficiency=1e-6)
     alloc, brk, e_next = _step(p, 1e-6, 1e-7, 0.0)
     assert alloc.strategy is Strategy.HARVEST_ONLY
     assert e_next == pytest.approx(1e-6 * (1e-6 + p.noise_dev) * 1.0, rel=1e-12)
@@ -51,7 +47,7 @@ def test_step_negative_cost_banks_surplus(params):
 
 
 def test_step_exact_budget_boundary_processes_to_zero(params):
-    p = with_overrides(params, eh_efficiency=1e-6)
+    p = replace(params, eh_efficiency=1e-6)
     # rich budget to read off the cost
     alloc0, brk0, _ = _step(p, 1e-6, 1e-7, 1.0)
     assert alloc0.strategy is not Strategy.HARVEST_ONLY and brk0.cost > 0.0
@@ -78,7 +74,7 @@ def test_trace_determinism(params):
 def test_trace_storage_never_negative(params):
     for seed in range(10):
         for dist in (6.0, 15.0):
-            p = with_overrides(params, dist_ap_dev=dist)
+            p = replace(params, dist_ap_dev=dist)
             trace = run_trace(p, 60, seed=seed)
             assert all(r.e_stored_begin >= 0.0 for r in trace.records)
 
@@ -86,7 +82,7 @@ def test_trace_storage_never_negative(params):
 def test_trace_recursion_replay_is_exact(params):
     # replaying the storage update from the records reproduces every level
     for dist in (6.0, 10.0, 15.0):
-        p = with_overrides(params, dist_ap_dev=dist)
+        p = replace(params, dist_ap_dev=dist)
         trace = run_trace(p, 80, seed=9)
         level = 0.0
         for rec in trace.records:
@@ -99,7 +95,7 @@ def test_trace_recursion_replay_is_exact(params):
 
 def test_trace_storage_grows_at_short_range(params):
     # strongly energy-positive regime: the stored level should trend up
-    p = with_overrides(params, dist_ap_dev=6.0)
+    p = replace(params, dist_ap_dev=6.0)
     mc = monte_carlo(p, n_frames=60, n_trials=50, master_seed=17)
     s = mc.mean_storage
     assert s[-1] > s[len(s) // 2] > s[4]
@@ -108,7 +104,7 @@ def test_trace_storage_grows_at_short_range(params):
 def test_trace_storage_grows_at_midrange_with_literal_power(params):
     # with the per-antenna power convention the balance point moves out and
     # the stored level climbs steadily even at 10 m
-    p = with_overrides(params, dist_ap_dev=10.0, normalize_beamforming=False)
+    p = replace(params, dist_ap_dev=10.0, normalize_beamforming=False)
     mc = monte_carlo(p, n_frames=60, n_trials=50, master_seed=17)
     s = mc.mean_storage
     assert s[-1] > s[len(s) // 2] > s[4]
@@ -126,7 +122,7 @@ def test_monte_carlo_single_trial_matches_trace(params):
 def test_neighbouring_master_seeds_run_different_trials(params, seeds):
     # stream 1 seeded trial t with master_seed ^ t: with an even trial count,
     # master seeds 2k and 2k + 1 ran the same trials to the same outage
-    p = with_overrides(params, dist_ap_dev=15.0, ops_per_bit=1e4)
+    p = replace(params, dist_ap_dev=15.0, ops_per_bit=1e4)
     a, b = (monte_carlo(p, n_frames=40, n_trials=20, master_seed=s)
             for s in seeds)
     assert a.outage != b.outage
@@ -225,7 +221,7 @@ def test_monte_carlo_memory_stays_bounded(params):
     # solve_frames frees the capacity and the root argument before
     # lambert_w0 runs and builds the offload fields before the local ones,
     # and the means sum row by row: one 100 x 250 run peaks under 4.4 MiB
-    p = with_overrides(params, ops_per_bit=1e4, dist_ap_dev=15.0)
+    p = replace(params, ops_per_bit=1e4, dist_ap_dev=15.0)
     tracemalloc.start()
     try:
         monte_carlo(p, 100, 250, 256)
@@ -239,7 +235,7 @@ def test_masked_mean_has_the_bits_of_one_fsum_of_the_selection(params):
     # fsum rounds the exact sum once, so summing row by row keeps the bits
     # of math.fsum(values[mask].tolist()) / count
     rng = np.random.default_rng(43)
-    p = with_overrides(params, dist_ap_dev=40.0)
+    p = replace(params, dist_ap_dev=40.0)
     local, offload = solve_frames(p, *_trial_gains(p, 256, 250, 100))
     assert 0 < np.count_nonzero(offload.feasible) < offload.feasible.size
     wide = 10.0 ** rng.uniform(-20.0, -3.0, (250, 100))
@@ -264,7 +260,7 @@ def test_masked_mean_has_the_bits_of_one_fsum_of_the_selection(params):
 def test_outage_monotone_in_distance(params):
     outages = []
     for dist in (6.0, 10.0, 15.0):
-        p = with_overrides(params, dist_ap_dev=dist)
+        p = replace(params, dist_ap_dev=dist)
         mc = monte_carlo(p, n_frames=100, n_trials=200, master_seed=29)
         outages.append(mc.outage)
     assert outages[0] <= outages[1] <= outages[2]
@@ -308,7 +304,7 @@ def test_run_trace_rejects_an_overflowing_storage_level(params):
     # nothing is feasible and every frame banks about 6e307 J, so the level
     # overflows within five frames; an inf level would run the infeasible
     # frames (inf <= inf)
-    p = with_overrides(params, noise_dev=1e308, dist_dev_server=1e9)
+    p = replace(params, noise_dev=1e308, dist_dev_server=1e9)
     with pytest.raises(ValueError, match="stored energy overflows"):
         run_trace(p, 5, 0)
 
