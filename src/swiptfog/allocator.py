@@ -33,7 +33,7 @@ frame_cost and harvested_energy.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -155,11 +155,12 @@ def lambert_w0(x):
     alone, so an element whose w returns to its value of two or three
     passes back is retired at once with the float the 50th pass would leave
     (same bits, a few passes instead of 50).  The passes run on a
-    contiguous working set: a finished element stays in it, unchanged, and
-    the set is compacted only once at most half of it still iterates (the
-    simulator's roots mostly finish together, at the third or fourth
-    pass).  A number gives a float, an array an array of its shape.  No
-    external special-function dependency.
+    contiguous working set, at first x itself (no copy, no index array),
+    where x = 0 and -1/e start finished; a finished element stays in it,
+    unchanged, until at most half the set still iterates (the simulator's
+    roots mostly finish together, at the third or fourth pass), and each
+    compaction keeps the set it leaves to write the result back into.  A
+    number gives a float, an array an array of its shape.
     """
     x = np.asarray(x, dtype=float)
     shape, x = x.shape, x.ravel()
@@ -169,31 +170,32 @@ def lambert_w0(x):
     if (below & ~(x > -_INV_E - 1e-15)).any():
         raise ValueError(
             f"lambert_w0 domain is x >= -1/e, got {float(x[below].min())!r}")
-    # representation noise just below the branch point gives -1
-    w = np.where(below, -1.0, 0.0)
-    idx = np.flatnonzero((x != 0.0) & ~below)
-    xa = x[idx]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = np.sqrt(2.0 * (math.e * xa + 1.0))
-        wa = -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
+        p = np.sqrt(2.0 * (math.e * x + 1.0))
+        w = -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
         del p
-        wa[wa >= 0.0] = -1e-300  # stay on the negative side
-        pos = xa > 0.0
-        wa[pos] = _ieee.log2(1.0 + xa[pos]) * _ieee.LN2
-        live = np.ones(idx.size, dtype=bool)
-        back2 = back3 = wa  # read from passes 2 and 3 on, when they hold w
+        w[w >= 0.0] = -1e-300  # stay on the negative side
+        pos = x > 0.0
+        w[pos] = _ieee.log2(1.0 + x[pos]) * _ieee.LN2
+        w[x == 0.0] = 0.0
+        w[below] = -1.0  # representation noise just below the branch point
+        live = (x != 0.0) & ~below
+        del pos, below
+        xa, left = x, []  # the working set's x; the sets compaction left
+        back2 = back3 = w  # read from passes 2 and 3 on, when they hold w
         for k in range(1, _PASSES + 1):
-            if idx.size == 0:
+            if xa.size == 0:
                 break
-            w_k, live = _halley_pass(k, wa, xa, live, back2, back3)
-            wa, back2, back3 = w_k, wa, back2
+            w_k, live = _halley_pass(k, w, xa, live, back2, back3)
+            w, back2, back3 = w_k, w, back2
             if 2 * np.count_nonzero(live) <= live.size:
-                w[idx] = wa
                 keep = np.flatnonzero(live)
-                idx, wa, xa, back2, back3 = (
-                    a[keep] for a in (idx, wa, xa, back2, back3))
+                left.append((w, keep))
+                w, xa, back2, back3 = (a[keep] for a in (w, xa, back2, back3))
                 live = np.ones(keep.size, dtype=bool)
-        w[idx] = wa
+        for outer, keep in reversed(left):
+            outer[keep] = w
+            w = outer
         # x = 0 and the points at -1/e pass as they are
         certified = (np.abs(w * _ieee.exp(w) - x)
                      <= 1e-12 * np.maximum(1.0, np.abs(x)))
@@ -204,24 +206,47 @@ def lambert_w0(x):
     return float(w) if w.ndim == 0 else w
 
 
+def _formed(form):
+    """A field formed on each read, as a read-only view, with no warning
+    from infeasible frames."""
+    form = np.errstate(invalid="ignore", over="ignore")(form)
+    return property(lambda self: np.broadcast_to(v := form(self), np.shape(v)))
+
+
 @dataclass(frozen=True)
 class StrategyArrays:
     """One mode's optimum for every frame of a gain array (see solve_frames).
 
-    Fields mirror Allocation and EnergyBreakdown, as read-only views.  Read
-    feasible first: where it is False, cost is inf and the rest unspecified.
+    Fields mirror Allocation and EnergyBreakdown.  Read feasible first:
+    where it is False, cost is inf and the rest unspecified.  The fields
+    solve_frames solves for are read-only views of the frames' shape (the
+    modes share tau_d, e_decode and harvest_rate, eta * (G + noise_dev));
+    tau_e, e_offload and e_harvest are formed from them on each read, as
+    they were once stored.  take forms them on some frames alone.
     """
     feasible: np.ndarray
-    tau_e: np.ndarray
+    cost: np.ndarray
     tau_d: np.ndarray
     tau_c: np.ndarray
     tau_o: np.ndarray
     p_o: np.ndarray
     e_decode: np.ndarray
     e_compute: np.ndarray
-    e_offload: np.ndarray
-    e_harvest: np.ndarray
-    cost: np.ndarray
+    harvest_rate: np.ndarray
+    frame_duration: float
+
+    tau_e = _formed(lambda a: a.frame_duration - a.tau_d - a.tau_c - a.tau_o)
+    e_offload = _formed(lambda a: a.tau_o * a.p_o)
+    e_harvest = _formed(lambda a: a.harvest_rate * a.tau_e)
+
+    def take(self, index) -> "StrategyArrays":
+        """The frames at index, any numpy index into the frames' shape."""
+        return replace(self, **{f.name: getattr(self, f.name)[index]
+                                for f in fields(self)[:-1]})
+
+
+_GUARDED = ("tau_d", "tau_c", "tau_o", "p_o", "e_decode", "e_compute", "tau_e",
+            "e_offload", "e_harvest")
 
 
 def energy_per_op(params: SystemParams) -> float:
@@ -231,23 +256,32 @@ def energy_per_op(params: SystemParams) -> float:
 
 
 def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
-                     **fields) -> StrategyArrays:
-    """Mode i_o's fields, read-only and broadcast to feasible's shape, and its
-    cost as frame_cost forms it, inf where infeasible.  One guard, by mask
-    reductions: a feasible element has its slots in [0, T], and its p_o,
-    energies and spend (paid + e_decode) finite and non-negative."""
-    spent = (fields["e_offload"] if i_o else fields["e_compute"]) + fields["e_decode"]
-    for name, value in (*fields.items(), ("cost", spent)):
-        value, slot = np.asarray(value), name.startswith("tau_")
+                     harvest_rate, **stored) -> StrategyArrays:
+    """Mode i_o's arrays, stored fields read-only and broadcast to feasible's
+    shape, and its cost as frame_cost forms it, inf where infeasible.  One
+    guard, by mask reductions, on each of _GUARDED (stored fields first, a
+    formed one formed for it, a number checked as that number) and on the
+    spend, paid + e_decode: a feasible element has its slots in [0, T], and
+    its p_o, energies and spend finite and non-negative."""
+    raw = StrategyArrays(feasible=feasible, cost=None, harvest_rate=harvest_rate,
+                         frame_duration=params.frame_duration, **stored)
+    for name in (*_GUARDED, "cost"):
+        value = (np.add(getattr(raw, ("e_compute", "e_offload")[i_o]),
+                        raw.e_decode, out=np.empty(feasible.shape))
+                 if name == "cost" else np.asarray(getattr(raw, name)))
+        slot = name.startswith("tau_")
         high = params.frame_duration if slot else np.finfo(float).max
-        if (feasible & ~((value >= 0.0) & (value <= high))).any():
+        bad = ~((value >= 0.0) & (value <= high))
+        if bad.any() and (feasible & bad).any():
             if slot or name == "p_o" or (feasible & (value < 0.0)).any():
                 raise ValueError(f"a feasible frame's {name} must lie in [0, {high}]")
             raise ValueError(f"a feasible frame's {('local', 'offload')[i_o]} cost "
                              "overflows: the configuration's energies are too large")
-    cost = np.where(feasible, spent - fields["e_harvest"], math.inf)
-    return StrategyArrays(feasible=feasible, cost=cost, **{
-        name: np.broadcast_to(v, feasible.shape) for name, v in fields.items()})
+    cost = np.subtract(value, raw.e_harvest, out=value)  # the spend's array
+    cost[~feasible] = math.inf
+    return replace(raw, cost=cost, **{
+        f.name: np.broadcast_to(getattr(raw, f.name), feasible.shape)
+        for f in fields(raw)[2:-1]})
 
 
 def solve_frames(params: SystemParams, eff_gain_down,
@@ -263,8 +297,9 @@ def solve_frames(params: SystemParams, eff_gain_down,
     finite root argument, and no field of a feasible frame may overflow.
     log2, exp and 2**u - 1 come from _ieee, so results do not depend on
     the C library or on numpy's vector loops.  To keep fewer full-size
-    arrays alive, the offload fields are built first (x is freed before
-    lambert_w0 runs), then the local ones; guards run local, then offload.
+    arrays alive, x is freed before lambert_w0 runs, the capacity alone is
+    held across it (tau_d and e_decode are formed after), and no formed
+    field of StrategyArrays is stored; guards run local, then offload.
     """
     gd = np.asarray(eff_gain_down, dtype=float)
     go = np.asarray(gain_offload, dtype=float)
@@ -273,7 +308,8 @@ def solve_frames(params: SystemParams, eff_gain_down,
     _check_gain(gd)
     _check_gain(go, "gain_offload")
     with np.errstate(over="ignore"):
-        if np.isinf(gd / params.noise_dev).any():
+        snr = gd / params.noise_dev
+        if np.isinf(snr).any():
             raise ValueError("eff_gain_down / noise_dev, the downlink SNR, "
                              "overflows to inf")
         x = (params.eh_efficiency * go * (gd + params.noise_dev)
@@ -290,9 +326,8 @@ def solve_frames(params: SystemParams, eff_gain_down,
     tau_c = params.ops_per_bit * bits / params.dev_ops_per_sec
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # full-frame capacity B_h * log2(1 + SNR)
-        cap = params.bw_downlink * _ieee.log2(1.0 + gd / params.noise_dev)
-        tau_d = bits / cap
-        e_dec = params.decode_energy_per_bit * (cap * tau_d)
+        cap = params.bw_downlink * _ieee.log2(1.0 + snr)
+        del snr
         # decode seconds per bit plus compute seconds per bit fit 1/rate_min
         ok_local = (1.0 / cap + params.ops_per_bit / params.dev_ops_per_sec
                     <= 1.0 / params.rate_min)
@@ -301,38 +336,37 @@ def solve_frames(params: SystemParams, eff_gain_down,
         # anyway; the strict test keeps such frames out of lambert_w0.
         ok = (params.rate_min < cap) & (x > 0.0)
         root = (x[ok] - 1.0) * _INV_E
-        del cap, x
+        del x
         root = lambert_w0(root)
+        tau_d = bits / cap
+        e_dec = params.decode_energy_per_bit * (cap * tau_d)
+        del cap
         w = np.full(gd.shape, math.nan)
         w[ok] = root
+        del root
         tau_o = (bits * _ieee.LN2 / params.bw_offload) / (1.0 + w)
-        tau_e = tee - tau_d - tau_o
-        ok &= (w > -1.0 + 1e-12) & (tau_e >= 0.0)
-        del root, w
-        p_o = (params.noise_server / go) * _ieee.exp2m1(
-            bits / (params.bw_offload * tau_o))
+        ok &= (w > -1.0 + 1e-12) & (tee - tau_d - tau_o >= 0.0)
+        del w
+        p_o = _ieee.exp2m1(bits / (params.bw_offload * tau_o))
+        p_o *= params.noise_server / go  # formed once exp2m1 is done
         harvest_rate = params.eh_efficiency * (gd + params.noise_dev)
-        offload = dict(tau_e=tau_e, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
-                       p_o=p_o, e_decode=e_dec, e_compute=0.0,
-                       e_offload=tau_o * p_o, e_harvest=harvest_rate * tau_e)
-        tau_e = tee - tau_d - tau_c
         local = _strategy_arrays(
-            params, ok_local & (tau_e >= 0.0), 0, tau_e=tau_e, tau_d=tau_d,
-            tau_c=tau_c, tau_o=0.0, p_o=0.0, e_decode=e_dec,
+            params, ok_local & (tee - tau_d - tau_c >= 0.0), 0, harvest_rate,
+            tau_d=tau_d, tau_c=tau_c, tau_o=0.0, p_o=0.0, e_decode=e_dec,
             e_compute=(energy_per_op(params) * params.ops_per_bit
-                       * params.rate_min * tee),
-            e_offload=0.0, e_harvest=harvest_rate * tau_e)
-        return local, _strategy_arrays(params, ok, 1, **offload)
+                       * params.rate_min * tee))
+        return local, _strategy_arrays(
+            params, ok, 1, harvest_rate, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
+            p_o=p_o, e_decode=e_dec, e_compute=0.0)
 
 
 def _frame_result(arrays: StrategyArrays, i_o: int, index=0) -> StrategyResult:
     """Element index of one mode's arrays, with its ledger from frame_cost."""
     if not arrays.feasible[index]:
         return _INFEASIBLE
-    slots = (float(s[index]) for s in (arrays.tau_e, arrays.tau_d, arrays.tau_c,
-                                       arrays.tau_o, arrays.p_o))
-    energies = (float(e[index]) for e in (arrays.e_decode, arrays.e_compute,
-                                          arrays.e_offload, arrays.e_harvest))
+    frame = arrays.take(index)
+    slots = (float(getattr(frame, f.name)) for f in fields(Allocation)[:5])
+    energies = (float(getattr(frame, f.name)) for f in fields(EnergyBreakdown)[:4])
     strategy = Strategy.OFFLOAD if i_o else Strategy.LOCAL_COMPUTE
     return StrategyResult(True, Allocation(*slots, i_o=i_o, strategy=strategy),
                           frame_cost(*energies, i_o=i_o))
@@ -392,13 +426,13 @@ def _rule_disagreements(params: SystemParams, eff_gain_down,
     lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down),
                                offload.tau_o, offload.p_o)
     at = np.nonzero(((lhs > rhs) != (offload.cost < local.cost)) & pairs)
-    lhs, rhs = lhs[at], rhs[at]
-    terms = (local.e_compute[at] + offload.e_offload[at] + local.e_harvest[at]
-             + offload.e_harvest[at] + 2.0 * local.e_decode[at])
+    lhs, rhs, local, offload = lhs[at], rhs[at], local.take(at), offload.take(at)
+    terms = (local.e_compute + offload.e_offload + local.e_harvest
+             + offload.e_harvest + 2.0 * local.e_decode)
     with np.errstate(invalid="ignore"):  # both sides inf
         sides = np.abs(lhs - rhs) > 1e-9 * np.maximum(
             np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    costs = np.abs(offload.cost[at] - local.cost[at]) > 8.0 * 2.0**-52 * terms
+    costs = np.abs(offload.cost - local.cost) > 8.0 * 2.0**-52 * terms
     beyond = int(np.count_nonzero(sides & costs))
     return beyond, lhs.size - beyond
 

@@ -30,7 +30,6 @@ from functools import partial
 
 import numpy as np
 
-from . import bruteforce
 from ._libm import libm
 from .allocator import (
     StrategyArrays,
@@ -237,6 +236,8 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
     disagreement within rounding (allocator._rule_disagreements) is counted
     but passes.  Each grid search runs once, over all grid_pairs.
     """
+    from . import bruteforce  # here, so that no other command loads it
+
     xs = np.concatenate([
         -1.0 / math.e + 10.0 ** np.linspace(-9, math.log10(1.0 / math.e), 200),
         10.0 ** np.linspace(-12, 6, 800),

@@ -34,7 +34,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -198,16 +197,13 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
     row alone tells whether any trial left the float range."""
     local, offload = solve_frames(params, eff_gain_down, gain_offload)
     offloads = choose_modes(params, eff_gain_down, local, offload)
-    cost = np.where(offloads, offload.cost, local.cost)
-    n_frames = cost.shape[1]
-    cost_rows = np.ascontiguousarray(cost.T)
-    storage = np.zeros((n_frames + 1, cost.shape[0]))
+    cost_rows = np.ascontiguousarray(np.where(offloads, offload.cost, local.cost).T)
+    n_frames, n_trials = cost_rows.shape
+    storage = np.zeros((n_frames + 1, n_trials))
     processed = np.empty(cost_rows.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         # each frame's row of full-frame harvests turns into its change of level
-        step = np.add(eff_gain_down.T, params.noise_dev, order="C")
-        step *= params.eh_efficiency
-        step *= params.frame_duration
+        step = np.multiply(local.harvest_rate.T, params.frame_duration, order="C")
         for f in range(n_frames):
             runs = np.less_equal(cost_rows[f], storage[f], out=processed[f])
             np.negative(cost_rows[f], out=step[f], where=runs)
@@ -215,8 +211,8 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
     if not np.isfinite(storage[-1]).all():
         raise ValueError("the stored energy overflows: the configuration's "
                          "harvested energies are too large")
-    return _Frames(local=local, offload=offload, offloads=offloads, cost=cost,
-                   processed=processed.T, storage=storage[:-1].T)
+    return _Frames(local=local, offload=offload, offloads=offloads,
+                   cost=cost_rows.T, processed=processed.T, storage=storage[:-1].T)
 
 
 def run_trace(params: SystemParams, n_frames: int, seed: int) -> SimTrace:
@@ -272,12 +268,11 @@ def _ci_halfwidth(values: list[float]) -> float:
     return 1.96 * math.sqrt(var / n)
 
 
-def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
-    """Exact mean of values[mask] for 2-D values; NaN if the mask selects
-    nothing.  One fsum reads the rows' selections in turn, never all at once."""
-    count = int(np.count_nonzero(mask))
-    selected = (row[keep].tolist() for row, keep in zip(values, mask))
-    return math.fsum(chain.from_iterable(selected)) / count if count else math.nan
+def _masked_mean(values: np.ndarray, mask=...) -> float:
+    """Exact mean of values[mask] (by default all of 1-D values), one gather
+    that fsum reads through a memoryview, with no list; NaN if it is empty."""
+    values = values[mask]
+    return math.fsum(memoryview(values)) / values.size if values.size else math.nan
 
 
 def _monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
@@ -290,8 +285,7 @@ def _monte_carlo(params: SystemParams, n_frames: int, n_trials: int,
     frames = _simulate(params, *_trial_gains(params, master_seed, n_trials,
                                              n_frames))
 
-    mean_storage = tuple(math.fsum(column.tolist()) / n_trials
-                         for column in frames.storage.T)
+    mean_storage = tuple(map(_masked_mean, frames.storage.T))  # contiguous rows
     harvested = ~frames.processed
     outage_per_frame = tuple(n / n_trials for n in harvested.sum(axis=0).tolist())
     per_trial_outage = [n / n_frames for n in harvested.sum(axis=1).tolist()]
@@ -330,15 +324,16 @@ def _strategy_averages(frames: _Frames) -> StrategyAverages:
     n_all = processed.size
     n_offloaded = int(np.count_nonzero(processed & frames.offloads))
     n_processed = int(np.count_nonzero(processed))
+    loc, off = local.take(local.feasible), offload.take(offload.feasible)
     return StrategyAverages(
-        mean_cost_local=_masked_mean(local.cost, local.feasible),
-        mean_cost_offload=_masked_mean(offload.cost, offload.feasible),
+        mean_cost_local=_masked_mean(loc.cost),
+        mean_cost_offload=_masked_mean(off.cost),
         mean_e_decode=_masked_mean(local.e_decode,  # shared by both modes
                                    local.feasible | offload.feasible),
-        mean_e_compute=_masked_mean(local.e_compute, local.feasible),
-        mean_e_offload=_masked_mean(offload.e_offload, offload.feasible),
-        mean_e_harvest_local=_masked_mean(local.e_harvest, local.feasible),
-        mean_e_harvest_offload=_masked_mean(offload.e_harvest, offload.feasible),
+        mean_e_compute=_masked_mean(loc.e_compute),
+        mean_e_offload=_masked_mean(off.e_offload),
+        mean_e_harvest_local=_masked_mean(loc.e_harvest),
+        mean_e_harvest_offload=_masked_mean(off.e_harvest),
         frac_local=(n_processed - n_offloaded) / n_all,
         frac_offload=n_offloaded / n_all,
         frac_harvest_only=(n_all - n_processed) / n_all)

@@ -2,7 +2,7 @@ import hashlib
 import logging
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -464,9 +464,7 @@ def _contradicting_claims(params, n):
     local, offload = solve_frames(params, gd, go)
     keep = np.flatnonzero(local.cost < offload.cost)[:n]
     assert keep.size == n
-    pick = lambda arrays: replace(arrays, **{
-        f.name: getattr(arrays, f.name)[keep] for f in fields(arrays)})
-    local, offload = pick(local), pick(offload)
+    local, offload = local.take(keep), offload.take(keep)
     cheaper = local.cost - np.abs(local.cost) - 1e-6
     return gd[keep], go[keep], local, replace(offload, cost=cheaper)
 
@@ -497,33 +495,40 @@ def test_decision_rule_requires_both_feasible(params):
 
 @pytest.mark.parametrize("name,bad", [
     ("tau_e", -1e-9), ("tau_d", 1.5), ("tau_c", -1.0), ("tau_o", 2.0),
-    ("tau_e", math.nan), ("p_o", math.inf), ("p_o", math.nan),
-    ("e_decode", -1e-12), ("e_compute", -1.0), ("e_offload", -1e-30),
-    ("e_harvest", -1e-12), ("e_decode", math.inf), ("e_harvest", math.nan)])
+    ("p_o", math.inf), ("p_o", math.nan),
+    ("e_decode", -1e-12), ("e_compute", -1.0), ("e_harvest", -1e-12),
+    ("e_decode", math.inf), ("e_harvest", math.nan), ("e_harvest", math.inf)])
 def test_strategy_arrays_guards_only_feasible_elements(params, name, bad):
     # slots in [0, T] (T = 1 s here), p_o and energies finite and >= 0: a
     # bad value, NaN included, on a feasible element raises; on an
-    # infeasible one it does not, and only the cost is masked
+    # infeasible one it does not, and only the cost is masked.  A formed
+    # field takes its bad value through a stored one: tau_e, the rest of the
+    # frame, through tau_o, and e_harvest through harvest_rate.  The stored
+    # fields are guarded first, so a NaN tau_e or a negative e_offload = tau_o
+    # * p_o never reaches its own guard: a factor's guard rejects it first.
     slots = ("tau_e", "tau_d", "tau_c", "tau_o")
-    good = dict.fromkeys(slots, 0.25) | dict.fromkeys(
-        ("p_o", "e_decode", "e_compute", "e_offload", "e_harvest"), 1e-6)
+    good = dict.fromkeys(slots[1:], 0.25) | dict.fromkeys(
+        ("p_o", "e_decode", "e_compute"), 1e-6) | {"harvest_rate": 4e-6}
+    fed, value = {"tau_e": ("tau_o", 0.5 - bad),
+                  "e_harvest": ("harvest_rate", bad / 0.25)}.get(name, (name, bad))
+    formed = 0.5 - value if name == "tau_e" else bad
     p = replace(params, frame_duration=1.0)
     feasible = np.array([True, False, True])
 
     def arrays(values):
         return allocator._strategy_arrays(
-            p, feasible, 1, **(good | {name: np.array(values)}))
+            p, feasible, 1, **(good | {fed: np.array(values)}))
 
     high = re.escape(str(1.0 if name in slots else np.finfo(float).max))
     message = (rf"a feasible frame's {name} must lie in \[0, {high}\]"
                if name in slots or name == "p_o" or bad < 0.0
                else "a feasible frame's offload cost overflows")
-    for values in ([good[name], good[name], bad], [bad, good[name], good[name]]):
+    for values in ([good[fed], good[fed], value], [value, good[fed], good[fed]]):
         with pytest.raises(ValueError, match=message):
             arrays(values)
-    out = arrays([good[name], bad, good[name]])
+    out = arrays([good[fed], value, good[fed]])
     assert out.feasible.tolist() == [True, False, True]
-    assert getattr(out, name)[1] == bad or math.isnan(bad)
+    assert getattr(out, name)[1] == formed or math.isnan(bad)
     assert np.isfinite(out.cost[::2]).all() and out.cost[1] == math.inf
 
 

@@ -482,7 +482,8 @@ def test_verify_detects_injected_perturbation(params):
         params.bits_per_frame / (params.bw_offload * tau_o))
     harvest = (params.eh_efficiency * (gd + params.noise_dev)
                * (params.frame_duration - offload.tau_d - tau_o))
-    claim = replace(offload, tau_o=tau_o, p_o=p_o, e_offload=tau_o * p_o,
+    # e_offload and e_harvest are formed from the claim's tau_o and p_o
+    claim = replace(offload, tau_o=tau_o, p_o=p_o,
                     cost=offload.e_decode + tau_o * p_o - harvest)
     report = certify(params, gd, go, local, claim, 5)
     assert report.failures > 0

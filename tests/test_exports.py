@@ -35,3 +35,24 @@ def test_the_root_exports_only_the_run_entry_points():
         str(["SweepAxis", "SystemParams", "load_params", "monte_carlo",
              "run_trace", "sweep"]),
     ]
+
+
+def test_only_verify_loads_the_oracle(tmp_path):
+    """The command line imports the brute-force oracle inside certify: a
+    simulate call leaves it unloaded, and a verify call loads it."""
+    probe = (
+        "import contextlib, io, sys, swiptfog.cli\n"
+        "loaded = []\n"
+        "for argv in (['simulate', '--frames', '3', '--trials', '2'],\n"
+        "             ['verify', '--instances', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = swiptfog.cli.main(\n"
+        "            argv + ['--seed', '1', '--out-dir', sys.argv[1]])\n"
+        "    loaded.append((argv[0], code, 'swiptfog.bruteforce' in sys.modules))\n"
+        "print(loaded)")
+    src = os.path.dirname(os.path.dirname(swiptfog.__file__))
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == [
+        str([("simulate", 0, False), ("verify", 0, True)])]

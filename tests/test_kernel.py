@@ -11,7 +11,6 @@ must reproduce a frame-by-frame replay of realize_channels,
 evaluate_strategies and the storage update on the same trial seeds.
 """
 
-import dataclasses
 import hashlib
 import math
 import re
@@ -23,7 +22,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swiptfog.allocator import (
-    StrategyArrays,
     decide,
     evaluate_strategies,
     solve_frames,
@@ -50,8 +48,9 @@ from swiptfog.sim import (
 
 from conftest import FEW_CELL_DECODE
 
-_FIELDS = tuple(f.name for f in dataclasses.fields(StrategyArrays)
-                if f.name not in ("feasible", "cost"))
+# StrategyArrays' fields of Allocation and EnergyBreakdown, stored or formed
+_FIELDS = ("tau_e", "tau_d", "tau_c", "tau_o", "p_o", "e_decode", "e_compute",
+           "e_offload", "e_harvest")
 
 
 def _check_claims(params: SystemParams, gd: np.ndarray, go: np.ndarray) -> tuple:
@@ -81,8 +80,8 @@ def _check_claims(params: SystemParams, gd: np.ndarray, go: np.ndarray) -> tuple
         for i in np.flatnonzero(arrays.feasible).tolist():
             g_d, g_o = float(gd[i]), float(go[i])
             where = (i_o, g_d, g_o)
-            c = {name: float(getattr(arrays, name)[i])
-                 for name in _FIELDS + ("cost",)}
+            frame = arrays.take(i)
+            c = {name: float(getattr(frame, name)) for name in _FIELDS + ("cost",)}
             slots = (c["tau_e"], c["tau_d"], c["tau_c"], c["tau_o"])
             assert min(slots) >= 0.0 and c["p_o"] >= 0.0, where
             assert math.fsum(slots) == pytest.approx(tee, rel=1e-12), where
@@ -136,24 +135,32 @@ def test_solve_frames_matches_the_energy_ledger(params):
 
 
 def test_solve_frames_bits_are_pinned(params):
-    """sha256 of solve_frames' feasibility, cost, tau_o and p_o arrays, both
-    modes, over the wide-range pairs (output version 3), with tau_o and p_o
-    set to NaN where the mode is infeasible, as the digest was taken when
-    solve_frames filled them so.
+    """sha256 of every field of solve_frames' output, both modes, over the
+    wide-range pairs (output version 3), with each field set to NaN where
+    the mode is infeasible, as the first digest was taken when solve_frames
+    filled tau_o and p_o so.  The first digest covers feasibility, cost,
+    tau_o and p_o; the second the seven other fields, taken when every field
+    was still stored, so the fields formed on read keep those bits.
 
     The kernel's log2, exp and 2**u - 1 are built from IEEE-754 basic
-    operations (swiptfog._ieee), so the digest does not depend on the C
+    operations (swiptfog._ieee), so the digests do not depend on the C
     library or the numpy build.
     """
-    h = hashlib.sha256()
+    first, rest = hashlib.sha256(), hashlib.sha256()
     for arrays in solve_frames(params, *_wide_range_pairs()):
-        h.update(arrays.feasible.astype("u1").tobytes())
-        h.update(arrays.cost.astype("<f8").tobytes())
-        for name in ("tau_o", "p_o"):
-            masked = np.where(arrays.feasible, getattr(arrays, name), math.nan)
-            h.update(masked.astype("<f8").tobytes())
-    assert h.hexdigest() == (
+        first.update(arrays.feasible.astype("u1").tobytes())
+        first.update(arrays.cost.astype("<f8").tobytes())
+        for h, names in ((first, ("tau_o", "p_o")), (rest, (
+                "tau_e", "tau_d", "tau_c", "e_decode", "e_compute",
+                "e_offload", "e_harvest"))):
+            for name in names:
+                masked = np.where(arrays.feasible, getattr(arrays, name),
+                                  math.nan)
+                h.update(masked.astype("<f8").tobytes())
+    assert first.hexdigest() == (
         "eac1de8d3f887f96feff71424aa9fd7a980aa3ed1fab5dc447915c3b2d4a73ed")
+    assert rest.hexdigest() == (
+        "88599e9dfee4c0419bcc0afcc29044e6db1b0eac813cbc1df6d5cdf30ab69ea8")
 
 
 def test_solve_frames_when_local_is_never_feasible(params):

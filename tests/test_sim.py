@@ -218,9 +218,9 @@ def test_trial_seed_permutation_leaves_means_unchanged(params):
 
 
 def test_monte_carlo_memory_stays_bounded(params):
-    # solve_frames frees the capacity and the root argument before
-    # lambert_w0 runs and builds the offload fields before the local ones,
-    # and the means sum row by row: one 100 x 250 run peaks under 4.4 MiB
+    # solve_frames holds only the capacity across lambert_w0, which iterates
+    # on its argument, and stores no formed field; the means read through
+    # memoryviews: one 100 x 250 run peaks at 2.67 MiB, under 2.9 MiB
     p = replace(params, ops_per_bit=1e4, dist_ap_dev=15.0)
     tracemalloc.start()
     try:
@@ -228,12 +228,12 @@ def test_monte_carlo_memory_stays_bounded(params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.4 * 2 ** 20, f"{peak} B"
+    assert peak <= 2.9 * 2 ** 20, f"{peak} B"
 
 
 def test_masked_mean_has_the_bits_of_one_fsum_of_the_selection(params):
-    # fsum rounds the exact sum once, so summing row by row keeps the bits
-    # of math.fsum(values[mask].tolist()) / count
+    # fsum rounds the exact sum once, so reading the gather through a
+    # memoryview keeps the bits of math.fsum(values[mask].tolist()) / count
     rng = np.random.default_rng(43)
     p = replace(params, dist_ap_dev=40.0)
     local, offload = solve_frames(p, *_trial_gains(p, 256, 250, 100))

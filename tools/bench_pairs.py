@@ -10,6 +10,7 @@ directory.  Each pair runs ``perfbench/run.py --workload W
 checkout's working tree; the parent goes first on odd pairs, the change on
 even ones.  The record of every run, each side's median and quartiles of
 every end-to-end metric of BENCHMARK.json, the pairs the change wins,
+whether it shows a gain by the claim rule (gain_shown, see compare),
 whether every run of both sides wrote the same CSV digests
 (csv_sha256_same_as_parent) and each side's src/ line count (src_lines)
 and line count per src/ module (src_module_lines) are written to
@@ -119,8 +120,12 @@ def summarize(runs, names):
 
 
 def compare(parent, change, pairs, metrics):
-    """Per metric: pairs won by the change, the median ratio and whether
-    the change stays within the benchmark's bound."""
+    """Per metric: pairs won by the change (ties count for neither side),
+    the median ratio, whether the change stays within the benchmark's bound,
+    and gain_shown, the rule for claiming a gain: the change wins at least
+    nine tenths of the pairs, and its median beats the parent's, in the
+    metric's better direction, by more than the parent's interquartile
+    range."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -129,11 +134,13 @@ def compare(parent, change, pairs, metrics):
         wins = sum((c < p) if lower else (c > p) for p, c in zip(p_runs, c_runs))
         p, c = statistics.median(p_runs), statistics.median(c_runs)
         q = _quartiles(p_runs)
-        worse = (c - p) / p if lower else (p - c) / p
+        gain = p - c if lower else c - p  # positive where the change is better
+        worse = -gain / p
         out[name] = {
             "change_wins": f"{wins}/{pairs}",
             "median_ratio_change_over_parent": c / p,
-            "median_gap_exceeds_parent_iqr": abs(c - p) > q["q3"] - q["q1"],
+            "parent_iqr": q["q3"] - q["q1"],
+            "gain_shown": 10 * wins >= 9 * pairs and gain > q["q3"] - q["q1"],
             "change_worse_by_frac": worse,
             "bound": m["bound"],
             "within_bound": worse <= m["bound"],
