@@ -23,12 +23,13 @@ costs; ties go to local compute, and if the cheaper cost exceeds the stored
 energy the frame is spent harvesting.
 
 The closed forms are written once, in solve_frames, which solves whole
-arrays of frames, and the decision once, in choose_modes and _affordable.
-solve_local, solve_offload, evaluate_strategies and decide are views of
-them on one frame; for many frames, call solve_frames.  solve_frames
-computes every energy term on _ieee and takes only the gain guard from
-the energy ledger, its reference; the one-frame views use the ledger's
-frame_cost and harvested_energy.
+arrays of frames, and the decision once, in choose_modes and _affordable,
+on its arrays alone.  solve_local, solve_offload, evaluate_strategies and
+decide are views of them on one frame, decision_inequality of
+mode_rule_sides; for many frames, call solve_frames.  solve_frames computes
+every energy term on _ieee and takes only the gain guard from the energy
+ledger, its reference; the one-frame views use the ledger's frame_cost and
+harvested_energy.
 """
 
 import logging
@@ -114,10 +115,14 @@ def _halley_pass(k, w, x, live, back2, back3):
     halt = (f == 0.0) | (wp1 == 0.0)
     denom = w + 2.0
     denom *= f
+    big = np.isinf(denom)  # (w+2) f overflows, for x near the float maximum
     denom /= 2.0 * wp1
     ew *= wp1
     np.subtract(ew, denom, out=denom)
     step = np.divide(f, denom, out=f)
+    if big.any():  # there, the step with f / e^w = w - x e^-w in place of f
+        wb, g = w[big], w[big] - x[big] * _ieee.exp(-w[big])
+        step[big] = g / (wb + 1.0 - (wb + 2.0) * g / (2.0 * (wb + 1.0)))
     w_next = np.subtract(w, step, out=denom)
     w_next[w_next < -1.0] = -1.0 + 1e-16
     # |step| <= 2e-16 (1 + |w_next|)
@@ -393,39 +398,36 @@ def solve_offload(params: SystemParams, eff_gain_down: float,
 
 def decision_inequality(params: SystemParams, eff_gain_down: float,
                         gain_offload: float) -> tuple[float, float]:
-    """Left/right sides of the closed-form mode test; offload wins when
-    left > right.  Only defined when both strategies are feasible."""
-    local, offload = evaluate_strategies(params, eff_gain_down, gain_offload)
+    """mode_rule_sides on one frame; offload wins when left > right.  Only
+    defined when both strategies are feasible."""
+    local, offload = solve_frames(params, eff_gain_down, gain_offload)
     if not (local.feasible and offload.feasible):
         raise ValueError("decision inequality needs both strategies feasible")
-    a = offload.allocation
-    return mode_rule_sides(params, eff_gain_down, a.tau_o, a.p_o)
+    lhs, rhs = mode_rule_sides(params, offload)
+    return float(lhs), float(rhs)
 
 
-def mode_rule_sides(params: SystemParams, eff_gain_down, tau_o, p_o):
-    """Left/right sides of the closed-form mode test at the optimal offload
-    slot and power; offload wins when left > right.  Element-wise, with no
-    floating-point warning: a side that overflows is inf."""
+def mode_rule_sides(params: SystemParams, offload: StrategyArrays):
+    """Left/right sides of the closed-form mode test, element-wise, from the
+    offload arrays' harvest_rate, tau_o and p_o; offload wins when left >
+    right.  No floating-point warning: a side that overflows is inf."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        harvest_rate = params.eh_efficiency * (eff_gain_down + params.noise_dev)
         lhs = params.ops_per_bit * params.bits_per_frame * (
-            energy_per_op(params) + harvest_rate / params.dev_ops_per_sec)
-        rhs = tau_o * (p_o + harvest_rate)
+            energy_per_op(params) + offload.harvest_rate / params.dev_ops_per_sec)
+        rhs = offload.tau_o * (offload.p_o + offload.harvest_rate)
     return lhs, rhs
 
 
-def _rule_disagreements(params: SystemParams, eff_gain_down,
-                        local: StrategyArrays, offload: StrategyArrays,
-                        pairs: np.ndarray) -> tuple[int, int]:
+def _rule_disagreements(params: SystemParams, local: StrategyArrays,
+                        offload: StrategyArrays, pairs: np.ndarray) -> tuple[int, int]:
     """Of the frames in the mask pairs, all feasible in both modes, how many
     the closed-form mode rule decides otherwise than the cost comparison:
     (beyond rounding, within rounding).  Within rounding means the rule's
     sides lie within 1e-9 of the larger one, or the costs within 8 ulp
     (8 * 2**-52) of the summed magnitudes of both modes' energy terms; both
     bounds are formed only where the rule and the costs disagree."""
-    lhs, rhs = mode_rule_sides(params, np.asarray(eff_gain_down),
-                               offload.tau_o, offload.p_o)
-    at = np.nonzero(((lhs > rhs) != (offload.cost < local.cost)) & pairs)
+    lhs, rhs = mode_rule_sides(params, offload)
+    at = ((lhs > rhs) != (offload.cost < local.cost)) & pairs
     lhs, rhs, local, offload = lhs[at], rhs[at], local.take(at), offload.take(at)
     terms = (local.e_compute + offload.e_offload + local.e_harvest
              + offload.e_harvest + 2.0 * local.e_decode)
@@ -437,8 +439,8 @@ def _rule_disagreements(params: SystemParams, eff_gain_down,
     return beyond, lhs.size - beyond
 
 
-def choose_modes(params: SystemParams, eff_gain_down,
-                 local: StrategyArrays, offload: StrategyArrays) -> np.ndarray:
+def choose_modes(params: SystemParams, local: StrategyArrays,
+                 offload: StrategyArrays) -> np.ndarray:
     """The mode choice before the storage check, element-wise: True where
     offloading is the cheaper feasible mode (ties go local).  An infeasible
     mode costs inf, so the cheaper mode is a feasible one whenever either is.
@@ -448,7 +450,7 @@ def choose_modes(params: SystemParams, eff_gain_down,
     (_rule_disagreements) are logged once, with their count.
     """
     both = local.feasible & offload.feasible
-    beyond, _ = _rule_disagreements(params, eff_gain_down, local, offload, both)
+    beyond, _ = _rule_disagreements(params, local, offload, both)
     if beyond:
         log.warning("mode rule disagrees with cost comparison on %d of %d "
                     "frames where both modes are feasible",
@@ -485,7 +487,7 @@ def decide(params: SystemParams, eff_gain_down: float, gain_offload: float,
     if not e_stored >= 0.0:
         raise ValueError(f"e_stored must be a non-negative number, got {e_stored!r}")
     local, offload = solve_frames(params, [eff_gain_down], [gain_offload])
-    offloads = choose_modes(params, [eff_gain_down], local, offload)
+    offloads = choose_modes(params, local, offload)
     if _affordable(local, offload, offloads, e_stored)[0]:
         chosen = _frame_result(offload if offloads[0] else local, int(offloads[0]))
     else:

@@ -498,7 +498,8 @@ def bisect_lambert(x):
         if not act.size:
             break
         mid = 0.5 * (lo[act] + hi[act])
-        up = mid * libm(math.exp, mid) - flat[act] > 0.0
+        with np.errstate(over="ignore"):  # an inf product lies above x
+            up = mid * libm(math.exp, mid) - flat[act] > 0.0
         hi[act[up]] = mid[up]
         lo[act[~up]] = mid[~up]
     return _shaped(x.shape, 0.5 * (lo + hi))[0]

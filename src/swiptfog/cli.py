@@ -152,7 +152,7 @@ def cmd_allocate(args) -> int:
     else:
         gd, go = draw_gains(params, np.random.default_rng(args.seed), args.repeat)
     local, offload = solve_frames(params, gd, go)
-    offloads = choose_modes(params, gd, local, offload)
+    offloads = choose_modes(params, local, offload)
     runs = _affordable(local, offload, offloads, args.e_stored)
     # the last draw is reported in full
     print(f"channel: eff_gain_down={_fmt(gd[-1])} gain_offload={_fmt(go[-1])}")
@@ -289,8 +289,7 @@ def certify(params: SystemParams, eff_gain_down: np.ndarray,
                  f"{worst['rate']:.2e}")
 
     rest = np.arange(eff_gain_down.size) >= grid_pairs
-    beyond, within = _rule_disagreements(params, eff_gain_down, local, offload,
-                                         rest)
+    beyond, within = _rule_disagreements(params, local, offload, rest)
     n_rest = int(np.count_nonzero(rest))
     failures += 1 if beyond else 0
     lines.append(f"mode rule vs cost comparison: {n_rest - beyond}/{n_rest} "

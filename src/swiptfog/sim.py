@@ -196,7 +196,7 @@ def _simulate(params: SystemParams, eff_gain_down: np.ndarray,
     A level that overflows stays inf or turns NaN for good, so the last
     row alone tells whether any trial left the float range."""
     local, offload = solve_frames(params, eff_gain_down, gain_offload)
-    offloads = choose_modes(params, eff_gain_down, local, offload)
+    offloads = choose_modes(params, local, offload)
     cost_rows = np.ascontiguousarray(np.where(offloads, offload.cost, local.cost).T)
     n_frames, n_trials = cost_rows.shape
     storage = np.zeros((n_frames + 1, n_trials))

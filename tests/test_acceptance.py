@@ -122,8 +122,8 @@ def test_criterion_3_decision_rule_consistency():
         if not (local.feasible[0] and offload.feasible[0]):
             continue
         done += 1
-        offloads = choose_modes(p, gd, local, offload)
-        lhs, rhs = mode_rule_sides(p, gd, offload.tau_o, offload.p_o)
+        offloads = choose_modes(p, local, offload)
+        lhs, rhs = mode_rule_sides(p, offload)
         if offloads[0] == (lhs > rhs)[0]:
             agree += 1
     ok = agree == total
@@ -280,7 +280,7 @@ def test_criterion_8_feasibility_fuzz():
             rejected_offload += 1
             assert not offload.feasible[0] and offload.cost[0] == math.inf
         e_stored = 0.0 if rng.uniform() < 0.5 else 10.0 ** rng.uniform(-9, -3)
-        offloads = choose_modes(p, gd, local, offload)
+        offloads = choose_modes(p, local, offload)
         chosen = offload if offloads[0] else local
         if _affordable(local, offload, offloads, e_stored)[0]:
             assert chosen.feasible[0] and chosen.cost[0] <= e_stored

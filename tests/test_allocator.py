@@ -148,6 +148,14 @@ def test_local_objective_increases_in_each_slot(params):
 
 # --- root solver -----------------------------------------------------------
 
+# A log grid up to (float max - 1) / e, the largest root argument solve_frames
+# can form.  From about 4e302 on, (w + 2) f in a Halley pass overflows, and
+# the bisection oracle's w e^w overflows at its upper points: every root must
+# still be certified, with no warning.
+_TOP_OF_THE_ROOT_ARGUMENTS = np.append(
+    10.0 ** np.linspace(290.0, 307.0, 40), np.finfo(float).max / math.e)
+
+
 def test_root_solver_defining_points():
     assert lambert_w0(0.0) == 0.0
     assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-13)
@@ -186,6 +194,7 @@ def test_root_solver_round_trip_along_domain():
         -1.0 / math.e + 10.0 ** np.linspace(-9.0, math.log10(1 / math.e), 400),
         10.0 ** np.linspace(-12.0, 6.0, 400),
         [0.0, 1.0, math.e, 10.0, 1e6],
+        _TOP_OF_THE_ROOT_ARGUMENTS,
     ])
     for x in xs:
         w = lambert_w0(float(x))
@@ -197,6 +206,7 @@ def test_root_solver_agrees_with_bisection():
     xs = np.concatenate([
         -1.0 / math.e + 10.0 ** np.linspace(-9.0, math.log10(1 / math.e), 200),
         10.0 ** np.linspace(-10.0, 6.0, 200),
+        _TOP_OF_THE_ROOT_ARGUMENTS,
     ])
     for x in xs:
         assert abs(lambert_w0(float(x)) - bisect_lambert(float(x))) <= 1e-11
@@ -466,16 +476,16 @@ def _contradicting_claims(params, n):
     assert keep.size == n
     local, offload = local.take(keep), offload.take(keep)
     cheaper = local.cost - np.abs(local.cost) - 1e-6
-    return gd[keep], go[keep], local, replace(offload, cost=cheaper)
+    return local, replace(offload, cost=cheaper)
 
 
 def test_choose_modes_warns_once_with_the_count(params, caplog):
-    gd, _, local, offload = _contradicting_claims(params, 7)
+    local, offload = _contradicting_claims(params, 7)
     # the last two offload claims cost more than local, as the rule says
     offload = replace(offload, cost=np.concatenate(
         [offload.cost[:5], local.cost[5:] + 1.0]))
     with caplog.at_level(logging.WARNING, logger="swiptfog.allocator"):
-        offloads = choose_modes(params, gd, local, offload)
+        offloads = choose_modes(params, local, offload)
     assert offloads.tolist() == [True] * 5 + [False] * 2
     assert [r.getMessage() for r in caplog.records] == [
         "mode rule disagrees with cost comparison on 5 of 7 frames where "
@@ -491,6 +501,26 @@ def test_decide_rejects_nan_or_negative_storage(params):
 def test_decision_rule_requires_both_feasible(params):
     with pytest.raises(ValueError):
         decision_inequality(params, 1e-6, 0.0)
+
+
+def test_decision_rule_on_one_frame_is_pinned(params):
+    # mode_rule_sides on the 0-d arrays solve_frames returns for two numbers,
+    # as two floats whatever the numbers' type
+    for gains in ((1e-6, 1e-7), np.array([1e-6, 1e-7])):
+        sides = decision_inequality(params, *gains)
+        assert sides == (1.2166475323334387e-07, 7.704520382291433e-07)
+        assert [type(side) for side in sides] == [float, float]
+
+
+def test_mode_choice_on_zero_d_arrays(params):
+    # two numbers give 0-d arrays, which the rule's mask indexes like any other
+    local, offload = solve_frames(params, 1e-6, 1e-7)
+    both = local.feasible & offload.feasible
+    offloads = choose_modes(params, local, offload)
+    assert (offloads.shape, offloads.dtype, bool(offloads)) == ((), bool, False)
+    assert allocator._rule_disagreements(params, local, offload, both) == (0, 0)
+    cheaper = replace(offload, cost=local.cost - 1.0)  # the rule still says local
+    assert allocator._rule_disagreements(params, local, cheaper, both) == (1, 0)
 
 
 @pytest.mark.parametrize("name,bad", [
@@ -542,7 +572,7 @@ def test_tie_and_scale_invariance(params):
 
     def offloads(cost_local, cost_offload):
         # costs replaced: the mode rule's cross-check may log, the costs decide
-        return choose_modes(params, gd, replace(local, cost=cost_local),
+        return choose_modes(params, replace(local, cost=cost_local),
                             replace(offload, cost=cost_offload))
 
     chosen = offloads(c1, c2)

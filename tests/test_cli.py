@@ -506,6 +506,26 @@ def test_allocate_overflowing_gain_exits_2_with_message(capsys):
     assert "eff_gain_down=1e+290" in err and "gain_offload=1e+100" in err
 
 
+def test_root_arguments_near_the_float_maximum_are_solved(capsys, tmp_path):
+    # noise_server = 1e-310 and 1e-318 form root arguments of 2.2e303 and
+    # 1.0e306, where (w + 2) f in the root solver's Halley step overflows
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("noise_server = 1e-310\n")
+    code, out, err = run(capsys, "allocate", "--config", str(cfg),
+                         "--gain-down", "1e-3", "--gain-offload", "1e-3")
+    assert (code, err) == (0, "")
+    assert "decision: offload (i_o=1)" in out
+    assert "nan" not in out and "inf" not in out
+    cfg.write_text("noise_server = 1e-318\n")
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--seed", "1",
+                       "--frames", "5", "--trials", "2", "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    with open(tmp_path / "frames.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 def test_a_configuration_whose_energies_overflow_exits_2(capsys, tmp_path):
     # a feasible frame's cost of inf used to reach the sweep CSV with exit 0
     cfg = tmp_path / "big.cfg"
