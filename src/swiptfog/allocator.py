@@ -212,10 +212,9 @@ def lambert_w0(x):
 
 
 def _formed(form):
-    """A field formed on each read, as a read-only view, with no warning
+    """A field formed from the stored ones on each read, with no warning
     from infeasible frames."""
-    form = np.errstate(invalid="ignore", over="ignore")(form)
-    return property(lambda self: np.broadcast_to(v := form(self), np.shape(v)))
+    return property(np.errstate(invalid="ignore", over="ignore")(form))
 
 
 @dataclass(frozen=True)
@@ -224,10 +223,10 @@ class StrategyArrays:
 
     Fields mirror Allocation and EnergyBreakdown.  Read feasible first:
     where it is False, cost is inf and the rest unspecified.  The fields
-    solve_frames solves for are read-only views of the frames' shape (the
-    modes share tau_d, e_decode and harvest_rate, eta * (G + noise_dev));
-    tau_e, e_offload and e_harvest are formed from them on each read, as
-    they were once stored.  take forms them on some frames alone.
+    solve_frames solves for are read-only views of the frames' shape, a
+    constant a zero-stride one (the modes share tau_d, e_decode and
+    harvest_rate, eta * (G + noise_dev)); tau_e, e_offload and e_harvest
+    are formed from them on each read, and take forms them on some frames.
     """
     feasible: np.ndarray
     cost: np.ndarray
@@ -250,10 +249,6 @@ class StrategyArrays:
                                 for f in fields(self)[:-1]})
 
 
-_GUARDED = ("tau_d", "tau_c", "tau_o", "p_o", "e_decode", "e_compute", "tau_e",
-            "e_offload", "e_harvest")
-
-
 def energy_per_op(params: SystemParams) -> float:
     """Switching energy of one logic operation, F0 * alpha * Mc * N0 * ln2."""
     return (params.fanout * params.activity_factor * params.immaturity_factor
@@ -261,19 +256,25 @@ def energy_per_op(params: SystemParams) -> float:
 
 
 def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
-                     harvest_rate, **stored) -> StrategyArrays:
-    """Mode i_o's arrays, stored fields read-only and broadcast to feasible's
+                     **stored) -> StrategyArrays:
+    """Mode i_o's arrays, the stored fields broadcast once to feasible's
     shape, and its cost as frame_cost forms it, inf where infeasible.  One
-    guard, by mask reductions, on each of _GUARDED (stored fields first, a
-    formed one formed for it, a number checked as that number) and on the
-    spend, paid + e_decode: a feasible element has its slots in [0, T], and
-    its p_o, energies and spend finite and non-negative."""
-    raw = StrategyArrays(feasible=feasible, cost=None, harvest_rate=harvest_rate,
-                         frame_duration=params.frame_duration, **stored)
-    for name in (*_GUARDED, "cost"):
-        value = (np.add(getattr(raw, ("e_compute", "e_offload")[i_o]),
-                        raw.e_decode, out=np.empty(feasible.shape))
-                 if name == "cost" else np.asarray(getattr(raw, name)))
+    guard, by mask reductions, on the stored fields but harvest_rate, then on
+    tau_e, e_offload, e_harvest and the spend, paid + e_decode, each formed
+    once, and each on one element along an axis of stride 0 (a constant's):
+    a feasible element has its slots in [0, T], and its p_o, energies and
+    spend finite and non-negative."""
+    arrays = StrategyArrays(
+        feasible=feasible, cost=None, frame_duration=params.frame_duration,
+        **{k: np.broadcast_to(v, feasible.shape) for k, v in stored.items()})
+    guarded = {f.name: getattr(arrays, f.name) for f in fields(arrays)[2:8]}
+    with np.errstate(invalid="ignore", over="ignore"):
+        guarded |= {"tau_e": arrays.tau_e, "e_offload": arrays.e_offload}
+        guarded["e_harvest"] = arrays.harvest_rate * guarded["tau_e"]
+        spend = guarded["cost"] = np.add((arrays.e_compute, guarded["e_offload"])[i_o],
+                                         arrays.e_decode, out=np.empty(feasible.shape))
+    for name, value in guarded.items():
+        value = value[tuple(slice(None if s else 1) for s in value.strides)]
         slot = name.startswith("tau_")
         high = params.frame_duration if slot else np.finfo(float).max
         bad = ~((value >= 0.0) & (value <= high))
@@ -282,11 +283,9 @@ def _strategy_arrays(params: SystemParams, feasible: np.ndarray, i_o: int,
                 raise ValueError(f"a feasible frame's {name} must lie in [0, {high}]")
             raise ValueError(f"a feasible frame's {('local', 'offload')[i_o]} cost "
                              "overflows: the configuration's energies are too large")
-    cost = np.subtract(value, raw.e_harvest, out=value)  # the spend's array
+    cost = np.subtract(spend, guarded["e_harvest"], out=spend)
     cost[~feasible] = math.inf
-    return replace(raw, cost=cost, **{
-        f.name: np.broadcast_to(getattr(raw, f.name), feasible.shape)
-        for f in fields(raw)[2:-1]})
+    return replace(arrays, cost=cost)
 
 
 def solve_frames(params: SystemParams, eff_gain_down,
@@ -356,13 +355,13 @@ def solve_frames(params: SystemParams, eff_gain_down,
         p_o *= params.noise_server / go  # formed once exp2m1 is done
         harvest_rate = params.eh_efficiency * (gd + params.noise_dev)
         local = _strategy_arrays(
-            params, ok_local & (tee - tau_d - tau_c >= 0.0), 0, harvest_rate,
-            tau_d=tau_d, tau_c=tau_c, tau_o=0.0, p_o=0.0, e_decode=e_dec,
-            e_compute=(energy_per_op(params) * params.ops_per_bit
-                       * params.rate_min * tee))
+            params, ok_local & (tee - tau_d - tau_c >= 0.0), 0, tau_d=tau_d,
+            tau_c=tau_c, tau_o=0.0, p_o=0.0, e_decode=e_dec, e_compute=(
+                energy_per_op(params) * params.ops_per_bit * params.rate_min * tee),
+            harvest_rate=harvest_rate)
         return local, _strategy_arrays(
-            params, ok, 1, harvest_rate, tau_d=tau_d, tau_c=0.0, tau_o=tau_o,
-            p_o=p_o, e_decode=e_dec, e_compute=0.0)
+            params, ok, 1, tau_d=tau_d, tau_c=0.0, tau_o=tau_o, p_o=p_o,
+            e_decode=e_dec, e_compute=0.0, harvest_rate=harvest_rate)
 
 
 def _frame_result(arrays: StrategyArrays, i_o: int, index=0) -> StrategyResult:

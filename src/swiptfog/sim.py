@@ -324,16 +324,15 @@ def _strategy_averages(frames: _Frames) -> StrategyAverages:
     n_all = processed.size
     n_offloaded = int(np.count_nonzero(processed & frames.offloads))
     n_processed = int(np.count_nonzero(processed))
-    loc, off = local.take(local.feasible), offload.take(offload.feasible)
     return StrategyAverages(
-        mean_cost_local=_masked_mean(loc.cost),
-        mean_cost_offload=_masked_mean(off.cost),
+        mean_cost_local=_masked_mean(local.cost, local.feasible),
+        mean_cost_offload=_masked_mean(offload.cost, offload.feasible),
         mean_e_decode=_masked_mean(local.e_decode,  # shared by both modes
                                    local.feasible | offload.feasible),
-        mean_e_compute=_masked_mean(loc.e_compute),
-        mean_e_offload=_masked_mean(off.e_offload),
-        mean_e_harvest_local=_masked_mean(loc.e_harvest),
-        mean_e_harvest_offload=_masked_mean(off.e_harvest),
+        mean_e_compute=_masked_mean(local.e_compute, local.feasible),
+        mean_e_offload=_masked_mean(offload.e_offload, offload.feasible),
+        mean_e_harvest_local=_masked_mean(local.e_harvest, local.feasible),
+        mean_e_harvest_offload=_masked_mean(offload.e_harvest, offload.feasible),
         frac_local=(n_processed - n_offloaded) / n_all,
         frac_offload=n_offloaded / n_all,
         frac_harvest_only=(n_all - n_processed) / n_all)

@@ -2,7 +2,7 @@ import hashlib
 import logging
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -536,6 +536,8 @@ def test_strategy_arrays_guards_only_feasible_elements(params, name, bad):
     # frame, through tau_o, and e_harvest through harvest_rate.  The stored
     # fields are guarded first, so a NaN tau_e or a negative e_offload = tau_o
     # * p_o never reaches its own guard: a factor's guard rejects it first.
+    # Both modes (i_o 0 and 1) take the same fields, and return the stored
+    # ones read-only.
     slots = ("tau_e", "tau_d", "tau_c", "tau_o")
     good = dict.fromkeys(slots[1:], 0.25) | dict.fromkeys(
         ("p_o", "e_decode", "e_compute"), 1e-6) | {"harvest_rate": 4e-6}
@@ -544,22 +546,37 @@ def test_strategy_arrays_guards_only_feasible_elements(params, name, bad):
     formed = 0.5 - value if name == "tau_e" else bad
     p = replace(params, frame_duration=1.0)
     feasible = np.array([True, False, True])
-
-    def arrays(values):
-        return allocator._strategy_arrays(
-            p, feasible, 1, **(good | {fed: np.array(values)}))
-
     high = re.escape(str(1.0 if name in slots else np.finfo(float).max))
-    message = (rf"a feasible frame's {name} must lie in \[0, {high}\]"
-               if name in slots or name == "p_o" or bad < 0.0
-               else "a feasible frame's offload cost overflows")
-    for values in ([good[fed], good[fed], value], [value, good[fed], good[fed]]):
-        with pytest.raises(ValueError, match=message):
-            arrays(values)
-    out = arrays([good[fed], value, good[fed]])
-    assert out.feasible.tolist() == [True, False, True]
-    assert getattr(out, name)[1] == formed or math.isnan(bad)
-    assert np.isfinite(out.cost[::2]).all() and out.cost[1] == math.inf
+
+    def arrays(i_o, values):
+        return allocator._strategy_arrays(
+            p, feasible, i_o, **(good | {fed: np.array(values)}))
+
+    for i_o, mode in enumerate(("local", "offload")):
+        message = (rf"a feasible frame's {name} must lie in \[0, {high}\]"
+                   if name in slots or name == "p_o" or bad < 0.0
+                   else f"a feasible frame's {mode} cost overflows")
+        for values in ([good[fed], good[fed], value], [value, good[fed], good[fed]]):
+            with pytest.raises(ValueError, match=message):
+                arrays(i_o, values)
+        out = arrays(i_o, [good[fed], value, good[fed]])
+        assert out.feasible.tolist() == [True, False, True]
+        assert getattr(out, name)[1] == formed or math.isnan(bad)
+        assert np.isfinite(out.cost[::2]).all() and out.cost[1] == math.inf
+        assert not any(getattr(out, f).flags.writeable for f in good)
+
+
+def test_modes_share_read_only_stored_fields(params):
+    # one tau_d, e_decode and harvest_rate for both modes; a constant is a
+    # zero-stride view of the frames' shape
+    local, offload = solve_frames(params, np.full((3, 2), 1e-6), np.full((3, 2), 1e-7))
+    for name in ("tau_d", "e_decode", "harvest_rate"):
+        assert np.shares_memory(getattr(local, name), getattr(offload, name))
+    for arrays in (local, offload):
+        for f in fields(arrays)[2:-1]:
+            value = getattr(arrays, f.name)
+            assert value.shape == (3, 2) and not value.flags.writeable, f.name
+    assert local.tau_o.strides == offload.tau_c.strides == (0, 0)
 
 
 def test_tie_and_scale_invariance(params):

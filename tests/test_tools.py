@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the claim rule of compare and the size measure."""
+"""tools/bench_pairs.py: the claim rule of compare and the size measure;
+tools/peak_lines.py: where a traced peak is charged."""
 
 import importlib.util
 from pathlib import Path
@@ -75,3 +76,23 @@ def test_src_module_lines_counts_each_python_file_under_src(tmp_path):
     lines = bench_pairs.src_module_lines(tmp_path)
     assert lines == {"pkg/a.py": 3, "pkg/empty.py": 0, "pkg/sub/b.py": 1}
     assert list(lines) == sorted(lines)
+
+
+_PEAK_SPEC = importlib.util.spec_from_file_location(
+    "peak_lines", Path(__file__).resolve().parents[1] / "tools" / "peak_lines.py")
+peak_lines = importlib.util.module_from_spec(_PEAK_SPEC)
+_PEAK_SPEC.loader.exec_module(peak_lines)
+
+
+def test_peak_lines_charges_lines_of_the_package(tmp_path):
+    import swiptfog.cli
+    package_dir = Path(swiptfog.cli.__file__).parent
+    code, overall, peaks = peak_lines.trace_peaks(
+        lambda: swiptfog.cli.main(["simulate", "--seed", "1", "--frames", "5",
+                                   "--trials", "2", "--out-dir", str(tmp_path)]),
+        package_dir)
+    assert code == 0 and overall > 0
+    assert overall == max(peak for peak, _ in peaks.values())
+    top = sorted(peaks.items(), key=lambda item: -item[1][0])[:3]
+    assert all(Path(path).parent == package_dir and line > 0
+               for (path, line), _ in top)
