@@ -90,6 +90,7 @@ _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _gain = _checked(float, lambda g: 0.0 <= g < math.inf,
                  "a finite, non-negative number")
 _energy = _checked(float, lambda e: e >= 0.0, "a non-negative number")
+_out_dir = _checked(str, bool, "a non-empty directory path")
 _numbers = _checked(lambda text: [float(v) for v in text.split(",") if v.strip()],
                     lambda values: values and all(map(math.isfinite, values)),
                     "comma-separated finite numbers")
@@ -323,10 +324,8 @@ def cmd_verify(args) -> int:
     report = certify(params, gd, go, *solve_frames(params, gd, go),
                      args.instances)
     print("\n".join(report.lines))
-    if args.out_dir:
-        path = _write_csv(args.out_dir, "verify.csv", _VERIFY_COLUMNS,
-                          report.rows)
-        print(f"wrote {path}")
+    path = _write_csv(args.out_dir, "verify.csv", _VERIFY_COLUMNS, report.rows)
+    print(f"wrote {path}")
     if report.failures:
         print(f"verification FAILED ({report.failures} check(s))")
         return EXIT_VERIFY
@@ -345,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; all randomness derives from it")
         # accepted and ignored: the benchmark workloads still pass --jobs 1
         p.add_argument("--jobs", type=_positive_int, help=argparse.SUPPRESS)
-        p.add_argument("--out-dir", default=".", help="directory for CSV output")
+        p.add_argument("--out-dir", type=_out_dir, default=".",
+                       help="directory for CSV output")
 
     p = sub.add_parser("allocate", help="solve and report a single frame")
     p.add_argument("--config")

@@ -8,30 +8,26 @@ banked.  A frame spent harvesting is an outage; the outage probability is the
 mean of the outage indicator.
 
 Execution: frames are simulated in one process as (trials x frames) arrays.
-The trial seeds come from one array pass over all trials (_trial_states);
-one generator, whose state is set for each trial in turn, draws each
-trial's channel normals with one call into its row of one buffer of
-TRIAL_CHUNK rows, and real arithmetic in place turns the buffer into the
-chunk's gains, with the bits of per-trial draws.  Both programs
-(allocator.solve_frames) are solved by array calls, and the storage
-recursion, the only sequential step, loops over frames on contiguous
-frames-major rows, one of all trials per frame: a comparison, a negation
-and an add each.  Only run_trace builds FrameRecord objects.
+One generator draws every trial's channel normals, a chunk of TRIAL_CHUNK
+trials per call into one reused buffer, and real arithmetic in place turns
+the buffer into the chunk's gains.  Both programs (allocator.solve_frames)
+are solved by array calls, and the storage recursion, the only sequential
+step, loops over frames on contiguous frames-major rows, one of all trials
+per frame: a comparison, a negation and an add each.  Only run_trace builds
+FrameRecord objects.
 
-Reproducibility (output version STREAM_VERSION): trial t of master seed m
-draws from SeedSequence(m).spawn(n)[t]; _trial_states takes numpy's
-SeedSequence(m) pool and mixes in every trial's spawn-key word on arrays
-to get the PCG64 states, so results do not depend on chunking, more
-trials extend a shorter run, and run_trace(seed) is trial 0 of seed.
-Aggregates use exact summation (math.fsum), so they do not depend on trial
-order either.  Version 3 keeps version 2's trial seeds and normals and
-changes only the kernel's arithmetic: gains are formed with products and
+Reproducibility (output version STREAM_VERSION): the frames of all trials of
+master seed m are consecutive runs of one np.random.default_rng(m) stream,
+trial t holding frames t * n_frames onward, so results do not depend on
+chunking, more trials extend a shorter run, and run_trace(seed) is trial 0
+of seed.  Trial t >= 1 depends on n_frames, and no trial is drawn without
+the trials before it.  Aggregates use exact summation (math.fsum), so they
+do not depend on trial order either.  Gains are formed with products and
 np.sqrt, and the kernel's exp, log2 and 2**u - 1 come from _ieee, built
-from IEEE-754 basic operations, instead of the C library.
+from IEEE-754 basic operations, not from the C library.
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -67,88 +63,34 @@ __all__ = [
     "sweep",
 ]
 
-# The channel draw layout (channel module), the trial seeds (_trial_states)
+# The channel draw layout (channel module), the trials' draws (_trial_gains)
 # and the kernel's arithmetic.  Version 1 seeded trial t with master_seed
-# XOR t and drew frame by frame; version 2 evaluated the kernel's
+# XOR t and drew frame by frame; versions 2 and 3 drew trial t from
+# SeedSequence(master_seed).spawn(n)[t], version 2 evaluating the kernel's
 # transcendentals through the C library.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # Trials per normals buffer in monte_carlo; it bounds that buffer's size.
 TRIAL_CHUNK = 32
-
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# default 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash(words: np.ndarray, init: int, mult: int, skip: int = 0) -> np.ndarray:
-    """SeedSequence's hash of uint32 words, element-wise: row i is the
-    (skip + i)-th hash of the constant chain init * mult**k mod 2**32."""
-    consts = np.array([init * pow(mult, skip + i, 1 << 32) & _MASK32
-                       for i in range(len(words) + 1)], dtype=np.uint32)[:, None]
-    value = (words ^ consts[:-1]) * consts[1:]
-    return value ^ value >> np.uint32(16)
-
-
-def _trial_states(master_seed: int, n_trials: int, first: int = 0) -> list[dict]:
-    """PCG64 states of trials first .. first + n_trials - 1 of master seed
-    master_seed, each PCG64(SeedSequence(master_seed, spawn_key=(t,))).state.
-    numpy's SeedSequence(master_seed).pool is what every such child holds
-    before its spawn-key word t is mixed in (the child pads the run words to
-    four with 0, and the pool hashes 0 for missing words); the mix of t,
-    generate_state(4, np.uint64) and PCG64's seeding of (state, inc) as
-    128-bit integers run here, on arrays over all trials.  Trial indices are
-    below 2**32, one spawn-key word each."""
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
-    if first < 0 or first + n_trials > 1 << 32:
-        raise ValueError("trial indices must lie in [0, 2**32)")
-    pool = np.random.SeedSequence(master_seed).pool.tolist()
-    # the pool took 16 hashes, and 4 more for each run word past the fourth
-    skip = 4 * max((master_seed.bit_length() + 31) // 32, 4)
-    trials = np.arange(first, first + n_trials, dtype=np.uint32)
-    hashed = _hash(np.broadcast_to(trials, (4, n_trials)), _INIT_A, _MULT_A, skip)
-    mixed = (np.array([_MIX_MULT_L * x & _MASK32 for x in pool],
-                      dtype=np.uint32)[:, None] - np.uint32(_MIX_MULT_R) * hashed)
-    mixed ^= mixed >> np.uint32(16)
-    # generate_state(4, np.uint64): eight words, little-endian pairs
-    words = _hash(np.tile(mixed, (2, 1)), _INIT_B, _MULT_B).astype(np.uint64)
-    w64 = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*w64):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
 
 
 def _trial_gains(params: SystemParams, master_seed: int, n_trials: int,
                  n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Effective downlink and offload power gains of trials 0 .. n_trials - 1
-    of master_seed, each of shape (n_trials, n_frames).  One generator, set
-    to each trial's state in turn, fills the trial's row of one normals
-    buffer of TRIAL_CHUNK rows with the normals draw_gains would draw from
-    it; the buffer is turned into gains in place."""
-    states = _trial_states(master_seed, n_trials)
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
+    of master_seed, each of shape (n_trials, n_frames): the gains of
+    draw_gains(params, default_rng(master_seed), n_trials * n_frames), trial
+    t holding frames t * n_frames onward.  Each chunk of TRIAL_CHUNK trials
+    is one standard_normal call into one normals buffer, which is turned
+    into gains in place."""
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
+    rng = np.random.default_rng(master_seed)
     normals = np.empty((min(TRIAL_CHUNK, n_trials), n_frames,
                         params.n_antennas + 1, 2))
     gd, go = np.empty((n_trials, n_frames)), np.empty((n_trials, n_frames))
     for start in range(0, n_trials, TRIAL_CHUNK):
         stop = min(start + TRIAL_CHUNK, n_trials)
-        rows = normals[:stop - start]
-        for row, state in zip(rows, states[start:stop]):
-            bitgen.state = state
-            rng.standard_normal(out=row)
+        rows = rng.standard_normal(out=normals[:stop - start])
         _to_gains(params, _to_amplitudes(params, rows), gd[start:stop],
                   go[start:stop])
     return gd, go

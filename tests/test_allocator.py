@@ -304,7 +304,8 @@ def test_root_solver_bits_equal_the_all_passes_loop(monkeypatch):
 def test_root_solver_bits_are_pinned(monkeypatch):
     """sha256 of lambert_w0 over near-branch inputs (both cycle lengths are
     retired among them), x across (-1/e, 1e300] and every root of one
-    mc_outage distance (15 m, 100 frames x 250 trials, seed 256)."""
+    mc_outage distance (15 m, 100 frames x 250 trials, seed 256, output
+    version 4)."""
     rng = np.random.default_rng(23)
     seen = []
     solver = allocator.lambert_w0
@@ -318,7 +319,7 @@ def test_root_solver_bits_are_pinned(monkeypatch):
         [1e300, 0.0, -1.0 / math.e], *seen])
     got = solver(xs)
     assert hashlib.sha256(got.astype("<f8").tobytes()).hexdigest() == (
-        "7a454755e165ef3bc7a963a713e4cd737ae907708756e466ac9a67d2e904e0b1")
+        "0ef57bbeaeb1f28c42a4001645023287c0bba0f88a6e45006d5838734d7a1610")
 
 
 def test_root_solver_retires_cycling_elements_within_a_few_passes(monkeypatch):

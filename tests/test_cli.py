@@ -315,9 +315,9 @@ def test_write_csv_bytes_equal_csv_writer(tmp_path):
 
 def test_simulate_frames_csv_bits_are_pinned(capsys, tmp_path):
     """sha256 of frames.csv at seed 256, 50 frames x 40 trials (two trial
-    chunks).  It pins output version 3 (sim.STREAM_VERSION): the trial
-    seeds, the one-call normal draw per trial, the dominant-path amplitudes
-    and the kernel's arithmetic.
+    chunks).  It pins output version 4 (sim.STREAM_VERSION): one stream per
+    master seed, one normal draw per chunk of trials, the dominant-path
+    amplitudes and the kernel's arithmetic.
 
     Of the C library, only the per-configuration path-loss scale enters
     (log10 and a power of 10); the gains and the kernel use IEEE-754 basic
@@ -328,19 +328,19 @@ def test_simulate_frames_csv_bits_are_pinned(capsys, tmp_path):
     assert code == 0, out
     digest = hashlib.sha256((tmp_path / "frames.csv").read_bytes()).hexdigest()
     assert digest == (
-        "7aa433b991d19bc4ab6c3f5c00195e1f05091c50cafeebf75d368cc3c54395de")
+        "8ec571f78e1f7a46d89b43c339feb2c1e00ef0eb3b789a94843716b0ca90eccc")
 
 
 @pytest.mark.parametrize("axis,values,digest", [
     ("ops-per-bit", "1e3,1e4,2e4",
-     "40d21e288cd174ee14f8a541ed083872e7a0be79bc98e66f4df26b43c33ae968"),
+     "582c94c00ffaf86f0a6cc0deb4e97b73f466a0430b7d6cbdec6e7fca2f1ec34c"),
     ("dist-ap-dev", "3,9,15",
-     "e769db258965094ff5bc7ca4268249a69f0bc70ab458b7b2c4528c2d149ccf06"),
+     "0c0f9954c82455be5a3f632723066b775c28f02df289f381dcf91be00945c066"),
 ], ids=["ops-per-bit", "dist-ap-dev"])
 def test_sweep_csv_bits_are_pinned(capsys, tmp_path, axis, values, digest):
     """sha256 of the sweep CSV at seed 256, 30 frames x 40 trials (two trial
     chunks) per value.  It pins the per-strategy means, the decision
-    fractions and the outage columns, on top of output version 3; what the
+    fractions and the outage columns, on top of output version 4; what the
     frames.csv digest says of the C library holds here too."""
     code, out, _ = run(capsys, "sweep", "--seed", "256", "--axis", axis,
                        "--values", values, "--frames", "30", "--trials", "40",
@@ -757,6 +757,12 @@ def test_argument_errors_exit_1_before_any_work(capsys, tmp_path):
           "--values", "abc"), "--values"),
         (("sweep", *out_dir, "--seed", "1", "--axis", "ops-per-bit",
           "--values", "1e3,nan"), "--values"),
+        (("sweep", "--out-dir", "", "--seed", "1", "--axis", "ops-per-bit",
+          "--values", "1e3", "--frames", "2", "--trials", "1"), "--out-dir"),
+        (("simulate", "--out-dir", "", "--seed", "1", "--frames", "2",
+          "--trials", "1"), "--out-dir"),
+        (("verify", "--out-dir", "", "--seed", "1", "--instances", "1"),
+         "--out-dir"),
     ]
     for argv, flag in cases:
         code, out, err = run(capsys, *argv)

@@ -13,7 +13,6 @@ from swiptfog.sim import (
     SweepAxis,
     _masked_mean,
     _trial_gains,
-    _trial_states,
     monte_carlo,
     run_trace,
     sweep,
@@ -129,45 +128,24 @@ def test_neighbouring_master_seeds_run_different_trials(params, seeds):
     assert a.mean_storage != b.mean_storage
 
 
-def test_trial_seeds_are_spawned_children_and_do_not_collide(params):
-    for master in (5, 303):
-        children = np.random.SeedSequence(master).spawn(4)
-        gd, go = _trial_gains(params, master, 4, 3)
-        for t, child in enumerate(children):
-            assert _trial_states(master, 1, t)[0] == np.random.PCG64(child).state
-            want_gd, want_go = draw_gains(params, np.random.default_rng(child), 3)
-            assert gd[t].tolist() == want_gd.tolist()
-            assert go[t].tolist() == want_go.tolist()
-    # the list seed [m, t] would map [2**32 + 5, 0] and [5, 1] to one stream
-    firsts = [g for m in (5, 2**32 + 5)
-              for g in _trial_gains(params, m, 3, 1)[0][:, 0].tolist()]
-    assert len(set(firsts)) == len(firsts) == 6
-
-
 @pytest.mark.parametrize("master", [0, 5, 256, 303, 1792, 2**32 - 1,
                                     2**32 + 5, 2**70 + 11, 2**96 + 7,
                                     2**128 - 1, 2**128 + 5, 2**200 + 9])
-def test_trial_states_equal_numpy_seeding(master):
-    # one- to five- and seven-word master seeds: past four words each run
-    # word adds four hashes before the spawn-key word's; trials inside and
-    # at the edges of the first TRIAL_CHUNK-sized chunks
-    states = _trial_states(master, 250)
-    assert len(states) == 250
-    for t in (0, 1, 31, 32, 33, 249):
-        want = np.random.PCG64(np.random.SeedSequence(master, spawn_key=(t,))).state
-        assert states[t] == want, t
-        assert _trial_states(master, 1, t) == [want]
-
-
-def test_trial_states_reject_indices_past_one_seed_word():
-    last = 2**32 - 1
-    assert _trial_states(9, 1, last)[0] == np.random.PCG64(
-        np.random.SeedSequence(9, spawn_key=(last,))).state
-    for first, n in ((last, 2), (2**32, 1), (-1, 1)):
-        with pytest.raises(ValueError, match="trial indices"):
-            _trial_states(9, n, first)
-    with pytest.raises(ValueError, match="master_seed"):
-        _trial_states(-1, 1)
+def test_trial_gains_are_one_default_rng_stream(params, master):
+    # one- to five- and seven-word master seeds, trials on both sides of a
+    # chunk edge: trial t is the t-th run of n_frames frames of one draw
+    n_trials, n_frames = TRIAL_CHUNK + 3, 3
+    for n_antennas in (1, 3, 8):
+        p = replace(params, n_antennas=n_antennas)
+        got = _trial_gains(p, master, n_trials, n_frames)
+        want = draw_gains(p, np.random.default_rng(master), n_trials * n_frames)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.reshape(n_trials, n_frames).tobytes()
+    # distinct master seeds run distinct trials, among them 302 and 303, and
+    # 5 and 2**32 + 5, which the list seed [m, t] would map to one stream
+    firsts = [g for m in (master, master ^ 1, master + 2**32)
+              for g in _trial_gains(params, m, 3, 1)[0][:, 0].tolist()]
+    assert len(set(firsts)) == len(firsts) == 9
 
 
 def test_more_trials_extend_a_shorter_run(params, monkeypatch):
@@ -197,8 +175,8 @@ def _chunked_results(params):
 
 @pytest.mark.parametrize("chunk", [1, 7, 32])
 def test_results_do_not_depend_on_trial_chunk(params, monkeypatch, chunk):
-    # a chunk's normals buffer has the bits of per-trial draws, so the
-    # chunk size changes nothing that monte_carlo or sweep returns
+    # the chunks' normals are consecutive draws of one stream, so the chunk
+    # size changes nothing that monte_carlo or sweep returns
     want = _chunked_results(params)
     monkeypatch.setattr(sim, "TRIAL_CHUNK", chunk)
     assert _chunked_results(params) == want
@@ -310,10 +288,12 @@ def test_run_trace_rejects_an_overflowing_storage_level(params):
 
 
 @pytest.mark.parametrize("n_frames, n_trials, message", [
-    (5, 0, "n_trials must be >= 1"), (0, 5, "n_frames must be >= 1")])
+    (5, 0, "n_trials must be >= 1"), (0, 5, "n_frames must be >= 1"),
+    (5, 5, "master_seed must be non-negative")])
 def test_monte_carlo_rejects_empty_runs(params, n_frames, n_trials, message):
+    # an empty run is named before the negative master seed
     with pytest.raises(ValueError, match=f"^{message}$"):
-        monte_carlo(params, n_frames, n_trials, 1)
+        monte_carlo(params, n_frames, n_trials, -1)
 
 
 def test_sweep_rejects_empty_values(params):

@@ -30,8 +30,9 @@ is its outage CI, binomial per frame, and the oracle's storage spread over
 sqrt(trials).  A frame's
 bound adds two trials' share, 2 / trials: one for the oracle's error, one
 for a frame whose outage is so small (6 m after frame 1) that its count of
-outages is not near normal.  Over Monte Carlo seeds 0 to 302 every check
-holds at each distance, the worst within 0.88 of its bound.  At 6 m the
+outages is not near normal.  On output version 4, over Monte Carlo seeds 0
+to 302 every check holds at each distance, the worst at 0.96 of its bound
+(a frame's outage at 15 m, seed 4).  At 6 m the
 level passes top within a few frames, which leaves the outage alone (it is
 below 1e-4 from frame 3 on, and a level at top affords 20 largest costs)
 but not the storage, so there only outages are compared.

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the claim rule of compare and the size measure;
+"""tools/bench_pairs.py: the claim rule of compare, the size measure and the
+stream version;
 tools/peak_lines.py: where a traced peak is charged."""
 
 import importlib.util
@@ -76,6 +77,19 @@ def test_src_module_lines_counts_each_python_file_under_src(tmp_path):
     lines = bench_pairs.src_module_lines(tmp_path)
     assert lines == {"pkg/a.py": 3, "pkg/empty.py": 0, "pkg/sub/b.py": 1}
     assert list(lines) == sorted(lines)
+
+
+def test_stream_version_is_read_from_the_tree_without_importing_it(tmp_path):
+    assert bench_pairs.stream_version(tmp_path) is None  # no sim.py
+    sim = tmp_path / "src" / "swiptfog" / "sim.py"
+    sim.parent.mkdir(parents=True)
+    sim.write_text("raise SystemExit('imported')\n# STREAM_VERSION = 9\n")
+    assert bench_pairs.stream_version(tmp_path) is None
+    sim.write_text("raise SystemExit('imported')\nSTREAM_VERSION = 3\n"
+                   "TRIAL_CHUNK = 32\n")
+    assert bench_pairs.stream_version(tmp_path) == 3
+    from swiptfog import sim as this_sim
+    assert bench_pairs.stream_version(bench_pairs.ROOT) == this_sim.STREAM_VERSION
 
 
 _PEAK_SPEC = importlib.util.spec_from_file_location(

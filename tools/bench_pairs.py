@@ -12,9 +12,9 @@ even ones.  The record of every run, each side's median and quartiles of
 every end-to-end metric of BENCHMARK.json, the pairs the change wins,
 whether it shows a gain by the claim rule (gain_shown, see compare),
 whether every run of both sides wrote the same CSV digests
-(csv_sha256_same_as_parent) and each side's src/ line count (src_lines)
-and line count per src/ module (src_module_lines) are written to
-results["<W>_seed<S>"] of --out;
+(csv_sha256_same_as_parent), each side's src/ line count (src_lines),
+line count per src/ module (src_module_lines) and random-stream version
+(stream_version) are written to results["<W>_seed<S>"] of --out;
 other keys of an existing file are kept, so seeds and workloads can be added
 by later calls.
 """
@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -76,6 +77,18 @@ def src_module_lines(tree):
     src = Path(tree) / "src"
     return {path.relative_to(src).as_posix(): len(path.read_text().splitlines())
             for path in sorted(src.rglob("*.py"))}
+
+
+def stream_version(tree):
+    """The STREAM_VERSION = N of tree's src/swiptfog/sim.py, read from the
+    text without importing it; None where there is none.  A change of
+    version explains a change of the CSV digests."""
+    try:
+        text = (Path(tree) / "src" / "swiptfog" / "sim.py").read_text()
+    except OSError:
+        return None
+    found = re.search(r"^STREAM_VERSION = (\d+)$", text, re.MULTILINE)
+    return int(found.group(1)) if found else None
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -164,7 +177,8 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
         "pairs": pairs,
         "first_in_pair": "parent on odd pairs, change on even pairs",
         **{side: {**summarize(runs, names), "src_lines": sum(lines[side].values()),
-                  "src_module_lines": lines[side]}
+                  "src_module_lines": lines[side],
+                  "stream_version": stream_version(trees[side])}
            for side, runs in sides.items()},
     }
     parent, change = entry["parent"], entry["change"]
@@ -174,6 +188,8 @@ def bench_pairs(parent_tree, workload, seed, pairs, seconds, metrics):
         and parent["csv_sha256_same_in_every_run"]
         and change["csv_sha256_same_in_every_run"])
     print(f"csv_sha256_same_as_parent: {entry['csv_sha256_same_as_parent']}; "
+          f"stream_version: parent {parent['stream_version']}, "
+          f"change {change['stream_version']}; "
           f"src/ lines: parent {parent['src_lines']}, "
           f"change {change['src_lines']}", flush=True)
     if all("metrics" in r for runs in sides.values() for r in runs):
